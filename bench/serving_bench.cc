@@ -4,7 +4,8 @@
 // Zipfian skew (a few hot tenants, a long cold tail — the multi-tenant
 // workload shape of the paper's SaaS setting) and drives them from a worker
 // pool: analytic sessions run cross-tenant scans at SCOPE "IN ()", tenant
-// sessions mix single-tenant DML with own-scope lookups. Every statement
+// sessions mix UPDATEs of a customer row their own tenant owns with
+// own-scope lookups (rows updated per write is reported). Every statement
 // goes through the full stack — MTSQL rewrite (or a cross-session plan-cache
 // hit), admission control, snapshot-pinned execution — so the numbers are
 // what a front-end actually pays per request.
@@ -100,12 +101,14 @@ bool ParseArgs(int argc, char** argv, Options* o) {
 struct Connection {
   std::unique_ptr<mt::Session> session;
   bool analytic = false;  // SCOPE "IN ()" reader vs own-scope DML mixer
-  int64_t custkey = 1;    // the tenant session's DML target row
+  int64_t custkey = 0;    // DML target row, owned by the session's tenant
+                          // (0 = the tenant owns no customer: no writes)
 };
 
 struct WorkerTotals {
   uint64_t statements = 0;
   uint64_t writes = 0;
+  uint64_t rows_updated = 0;
   uint64_t errors = 0;
   std::string first_error;
 };
@@ -131,19 +134,39 @@ int main(int argc, char** argv) {
   std::unique_ptr<mth::MthEnvironment> env = std::move(env_or).value();
   env->mth_db->set_max_concurrent_statements(opt.max_concurrent);
 
+  // Each tenant's own customer keys: every customer row belongs to one
+  // tenant, so an own-scope UPDATE only changes a row when its key is drawn
+  // from the session tenant's own keys.
+  std::vector<std::vector<int64_t>> owned(static_cast<size_t>(opt.tenants) +
+                                          1);
+  for (int64_t t = 1; t <= opt.tenants; ++t) {
+    mt::Session s(env->middleware.get(), t);
+    auto rs = s.Execute("SELECT c_custkey FROM customer ORDER BY c_custkey");
+    if (!rs.ok()) {
+      std::fprintf(stderr, "own-key lookup failed: %s\n",
+                   rs.status().ToString().c_str());
+      return 1;
+    }
+    for (const Row& row : rs.value().rows) {
+      owned[static_cast<size_t>(t)].push_back(row[0].int_value());
+    }
+  }
+
   // Session population: Zipf-skewed client tenants; 1 in 3 sessions is a
   // cross-tenant analytic reader (the MT-H loader grants public READ, so
   // "IN ()" resolves to every registered tenant).
   ZipfGenerator tenant_pick(opt.tenants, opt.zipf, opt.seed * 31 + 7);
   Rng setup_rng(opt.seed * 17 + 3);
   std::vector<Connection> conns(static_cast<size_t>(opt.sessions));
-  const int64_t customers = cfg.CustomerCount();
   for (size_t i = 0; i < conns.size(); ++i) {
     const int64_t client = tenant_pick.Next();
     conns[i].session = std::make_unique<mt::Session>(env->middleware.get(),
                                                      client);
     conns[i].analytic = (i % 3 == 0);
-    conns[i].custkey = setup_rng.Uniform(1, customers > 1 ? customers : 1);
+    const std::vector<int64_t>& keys = owned[static_cast<size_t>(client)];
+    if (!conns[i].analytic && !keys.empty()) {
+      conns[i].custkey = setup_rng.Pick(keys);
+    }
     if (conns[i].analytic) {
       auto st = conns[i].session->Execute("SET SCOPE = \"IN ()\"");
       if (!st.ok()) {
@@ -185,11 +208,17 @@ int main(int argc, char** argv) {
         Result<engine::ResultSet> r{engine::ResultSet{}};
         if (conn.analytic) {
           r = conn.session->Execute(rng.Pick(analytic_sql));
-        } else if (rng.Uniform(1, 100) <= opt.write_pct) {
+        } else if (conn.custkey != 0 &&
+                   rng.Uniform(1, 100) <= opt.write_pct) {
           r = conn.session->Execute(
               "UPDATE customer SET c_acctbal = c_acctbal + 1.00 "
               "WHERE c_custkey = " + std::to_string(conn.custkey));
           ++mine.writes;
+          if (r.ok() && !r.value().rows.empty() &&
+              !r.value().rows[0].empty()) {
+            mine.rows_updated +=
+                static_cast<uint64_t>(r.value().rows[0][0].int_value());
+          }
         } else {
           r = conn.session->Execute(lookup_sql);
         }
@@ -214,6 +243,7 @@ int main(int argc, char** argv) {
   for (const WorkerTotals& w : totals) {
     sum.statements += w.statements;
     sum.writes += w.writes;
+    sum.rows_updated += w.rows_updated;
     sum.errors += w.errors;
     if (sum.first_error.empty()) sum.first_error = w.first_error;
   }
@@ -229,6 +259,10 @@ int main(int argc, char** argv) {
               wall > 0 ? static_cast<double>(sum.statements) / wall : 0.0,
               static_cast<unsigned long long>(sum.writes),
               static_cast<unsigned long long>(sum.errors));
+  std::printf("  writes       %.2f rows updated per write\n",
+              sum.writes > 0 ? static_cast<double>(sum.rows_updated) /
+                                   static_cast<double>(sum.writes)
+                             : 0.0);
   std::printf("  latency      p50 %.6fs  p95 %.6fs  p99 %.6fs\n",
               metrics->Quantile(lat, 0.5), metrics->Quantile(lat, 0.95),
               metrics->Quantile(lat, 0.99));

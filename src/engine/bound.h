@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,14 @@ struct Plan {
 
   std::vector<ColumnMeta> columns;  // output layout
 
+  /// Column pruning (planner post-pass): the slots of the node's natural row
+  /// it emits, ascending — the table's schema row for kScan / kIndexScan,
+  /// concat(left, right) for inner and left joins, the left row for semi and
+  /// anti joins. Unset means every slot; an empty list means none at all (a
+  /// COUNT(*) scan). Scan filters, join keys and residuals read their rows
+  /// before this selection.
+  std::optional<std::vector<int>> emit;
+
   /// Set by the planner (parallel::MarkParallelSafe): this operator's own
   /// expressions are free of outer references, sub-plans and
   /// volatile/stable UDF calls (IMMUTABLE UDF calls are admitted — their
@@ -135,7 +144,8 @@ struct Plan {
   /// configured thread budget.
   bool parallel_safe = false;
 
-  // kScan / kIndexScan
+  // kScan / kIndexScan. The filter is bound over the table's schema row, not
+  // over the emitted layout (see `emit`).
   const Table* table = nullptr;
   BoundExprPtr scan_filter;
 
@@ -162,6 +172,7 @@ struct Plan {
   std::vector<BoundExprPtr> left_keys;   // over left layout
   std::vector<BoundExprPtr> right_keys;  // over right layout
   BoundExprPtr residual;                 // over concat(left, right) layout
+                                         // (the inputs' layouts, not `emit`)
   SubqueryOrigin decorrelated_from = SubqueryOrigin::kNone;
   /// NOT IN decorrelation: an anti join is only equivalent under SQL's
   /// three-valued logic when it is null-aware. The first `naaj_in_keys`

@@ -18,7 +18,7 @@
 namespace mtbase {
 namespace engine {
 
-thread_local verify::VerifyContext Database::verify_ctx_;
+thread_local Database::ThreadVerifyContext Database::tl_verify_ctx_;
 thread_local obs::StatementTrace* Database::active_trace_ = nullptr;
 thread_local Database::StatsFrame* Database::tl_stats_frame_ = nullptr;
 thread_local const Database* Database::tl_guard_owner_ = nullptr;
@@ -29,6 +29,16 @@ Database::Database(DbmsProfile profile) : profile_(profile) {
   if (const char* env = std::getenv("MTBASE_MAX_CONCURRENT_STATEMENTS")) {
     admission_.set_limit(std::atoi(env));
   }
+}
+
+uint64_t Database::NextId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+const verify::VerifyContext& Database::verify_context() const {
+  static const verify::VerifyContext kEngineChecksOnly;
+  return tl_verify_ctx_.owner == id_ ? tl_verify_ctx_.ctx : kEngineChecksOnly;
 }
 
 // ---------------------------------------------------------------------------
@@ -576,7 +586,7 @@ Status Database::VerifyPlan(Plan* plan) {
   ExecStats* stats = CurStats();
   obs::SpanTimer span(active_trace_, "verify", stats);
   ++stats->plans_verified;
-  verify::PlanVerifier verifier(&verify_ctx_);
+  verify::PlanVerifier verifier(&verify_context());
   verify::VerifyResult result = verifier.Verify(*plan);
   if (result.ok()) return Status::OK();
   stats->verify_violations += result.violations.size();

@@ -248,16 +248,19 @@ class Database {
   /// cache).
   UdfCacheEpoch CurrentUdfCacheEpoch() const;
 
-  /// Assumptions PlanVerifier may make about plans compiled from now on —
-  /// on this thread: the context is thread-local so concurrent sessions
-  /// cannot cross-contaminate each other's expected datasets. The MT
-  /// middleware refreshes it before every statement compile with the
-  /// expected dataset D' (src/mt/session.cc); a plain-SQL embedder keeps the
-  /// default (engine-level checks only). See verify/verifier.h.
+  /// Assumptions PlanVerifier may make about plans this database compiles
+  /// from now on — on this thread: the context is thread-local so concurrent
+  /// sessions cannot cross-contaminate each other's expected datasets, and
+  /// it belongs to this database, so another database driven from the same
+  /// thread keeps verifying with engine-level checks only. The MT middleware
+  /// refreshes it before every statement compile with the expected dataset
+  /// D' (src/mt/session.cc); a plain-SQL embedder keeps the default
+  /// (engine-level checks only). See verify/verifier.h.
   void set_verify_context(verify::VerifyContext ctx) {
-    verify_ctx_ = std::move(ctx);
+    tl_verify_ctx_.owner = id_;
+    tl_verify_ctx_.ctx = std::move(ctx);
   }
-  const verify::VerifyContext& verify_context() const { return verify_ctx_; }
+  const verify::VerifyContext& verify_context() const;
 
   /// Test-only: mutate each plan after planning, before verification —
   /// lets negative suites deliberately break invariants and assert the
@@ -374,10 +377,17 @@ class Database {
   /// next execution (CurrentUdfCacheEpoch falls back to the whole-catalog
   /// data version while stale).
   std::vector<const Table*> udf_read_tables_;
-  /// Thread-local: concurrent sessions compile under their own expected
-  /// datasets without contaminating each other (a thread that never set a
-  /// context verifies with engine-level checks only).
-  static thread_local verify::VerifyContext verify_ctx_;
+  /// The verify context last set on this thread, tagged with the id of the
+  /// database that set it (0 = none); see set_verify_context.
+  struct ThreadVerifyContext {
+    uint64_t owner = 0;
+    verify::VerifyContext ctx;
+  };
+  static thread_local ThreadVerifyContext tl_verify_ctx_;
+  /// Process-unique and never reused (an address can be), so a context set
+  /// by a destroyed database never applies to a later one.
+  static uint64_t NextId();
+  const uint64_t id_ = NextId();
   std::function<void(Plan*)> plan_mutation_hook_;
   /// Engine-layer trace slot (obs::TraceRecordScope): the active statement's
   /// trace record, or null outside a traced statement. Nested engine

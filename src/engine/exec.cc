@@ -494,6 +494,69 @@ Result<Value> EvalExpr(const BoundExpr& e, const Row& row, ExecContext* ctx) {
 
 namespace {
 
+/// concat(l, r) restricted to the join's emitted slots (Plan::emit); a null
+/// `r` reads NULL for every right slot.
+Row JoinOutputRow(const Plan& p, const Row& l, const Row* r) {
+  Row out;
+  if (!p.emit) {
+    const bool concat =
+        p.join_kind == JoinKind::kInner || p.join_kind == JoinKind::kLeft;
+    const size_t width = l.size() + (concat ? p.right->columns.size() : 0);
+    out.reserve(width);
+    out.insert(out.end(), l.begin(), l.end());
+    if (r != nullptr) out.insert(out.end(), r->begin(), r->end());
+    out.resize(width);
+    return out;
+  }
+  out.reserve(p.emit->size());
+  for (int slot : *p.emit) {
+    const size_t s = static_cast<size_t>(slot);
+    if (s < l.size()) {
+      out.push_back(l[s]);
+    } else if (r != nullptr) {
+      out.push_back((*r)[s - l.size()]);
+    } else {
+      out.emplace_back();
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<bool> JoinPair(const Plan& p, const Row& l, const Row& r,
+                      ExecContext* ctx, std::vector<Row>* out) {
+  ctx->stats->rows_joined++;
+  const bool concat_output =
+      p.join_kind == JoinKind::kInner || p.join_kind == JoinKind::kLeft;
+  if (p.residual) {
+    Row joined;
+    joined.reserve(l.size() + r.size());
+    joined.insert(joined.end(), l.begin(), l.end());
+    joined.insert(joined.end(), r.begin(), r.end());
+    MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.residual, joined, ctx));
+    if (!IsTrue(v)) return false;
+    if (concat_output) {
+      out->push_back(p.emit ? JoinOutputRow(p, l, &r) : std::move(joined));
+    }
+    return true;
+  }
+  if (concat_output) out->push_back(JoinOutputRow(p, l, &r));
+  return true;
+}
+
+void JoinFinishLeft(const Plan& p, const Row& l, bool matched,
+                    std::vector<Row>* out) {
+  const bool keep = p.join_kind == JoinKind::kSemi
+                        ? matched
+                        : (p.join_kind == JoinKind::kLeft ||
+                           p.join_kind == JoinKind::kAnti) &&
+                              !matched;
+  if (keep) out->push_back(JoinOutputRow(p, l, nullptr));
+}
+
+namespace {
+
 Result<Value> EvalUdf(const Udf& udf, std::vector<Value> args,
                       ExecContext* ctx) {
   // Per-statement (serial) / per-worker (parallel) result cache for
@@ -722,7 +785,7 @@ Result<std::vector<Row>> ExecNullAwareAntiJoin(const Plan& p,
     }
     if (g == nullptr) {
       // Empty set: NOT IN () is TRUE for any needle, even NULL.
-      out.push_back(std::move(l));
+      JoinFinishLeft(p, l, /*matched=*/false, &out);
       continue;
     }
     std::vector<Value> needle;
@@ -735,7 +798,7 @@ Result<std::vector<Row>> ExecNullAwareAntiJoin(const Plan& p,
     }
     ctx->stats->rows_joined++;
     if (needle_null || g->has_null || g->tuples.count(needle)) continue;
-    out.push_back(std::move(l));
+    JoinFinishLeft(p, l, /*matched=*/false, &out);
   }
   return out;
 }
@@ -763,43 +826,18 @@ Result<std::vector<Row>> ExecJoin(const Plan& p, ExecContext* ctx) {
                                   std::move(right_rows), workers);
   }
 
-  std::vector<Row> out;
-  const size_t right_width = p.right->columns.size();
-
-  auto concat = [](const Row& l, const Row& r) {
-    Row row;
-    row.reserve(l.size() + r.size());
-    for (const Value& v : l) row.push_back(v);
-    for (const Value& v : r) row.push_back(v);
-    return row;
-  };
-
   // Nested-loop join (cross product with optional residual).
+  const bool existence_only =
+      p.join_kind == JoinKind::kSemi || p.join_kind == JoinKind::kAnti;
+  std::vector<Row> out;
   for (const Row& l : left_rows) {
     bool matched = false;
     for (const Row& r : right_rows) {
-      Row joined = concat(l, r);
-      ctx->stats->rows_joined++;
-      if (p.residual) {
-        MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.residual, joined, ctx));
-        if (!IsTrue(v)) continue;
-      }
-      matched = true;
-      if (p.join_kind == JoinKind::kInner || p.join_kind == JoinKind::kLeft) {
-        out.push_back(std::move(joined));
-      } else if (p.join_kind == JoinKind::kSemi) {
-        break;
-      } else {  // anti
-        break;
-      }
+      MTB_ASSIGN_OR_RETURN(bool m, JoinPair(p, l, r, ctx, &out));
+      matched = matched || m;
+      if (m && existence_only) break;
     }
-    if (!matched && p.join_kind == JoinKind::kLeft) {
-      Row joined = l;
-      joined.resize(l.size() + right_width);
-      out.push_back(std::move(joined));
-    }
-    if (p.join_kind == JoinKind::kSemi && matched) out.push_back(l);
-    if (p.join_kind == JoinKind::kAnti && !matched) out.push_back(l);
+    JoinFinishLeft(p, l, matched, &out);
   }
   return out;
 }

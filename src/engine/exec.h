@@ -121,6 +121,19 @@ const std::vector<Row>& PinnedRows(ExecContext* ctx, const Table& t,
 /// Evaluate a bound expression against `row` (layout as bound).
 Result<Value> EvalExpr(const BoundExpr& e, const Row& row, ExecContext* ctx);
 
+/// One candidate pair of a join (hash-key match or nested-loop pair):
+/// evaluate the residual over concat(l, r) and, for inner/left joins, append
+/// the output row — the join's emitted slots (Plan::emit) only. Returns
+/// whether the pair matched. Counts ExecStats::rows_joined.
+Result<bool> JoinPair(const Plan& p, const Row& l, const Row& r,
+                      ExecContext* ctx, std::vector<Row>* out);
+
+/// After a left row's candidates: append its left-only output row where the
+/// join kind keeps one (LEFT unmatched, NULL-padded; SEMI matched; ANTI
+/// unmatched).
+void JoinFinishLeft(const Plan& p, const Row& l, bool matched,
+                    std::vector<Row>* out);
+
 /// SQL three-valued logic helper: value is BOOL true (not NULL, not false).
 bool IsTrue(const Value& v);
 

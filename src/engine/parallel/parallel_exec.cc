@@ -294,14 +294,6 @@ Result<std::vector<Row>> RunMorsels(ExecContext* ctx, size_t n_rows,
   return out;
 }
 
-Row ConcatRows(const Row& l, const Row& r) {
-  Row row;
-  row.reserve(l.size() + r.size());
-  for (const Value& v : l) row.push_back(v);
-  for (const Value& v : r) row.push_back(v);
-  return row;
-}
-
 /// Evaluate a key tuple; returns whether any component was NULL.
 Result<bool> ComputeKey(const std::vector<BoundExprPtr>& keys, const Row& r,
                         ExecContext* ctx, std::vector<Value>* out) {
@@ -333,7 +325,15 @@ Status ScanRange(const Plan& p, const std::vector<Row>& rows,
       MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.scan_filter, r, ctx));
       if (!IsTrue(v)) continue;
     }
-    out->push_back(r);
+    if (!p.emit) {
+      out->push_back(r);
+      continue;
+    }
+    // Column pruning: copy only the slots the plan above reads.
+    Row projected;
+    projected.reserve(p.emit->size());
+    for (int slot : *p.emit) projected.push_back(r[static_cast<size_t>(slot)]);
+    out->push_back(std::move(projected));
   }
   return Status::OK();
 }
@@ -448,50 +448,25 @@ struct JoinTable {
 
 Status ProbeRange(const Plan& p, const std::vector<Row>& left_rows,
                   size_t begin, size_t end, const JoinTable& table,
-                  const std::vector<Row>& right_rows, size_t right_width,
-                  ExecContext* ctx, std::vector<Row>* out) {
+                  const std::vector<Row>& right_rows, ExecContext* ctx,
+                  std::vector<Row>* out) {
+  const bool existence_only =
+      p.join_kind == JoinKind::kSemi || p.join_kind == JoinKind::kAnti;
   std::vector<Value> key;
   for (size_t i = begin; i < end; ++i) {
     const Row& l = left_rows[i];
     MTB_ASSIGN_OR_RETURN(bool null_key, ComputeKey(p.left_keys, l, ctx, &key));
     bool matched = false;
-    if (!null_key) {
-      const std::vector<size_t>* hits = table.Find(key);
-      if (hits != nullptr) {
-        for (size_t ri : *hits) {
-          Row joined = ConcatRows(l, right_rows[ri]);
-          ctx->stats->rows_joined++;
-          if (p.residual) {
-            MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.residual, joined, ctx));
-            if (!IsTrue(v)) continue;
-          }
-          matched = true;
-          if (p.join_kind == JoinKind::kInner ||
-              p.join_kind == JoinKind::kLeft) {
-            out->push_back(std::move(joined));
-          } else {
-            break;  // semi/anti only need existence
-          }
-        }
+    const std::vector<size_t>* hits = null_key ? nullptr : table.Find(key);
+    if (hits != nullptr) {
+      for (size_t ri : *hits) {
+        MTB_ASSIGN_OR_RETURN(bool m,
+                             JoinPair(p, l, right_rows[ri], ctx, out));
+        matched = matched || m;
+        if (m && existence_only) break;
       }
     }
-    switch (p.join_kind) {
-      case JoinKind::kInner:
-        break;
-      case JoinKind::kLeft:
-        if (!matched) {
-          Row joined = l;
-          joined.resize(l.size() + right_width);
-          out->push_back(std::move(joined));
-        }
-        break;
-      case JoinKind::kSemi:
-        if (matched) out->push_back(l);
-        break;
-      case JoinKind::kAnti:
-        if (!matched) out->push_back(l);
-        break;
-    }
+    JoinFinishLeft(p, l, matched, out);
   }
   return Status::OK();
 }
@@ -502,7 +477,6 @@ Result<std::vector<Row>> HashJoinExec(const Plan& p, ExecContext* ctx,
                                       std::vector<Row> left_rows,
                                       std::vector<Row> right_rows,
                                       int workers) {
-  const size_t right_width = p.right->columns.size();
   JoinTable table;
   if (workers <= 1) {
     table.maps.resize(1);
@@ -516,7 +490,7 @@ Result<std::vector<Row>> HashJoinExec(const Plan& p, ExecContext* ctx,
     }
     std::vector<Row> out;
     MTB_RETURN_IF_ERROR(ProbeRange(p, left_rows, 0, left_rows.size(), table,
-                                   right_rows, right_width, ctx, &out));
+                                   right_rows, ctx, &out));
     return out;
   }
 
@@ -573,8 +547,7 @@ Result<std::vector<Row>> HashJoinExec(const Plan& p, ExecContext* ctx,
   return RunMorsels(
       ctx, left_rows.size(), workers,
       [&](size_t b, size_t e, ExecContext* wctx, std::vector<Row>* o) {
-        return ProbeRange(p, left_rows, b, e, table, right_rows, right_width,
-                          wctx, o);
+        return ProbeRange(p, left_rows, b, e, table, right_rows, wctx, o);
       });
 }
 

@@ -1,6 +1,7 @@
 #include "engine/planner.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -1596,11 +1597,11 @@ void CollectConjuncts(const BoundExpr& e, std::vector<const BoundExpr*>* out) {
   out->push_back(&e);
 }
 
-/// Integer-literal image of an equality/IN conjunct over a scan output slot:
+/// Integer-literal image of an equality/IN conjunct over a scan filter slot:
 /// `slot = 7` or `slot IN (3, 5)`. Fills `keys` and returns the slot, or -1
-/// when the conjunct has any other shape. Scan output slots are the table's
-/// schema slots (base scans project every schema column in order), so the
-/// result compares directly against PartitionScheme::column / index slots.
+/// when the conjunct has any other shape. Scan filters are bound over the
+/// table's schema row whatever the scan emits (Plan::emit), so the result
+/// compares directly against PartitionScheme::column / index slots.
 int ConjunctKeySlot(const BoundExpr& e, std::vector<int64_t>* keys) {
   if (e.kind == BoundExpr::Kind::kBinary && e.bin_op == BinOp::kEq) {
     const BoundExpr* slot = e.args[0].get();
@@ -1686,6 +1687,194 @@ void ApplyPhysicalAccessPaths(Plan* p) {
   ApplyPhysicalAccessPaths(p->right.get());
 }
 
+// ---------------------------------------------------------------------------
+// Column pruning
+// ---------------------------------------------------------------------------
+//
+// Walks a plan top-down with the output slots its parent reads (`live`).
+// Scans and joins emit only those (Plan::emit); Filter, Sort, TopN and Limit
+// pass the narrowed layout up; Project, Aggregate and Distinct keep their
+// outputs, so result columns and EXPLAIN text do not change, and narrow only
+// what they ask of their input. Each step returns its node's slot map (old
+// output slot -> new output slot, -1 when dropped), which the parent applies
+// to every kSlot it holds over that input.
+
+using SlotMap = std::vector<int>;
+
+bool InRange(int slot, size_t width) {
+  return slot >= 0 && static_cast<size_t>(slot) < width;
+}
+
+void MarkSlots(const BoundExpr& e, std::vector<bool>* live) {
+  if (e.kind == BoundExpr::Kind::kSlot && InRange(e.slot, live->size())) {
+    (*live)[static_cast<size_t>(e.slot)] = true;
+  }
+  ForEachExprChild(e, [live](const BoundExpr& c) { MarkSlots(c, live); });
+}
+
+void RemapSlots(const BoundExpr& e, const SlotMap& map) {
+  if (e.kind == BoundExpr::Kind::kSlot && InRange(e.slot, map.size())) {
+    // The planner exclusively owns the fresh tree (see VisitExprPlans).
+    const_cast<BoundExpr&>(e).slot = map[static_cast<size_t>(e.slot)];
+  }
+  ForEachExprChild(e, [&map](const BoundExpr& c) { RemapSlots(c, map); });
+}
+
+bool HoldsCorrelatedSubplan(const BoundExpr& e) {
+  if (e.subplan != nullptr && e.correlated) return true;
+  bool found = false;
+  ForEachExprChild(e, [&found](const BoundExpr& c) {
+    found = found || HoldsCorrelatedSubplan(c);
+  });
+  return found;
+}
+
+SlotMap IdentityMap(size_t n) {
+  SlotMap map(n);
+  std::iota(map.begin(), map.end(), 0);
+  return map;
+}
+
+/// Make the `live` slots of `natural` (the node's natural row layout) its
+/// output: sets Plan::emit unless every slot survives, narrows `columns`,
+/// and returns natural slot -> output slot.
+SlotMap EmitLive(Plan* p, std::vector<ColumnMeta> natural,
+                 const std::vector<bool>& live) {
+  SlotMap map(natural.size(), -1);
+  std::vector<int> emit;
+  std::vector<ColumnMeta> cols;
+  for (size_t s = 0; s < natural.size(); ++s) {
+    if (!live[s]) continue;
+    map[s] = static_cast<int>(emit.size());
+    emit.push_back(static_cast<int>(s));
+    cols.push_back(std::move(natural[s]));
+  }
+  if (emit.size() == natural.size()) {
+    p->emit.reset();
+  } else {
+    p->emit = std::move(emit);
+  }
+  p->columns = std::move(cols);
+  return map;
+}
+
+SlotMap PruneNode(Plan* p, const std::vector<bool>& live);
+
+void PruneColumns(Plan* root) {
+  PruneNode(root, std::vector<bool>(root->columns.size(), true));
+}
+
+void PruneExprSubplans(const BoundExpr& e) {
+  // Same ownership argument as VisitExprPlans.
+  if (e.subplan) PruneColumns(const_cast<Plan*>(e.subplan.get()));
+  ForEachExprChild(e, [](const BoundExpr& c) { PruneExprSubplans(c); });
+}
+
+/// Inputs keep what the parent reads plus key and residual slots; the
+/// residual evaluates over concat(left, right) of the narrowed inputs, and
+/// the join emits only the slots the parent reads.
+SlotMap PruneJoin(Plan* p, const std::vector<bool>& live, bool whole) {
+  const size_t lw = p->left->columns.size();
+  const size_t rw = p->right->columns.size();
+  std::vector<bool> concat_live(lw + rw, whole);
+  for (size_t s = 0; s < live.size(); ++s) {
+    if (live[s]) concat_live[s] = true;
+  }
+  if (p->residual) MarkSlots(*p->residual, &concat_live);
+  const auto split = concat_live.begin() + static_cast<std::ptrdiff_t>(lw);
+  std::vector<bool> left_live(concat_live.begin(), split);
+  std::vector<bool> right_live(split, concat_live.end());
+  for (const auto& k : p->left_keys) MarkSlots(*k, &left_live);
+  for (const auto& k : p->right_keys) MarkSlots(*k, &right_live);
+  const SlotMap lmap = PruneNode(p->left.get(), left_live);
+  const SlotMap rmap = PruneNode(p->right.get(), right_live);
+  for (const auto& k : p->left_keys) RemapSlots(*k, lmap);
+  for (const auto& k : p->right_keys) RemapSlots(*k, rmap);
+  const int new_lw = static_cast<int>(p->left->columns.size());
+  SlotMap concat_map(lmap);
+  for (int r : rmap) concat_map.push_back(r < 0 ? -1 : new_lw + r);
+  if (p->residual) RemapSlots(*p->residual, concat_map);
+
+  std::vector<ColumnMeta> natural = p->left->columns;
+  if (p->join_kind == JoinKind::kInner || p->join_kind == JoinKind::kLeft) {
+    natural.insert(natural.end(), p->right->columns.begin(),
+                   p->right->columns.end());
+  }
+  std::vector<bool> out_live(natural.size(), false);
+  for (size_t s = 0; s < live.size(); ++s) {
+    if (live[s]) out_live[static_cast<size_t>(concat_map[s])] = true;
+  }
+  const SlotMap emit_map = EmitLive(p, std::move(natural), out_live);
+  SlotMap map(live.size(), -1);
+  for (size_t s = 0; s < live.size(); ++s) {
+    if (concat_map[s] >= 0) {
+      map[s] = emit_map[static_cast<size_t>(concat_map[s])];
+    }
+  }
+  return map;
+}
+
+SlotMap PruneNode(Plan* p, const std::vector<bool>& live) {
+  // Sub-plans are pruned as roots of their own. An operator whose
+  // expressions hold a correlated sub-plan keeps its whole input: the
+  // sub-plan's outer references index into the row it is evaluated on.
+  bool whole = false;
+  ForEachPlanExpr(*p, [&whole](const BoundExpr& e) {
+    PruneExprSubplans(e);
+    whole = whole || HoldsCorrelatedSubplan(e);
+  });
+  const std::vector<bool> all(p->left ? p->left->columns.size() : 0, true);
+  switch (p->kind) {
+    case Plan::Kind::kScan:
+    case Plan::Kind::kIndexScan:
+      // The scan filter reads the full schema row, so it needs no slot here.
+      if (p->table == nullptr) return {};  // dual: one empty row
+      return EmitLive(p, std::move(p->columns), live);
+    case Plan::Kind::kJoin:
+      return PruneJoin(p, live, whole);
+    case Plan::Kind::kFilter:
+    case Plan::Kind::kSort:
+    case Plan::Kind::kTopN:
+    case Plan::Kind::kLimit: {
+      // Pass-through operators: their output is their narrowed input.
+      std::vector<bool> in_live = whole ? all : live;
+      if (p->predicate) MarkSlots(*p->predicate, &in_live);
+      for (const auto& key : p->sort_keys) {
+        if (InRange(key.first, in_live.size())) {
+          in_live[static_cast<size_t>(key.first)] = true;
+        }
+      }
+      SlotMap map = PruneNode(p->left.get(), in_live);
+      if (p->predicate) RemapSlots(*p->predicate, map);
+      for (auto& key : p->sort_keys) {
+        if (InRange(key.first, map.size())) {
+          key.first = map[static_cast<size_t>(key.first)];
+        }
+      }
+      p->columns = p->left->columns;
+      return map;
+    }
+    case Plan::Kind::kDistinct:
+      PruneNode(p->left.get(), all);
+      return IdentityMap(p->columns.size());
+    case Plan::Kind::kProject:
+    case Plan::Kind::kAggregate: {
+      std::vector<bool> in_live(all.size(), whole);
+      for (const auto& e : p->exprs) MarkSlots(*e, &in_live);
+      for (const auto& a : p->aggs) {
+        if (a.arg) MarkSlots(*a.arg, &in_live);
+      }
+      const SlotMap map = PruneNode(p->left.get(), in_live);
+      for (const auto& e : p->exprs) RemapSlots(*e, map);
+      for (const auto& a : p->aggs) {
+        if (a.arg) RemapSlots(*a.arg, map);
+      }
+      return IdentityMap(p->columns.size());
+    }
+  }
+  return IdentityMap(p->columns.size());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1699,6 +1888,10 @@ Result<PlanPtr> Planner::PlanSelect(const sql::SelectStmt& sel) const {
   // pruning, index scans) before parallel-safety marking, which needs the
   // final operator kinds.
   if (options_.physical_access_paths) ApplyPhysicalAccessPaths(plan.get());
+  // Carry only the columns the query reads through scans and joins (nested
+  // sub-plans too). Scan filters keep reading the schema row, so the access
+  // paths chosen above are unaffected.
+  PruneColumns(plan.get());
   // Mark which operators the executor may run on worker threads (covers
   // nested sub-plans too). Purely advisory: execution still gates on input
   // size and the max_threads budget.

@@ -5,7 +5,10 @@
 // IN into semi/anti joins, equality-correlated scalar aggregates into
 // group-by + outer join). Anything not unnestable falls back to correct
 // per-row evaluation. See DESIGN.md section 5 for why this mirrors the
-// sub-query policy of real systems.
+// sub-query policy of real systems. Two post-passes follow: tenant-aware
+// access paths (partition pruning, ordered-index scans) and column pruning,
+// which makes scans and joins carry only the columns the query reads
+// (Plan::emit; docs/ARCHITECTURE.md "Column pruning").
 #ifndef MTBASE_ENGINE_PLANNER_H_
 #define MTBASE_ENGINE_PLANNER_H_
 

@@ -72,9 +72,17 @@ std::vector<ColumnMeta> ConcatLayout(const Plan& p) {
 int StripNode(Plan* p, const std::string& ttid_column) {
   int stripped = 0;
   if (p->scan_filter) {
-    // A scan's output layout is the table layout its filter is bound over.
+    // Scan filters are bound over the table's schema row, whatever the scan
+    // emits (Plan::emit).
+    std::vector<ColumnMeta> schema_row = p->columns;
+    if (p->table != nullptr) {
+      schema_row.clear();
+      for (const auto& c : p->table->schema().columns) {
+        schema_row.push_back({"", c.name});
+      }
+    }
     p->scan_filter =
-        Strip(std::move(p->scan_filter), p->columns, ttid_column, &stripped);
+        Strip(std::move(p->scan_filter), schema_row, ttid_column, &stripped);
   }
   if (p->predicate && p->left) {
     p->predicate = Strip(std::move(p->predicate), p->left->columns,

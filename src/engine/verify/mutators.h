@@ -14,9 +14,9 @@ namespace engine {
 namespace verify {
 
 /// Remove every conjunct that restricts a column named `ttid_column` (IN-list
-/// or equality against literals) from scan filters, filter predicates and
-/// join residuals, recursively — simulating a rewriter that forgot its
-/// D-filters. Returns the number of conjuncts stripped (0 means the plan had
+/// or equality against literals) from scan filters (read in schema space),
+/// filter predicates and join residuals, recursively — simulating a
+/// rewriter that forgot its D-filters. Returns the number of conjuncts stripped (0 means the plan had
 /// no tenant predicates to lose, e.g. at o1 with a full dataset).
 int StripTenantPredicates(Plan* plan, const std::string& ttid_column);
 

@@ -417,19 +417,50 @@ class VerifierImpl {
     return TenantState();
   }
 
+  /// A node's emitted-slot list (Plan::emit) must select from its natural
+  /// row of `width` slots in strictly ascending order.
+  void CheckEmitSlots(const Plan& p, size_t width, const char* what) {
+    int prev = -1;
+    for (int slot : *p.emit) {
+      if (slot < 0 || static_cast<size_t>(slot) >= width) {
+        Report(ViolationCode::kSlotOutOfRange,
+               std::string(what) + " emits slot " + std::to_string(slot) +
+                   " but its natural row has " + std::to_string(width) +
+                   " columns",
+               &p);
+        return;
+      }
+      if (slot <= prev) {
+        Report(ViolationCode::kSlotOutOfRange,
+               std::string(what) + " emits slot " + std::to_string(slot) +
+                   " after slot " + std::to_string(prev) +
+                   " (emitted slots must ascend)",
+               &p);
+        return;
+      }
+      prev = slot;
+    }
+  }
+
   TenantState VerifyScan(const Plan& p) {
     CheckParallelSafety(p);
-    if (p.table != nullptr &&
-        p.columns.size() != p.table->schema().columns.size()) {
+    // The filter reads the table's schema row; the scan then emits the
+    // slots of Plan::emit (all of them when unset).
+    const size_t width = p.table != nullptr ? p.table->schema().columns.size()
+                                            : p.columns.size();
+    if (p.emit) CheckEmitSlots(p, width, "scan");
+    const size_t emitted = p.emit ? p.emit->size() : width;
+    if (p.table != nullptr && p.columns.size() != emitted) {
       Report(ViolationCode::kArityMismatch,
              "scan of " + p.table->schema().name + " outputs " +
-                 std::to_string(p.columns.size()) + " columns but the table has " +
-                 std::to_string(p.table->schema().columns.size()),
+                 std::to_string(p.columns.size()) + " columns but " +
+                 (p.emit ? "its projection lists " : "the table has ") +
+                 std::to_string(emitted),
              &p);
     }
     if (p.scan_filter) {
-      CheckExprSlots(*p.scan_filter, p.columns.size(), &p, "scan filter");
-      VerifyExprSubplans(*p.scan_filter, p.columns.size());
+      CheckExprSlots(*p.scan_filter, width, &p, "scan filter");
+      VerifyExprSubplans(*p.scan_filter, width);
     }
     if (TenantChecksOn() && p.table != nullptr && IsTenantTable(*p.table)) {
       VerifyPartitionSet(p);
@@ -437,13 +468,7 @@ class VerifierImpl {
     TenantState state;
     if (TenantChecksOn() && p.table != nullptr && IsTenantTable(*p.table)) {
       if (ctx_->allow_unfiltered) return state;
-      int ttid_slot = -1;
-      for (size_t i = 0; i < p.columns.size(); ++i) {
-        if (EqualsIgnoreCase(p.columns[i].name, ctx_->ttid_column)) {
-          ttid_slot = static_cast<int>(i);
-          break;
-        }
-      }
+      const int ttid_slot = p.table->schema().FindColumn(ctx_->ttid_column);
       if (ttid_slot < 0) {
         Report(ViolationCode::kTenantPredicateMissing,
                "tenant-specific table " + p.table->schema().name +
@@ -458,6 +483,9 @@ class VerifierImpl {
       t.table = p.table->schema().name;
       state.pending.push_back(std::move(t));
       if (p.scan_filter) ApplyPredicate(*p.scan_filter, &state);
+      // A ttid the scan does not emit is beyond every ancestor's reach: if
+      // its own filter left it pending, the violation is here.
+      if (p.emit) state = RemapThroughEmit(std::move(state), *p.emit);
     }
     return state;
   }
@@ -537,23 +565,13 @@ class VerifierImpl {
     return state;
   }
 
-  /// Remap the child state through a projection list: an output expression
-  /// that is a plain slot forwards the child slot. A pending ttid slot that
-  /// no output forwards has been projected away unrestricted — no ancestor
-  /// can ever restrict it, so that is the point of violation.
-  TenantState RemapThroughExprs(TenantState child,
-                                const std::vector<BoundExprPtr>& exprs) {
+  /// Remap the child state through a node's output list: `forward(slot,
+  /// &out)` finds where the node emits child slot `slot`. A pending ttid slot
+  /// that no output forwards has been projected away unrestricted — no
+  /// ancestor can ever restrict it, so that is the point of violation.
+  template <typename Forward>
+  TenantState RemapState(TenantState child, Forward forward) {
     TenantState out;
-    auto forward = [&exprs](int child_slot, int* out_slot) {
-      for (size_t i = 0; i < exprs.size(); ++i) {
-        if (exprs[i] && exprs[i]->kind == BoundExpr::Kind::kSlot &&
-            exprs[i]->slot == child_slot) {
-          *out_slot = static_cast<int>(i);
-          return true;
-        }
-      }
-      return false;
-    };
     for (TtidSlot& t : child.pending) {
       int mapped = 0;
       if (forward(t.slot, &mapped)) {
@@ -568,6 +586,33 @@ class VerifierImpl {
       if (forward(r, &mapped)) out.restricted.push_back(mapped);
     }
     return out;
+  }
+
+  /// Through a projection list: an output expression that is a plain slot
+  /// forwards the child slot.
+  TenantState RemapThroughExprs(TenantState child,
+                                const std::vector<BoundExprPtr>& exprs) {
+    return RemapState(std::move(child), [&exprs](int slot, int* out) {
+      for (size_t i = 0; i < exprs.size(); ++i) {
+        if (exprs[i] && exprs[i]->kind == BoundExpr::Kind::kSlot &&
+            exprs[i]->slot == slot) {
+          *out = static_cast<int>(i);
+          return true;
+        }
+      }
+      return false;
+    });
+  }
+
+  /// Through an emitted-slot list (Plan::emit) over the node's natural row.
+  TenantState RemapThroughEmit(TenantState child,
+                               const std::vector<int>& emit) {
+    return RemapState(std::move(child), [&emit](int slot, int* out) {
+      auto it = std::find(emit.begin(), emit.end(), slot);
+      if (it == emit.end()) return false;
+      *out = static_cast<int>(it - emit.begin());
+      return true;
+    });
   }
 
   TenantState VerifyProject(const Plan& p) {
@@ -663,7 +708,9 @@ class VerifierImpl {
 
     bool concat_output =
         p.join_kind == JoinKind::kInner || p.join_kind == JoinKind::kLeft;
-    size_t expect = concat_output ? larity + rarity : larity;
+    const size_t natural = concat_output ? larity + rarity : larity;
+    if (p.emit) CheckEmitSlots(p, natural, "join");
+    const size_t expect = p.emit ? p.emit->size() : natural;
     if (p.columns.size() != expect) {
       Report(ViolationCode::kArityMismatch,
              "join outputs " + std::to_string(p.columns.size()) +
@@ -746,22 +793,25 @@ class VerifierImpl {
       }
     }
 
-    if (concat_output) return concat;
-
-    // Semi/anti output carries left columns only: right-side pending slots
-    // are dropped here, beyond any ancestor's reach.
     TenantState out;
-    for (TtidSlot& t : concat.pending) {
-      if (static_cast<size_t>(t.slot) < larity) {
-        out.pending.push_back(std::move(t));
-      } else {
-        ReportPending(t);
+    if (concat_output) {
+      out = std::move(concat);
+    } else {
+      // Semi/anti output carries left columns only: right-side pending
+      // slots are dropped here, beyond any ancestor's reach.
+      for (TtidSlot& t : concat.pending) {
+        if (static_cast<size_t>(t.slot) < larity) {
+          out.pending.push_back(std::move(t));
+        } else {
+          ReportPending(t);
+        }
+      }
+      for (int r : concat.restricted) {
+        if (static_cast<size_t>(r) < larity) out.restricted.push_back(r);
       }
     }
-    for (int r : concat.restricted) {
-      if (static_cast<size_t>(r) < larity) out.restricted.push_back(r);
-    }
-    return out;
+    // Natural slots the join does not emit are likewise beyond reach.
+    return p.emit ? RemapThroughEmit(std::move(out), *p.emit) : out;
   }
 
   TenantState VerifySort(const Plan& p) {

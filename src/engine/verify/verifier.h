@@ -19,7 +19,8 @@
 //      independently of parallel::MarkParallelSafe on purpose: two
 //      implementations of the same spec catch drift between the planner's
 //      marking logic and what the parallel operators actually tolerate.
-//   3. Structural soundness — slot references in range, operator output
+//   3. Structural soundness — slot references in range, emitted-slot lists
+//      (Plan::emit) ascending inside the node's natural row, operator output
 //      arity agreement, join key pairing, sort/top-N key slots in range,
 //      non-negative LIMIT/OFFSET.
 //
@@ -49,7 +50,9 @@ enum class ViolationCode : uint8_t {
   /// A subplan marked parallel_safe contains serial-only state (volatile or
   /// stable UDF calls, outer references, sub-plans, serial operator shapes).
   kParallelUnsafeSubplan,
-  /// An expression references a slot outside its input layout.
+  /// An expression references a slot outside its input layout, or a node's
+  /// emitted-slot list (Plan::emit) leaves its natural row or fails to
+  /// ascend.
   kSlotOutOfRange,
   /// Operator output arity disagrees with its inputs (or a child is missing).
   kArityMismatch,

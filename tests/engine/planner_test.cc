@@ -1,8 +1,17 @@
 // Planner-level behavior: pushdown, InitPlans, unnesting — observed through
-// ExecStats rather than timing.
+// ExecStats rather than timing — and column pruning, observed through the
+// widths of the bound scans and checked against hand-computed rows.
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "engine/explain.h"
+#include "mth/queries.h"
+#include "mth/runner.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace mtbase {
@@ -106,6 +115,289 @@ TEST_F(PlannerTest, CountDistinct) {
   ASSERT_OK_AND_ASSIGN(auto rs,
                        db_.Execute("SELECT COUNT(DISTINCT grp) FROM big"));
   EXPECT_EQ(rs.rows[0][0].int_value(), 10);
+}
+
+// -- Column pruning ---------------------------------------------------------
+
+/// "table:width" for every bound scan of `p` — pre-order, a node's
+/// expression sub-plans before its inputs.
+void CollectScanWidths(const Plan& p, std::vector<std::string>* out);
+
+void CollectExprScanWidths(const BoundExpr& e, std::vector<std::string>* out) {
+  if (e.subplan) CollectScanWidths(*e.subplan, out);
+  ForEachExprChild(e, [out](const BoundExpr& c) {
+    CollectExprScanWidths(c, out);
+  });
+}
+
+void CollectScanWidths(const Plan& p, std::vector<std::string>* out) {
+  if ((p.kind == Plan::Kind::kScan || p.kind == Plan::Kind::kIndexScan) &&
+      p.table != nullptr) {
+    out->push_back(p.table->schema().name + ":" +
+                   std::to_string(p.columns.size()));
+  }
+  ForEachPlanExpr(p, [out](const BoundExpr& e) {
+    CollectExprScanWidths(e, out);
+  });
+  if (p.left) CollectScanWidths(*p.left, out);
+  if (p.right) CollectScanWidths(*p.right, out);
+}
+
+/// Small hand-checkable tables; every statement runs under plan
+/// verification, so each pruned plan must also be verifier-clean.
+class ColumnPruningTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const char* old = std::getenv("MTBASE_VERIFY_PLANS");
+    had_env_ = old != nullptr;
+    if (had_env_) saved_env_ = old;
+    setenv("MTBASE_VERIFY_PLANS", "1", 1);
+    ASSERT_OK(db_.ExecuteScript(
+        "CREATE TABLE emp (id INTEGER NOT NULL, dept INTEGER, "
+        "name VARCHAR(10), salary INTEGER, note VARCHAR(20));"
+        "CREATE TABLE dept (did INTEGER NOT NULL, dname VARCHAR(10), "
+        "budget INTEGER, city VARCHAR(10));"
+        "INSERT INTO emp VALUES (1, 10, 'ann', 100, 'a'), "
+        "(2, 10, 'bob', 200, 'b'), (3, 20, 'cat', 300, 'c'), "
+        "(4, NULL, 'dan', 400, 'd'), (5, 30, 'eve', 500, 'e');"
+        "INSERT INTO dept VALUES (10, 'eng', 1000, 'zrh'), "
+        "(20, 'ops', 2000, 'ber'), (40, 'hr', 4000, 'par')"));
+  }
+  void TearDown() override {
+    if (had_env_) {
+      setenv("MTBASE_VERIFY_PLANS", saved_env_.c_str(), 1);
+    } else {
+      unsetenv("MTBASE_VERIFY_PLANS");
+    }
+  }
+
+  Result<PlanPtr> Plan(const std::string& sql) {
+    MTB_ASSIGN_OR_RETURN(sql::Stmt stmt, sql::ParseStatement(sql));
+    Planner planner(db_.catalog(), db_.udfs(), db_.planner_options());
+    return planner.PlanSelect(*stmt.select);
+  }
+
+  std::vector<std::string> ScanWidths(const std::string& sql) {
+    std::vector<std::string> out;
+    auto plan = Plan(sql);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (plan.ok()) CollectScanWidths(*plan.value(), &out);
+    return out;
+  }
+
+  /// Result rows as comma-joined cells, in result order.
+  std::vector<std::string> Rows(const std::string& sql) {
+    std::vector<std::string> out;
+    auto rs = db_.Execute(sql);
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    if (!rs.ok()) return out;
+    for (const Row& row : rs.value().rows) {
+      std::string line;
+      for (size_t i = 0; i < row.size(); ++i) {
+        if (i > 0) line += ",";
+        line += row[i].ToString();
+      }
+      out.push_back(line);
+    }
+    return out;
+  }
+
+  using Strings = std::vector<std::string>;
+  Database db_;
+
+ private:
+  std::string saved_env_;
+  bool had_env_ = false;
+};
+
+TEST_F(ColumnPruningTest, FilterAboveJoin) {
+  // The WHERE conjunct reads both sides of the explicit join, so it stays a
+  // Filter above it: the join emits name, salary and budget only.
+  const std::string sql =
+      "SELECT e.name FROM emp e JOIN dept d ON e.dept = d.did "
+      "WHERE e.salary + d.budget > 1150";
+  EXPECT_EQ(ScanWidths(sql), (Strings{"emp:3", "dept:2"}));
+  EXPECT_EQ(Rows(sql), (Strings{"bob", "cat"}));
+  ASSERT_OK_AND_ASSIGN(PlanPtr plan, Plan(sql));
+  const engine::Plan* filter = plan->left.get();
+  ASSERT_EQ(filter->kind, Plan::Kind::kFilter);
+  EXPECT_EQ(filter->columns.size(), 3u);
+  ASSERT_TRUE(filter->left->emit.has_value());
+  EXPECT_EQ(*filter->left->emit, (std::vector<int>{1, 2, 4}));
+}
+
+TEST_F(ColumnPruningTest, OrderByNonOutputColumn) {
+  EXPECT_EQ(ScanWidths("SELECT name FROM emp ORDER BY salary DESC"),
+            (Strings{"emp:2"}));
+  EXPECT_EQ(Rows("SELECT name FROM emp ORDER BY salary DESC"),
+            (Strings{"eve", "dan", "cat", "bob", "ann"}));
+  EXPECT_EQ(Rows("SELECT name FROM emp ORDER BY salary DESC LIMIT 2"),
+            (Strings{"eve", "dan"}));
+}
+
+TEST_F(ColumnPruningTest, LeftJoinPadsDroppedRightSideWithNulls) {
+  const std::string sql =
+      "SELECT e.name, d.dname FROM emp e LEFT JOIN dept d ON e.dept = d.did";
+  EXPECT_EQ(ScanWidths(sql), (Strings{"emp:2", "dept:2"}));
+  EXPECT_EQ(Rows(sql), (Strings{"ann,eng", "bob,eng", "cat,ops", "dan,NULL",
+                                "eve,NULL"}));
+}
+
+TEST_F(ColumnPruningTest, SemiAntiAndNullAwareAntiJoins) {
+  // EXISTS unnests to SELECT * over dept: that projection keeps its outputs.
+  const std::string exists =
+      "SELECT name FROM emp e WHERE EXISTS "
+      "(SELECT * FROM dept d WHERE d.did = e.dept)";
+  EXPECT_EQ(ScanWidths(exists), (Strings{"emp:2", "dept:4"}));
+  EXPECT_EQ(Rows(exists), (Strings{"ann", "bob", "cat"}));
+
+  const std::string not_exists =
+      "SELECT name FROM emp e WHERE NOT EXISTS "
+      "(SELECT * FROM dept d WHERE d.did = e.dept)";
+  EXPECT_EQ(Rows(not_exists), (Strings{"dan", "eve"}));
+
+  const std::string in =
+      "SELECT name FROM emp e WHERE e.salary IN "
+      "(SELECT d.budget - 900 FROM dept d WHERE d.did = e.dept)";
+  EXPECT_EQ(ScanWidths(in), (Strings{"emp:3", "dept:2"}));
+  EXPECT_EQ(Rows(in), (Strings{"ann"}));
+
+  const std::string not_in =
+      "SELECT name FROM emp e WHERE e.salary NOT IN "
+      "(SELECT d.budget - 900 FROM dept d WHERE d.did = e.dept)";
+  ASSERT_OK_AND_ASSIGN(PlanPtr plan, Plan(not_in));
+  EXPECT_PLAN_SHAPE(ExplainPlan(*plan),
+                    {"*HashJoin ANTI*[decorrelated NOT IN, null-aware]"});
+  EXPECT_EQ(ScanWidths(not_in), (Strings{"emp:3", "dept:2"}));
+  EXPECT_EQ(Rows(not_in), (Strings{"bob", "cat", "dan", "eve"}));
+}
+
+TEST_F(ColumnPruningTest, NestedLoopResidual) {
+  const std::string sql =
+      "SELECT e.name, d.dname FROM emp e, dept d "
+      "WHERE e.salary * 10 > d.budget";
+  EXPECT_EQ(ScanWidths(sql), (Strings{"emp:2", "dept:2"}));
+  EXPECT_EQ(Rows(sql), (Strings{"bob,eng", "cat,eng", "cat,ops", "dan,eng",
+                                "dan,ops", "eve,eng", "eve,ops", "eve,hr"}));
+}
+
+TEST_F(ColumnPruningTest, Distinct) {
+  const std::string sql =
+      "SELECT DISTINCT d.dname FROM emp e, dept d WHERE e.dept = d.did";
+  EXPECT_EQ(ScanWidths(sql), (Strings{"emp:1", "dept:2"}));
+  EXPECT_EQ(Rows(sql), (Strings{"eng", "ops"}));
+}
+
+TEST_F(ColumnPruningTest, CountStarReadsNoColumn) {
+  ASSERT_OK_AND_ASSIGN(PlanPtr plan, Plan("SELECT COUNT(*) FROM emp"));
+  const engine::Plan* scan = plan.get();
+  while (scan->left) scan = scan->left.get();
+  ASSERT_EQ(scan->kind, Plan::Kind::kScan);
+  // "No column" is an empty projection, distinct from "every column".
+  ASSERT_TRUE(scan->emit.has_value());
+  EXPECT_TRUE(scan->emit->empty());
+  EXPECT_EQ(Rows("SELECT COUNT(*) FROM emp"), (Strings{"5"}));
+
+  const std::string join =
+      "SELECT COUNT(*) FROM emp e, dept d WHERE e.dept = d.did";
+  EXPECT_EQ(ScanWidths(join), (Strings{"emp:1", "dept:1"}));
+  EXPECT_EQ(Rows(join), (Strings{"3"}));
+}
+
+TEST_F(ColumnPruningTest, CorrelatedPerRowFallbackKeepsInputWhole) {
+  // COUNT blocks decorrelation: the sub-plan runs per row, and its outer
+  // reference indexes the Filter's input row, so that input stays whole.
+  const std::string sql =
+      "SELECT name FROM emp e WHERE (SELECT COUNT(*) FROM dept d "
+      "WHERE d.budget > e.salary * 5) >= 2";
+  EXPECT_EQ(ScanWidths(sql), (Strings{"dept:1", "emp:5"}));
+  StatsScope stats(db_.stats());
+  EXPECT_EQ(Rows(sql), (Strings{"ann", "bob", "cat"}));
+  EXPECT_GT(stats.Delta().subquery_execs, 0u);
+}
+
+TEST_F(ColumnPruningTest, UncorrelatedInitPlans) {
+  const std::string in =
+      "SELECT name FROM emp WHERE dept IN "
+      "(SELECT did FROM dept WHERE budget > 1500)";
+  EXPECT_EQ(ScanWidths(in), (Strings{"emp:1", "dept:1"}));
+  EXPECT_EQ(Rows(in), (Strings{"cat"}));
+
+  const std::string scalar =
+      "SELECT name FROM emp WHERE salary > (SELECT AVG(salary) FROM emp)";
+  EXPECT_EQ(ScanWidths(scalar), (Strings{"emp:1", "emp:1"}));
+  StatsScope stats(db_.stats());
+  EXPECT_EQ(Rows(scalar), (Strings{"dan", "eve"}));
+  EXPECT_EQ(stats.Delta().initplan_execs, 1u);
+}
+
+TEST_F(ColumnPruningTest, UdfBodyPrunedAsItsOwnRoot) {
+  ASSERT_OK(db_.Execute("CREATE FUNCTION dname_of (INTEGER) RETURNS "
+                        "VARCHAR(10) AS 'SELECT dname FROM dept WHERE did = "
+                        "$1' LANGUAGE SQL IMMUTABLE")
+                .status());
+  const Udf* udf = db_.udfs()->Find("dname_of");
+  ASSERT_NE(udf, nullptr);
+  ASSERT_NE(udf->body_plan, nullptr);
+  std::vector<std::string> body;
+  CollectScanWidths(*udf->body_plan, &body);
+  EXPECT_EQ(body, (Strings{"dept:1"}));
+  const std::string sql = "SELECT name, dname_of(dept) FROM emp";
+  EXPECT_EQ(ScanWidths(sql), (Strings{"emp:2"}));
+  EXPECT_EQ(Rows(sql), (Strings{"ann,eng", "bob,eng", "cat,ops", "dan,NULL",
+                                "eve,NULL"}));
+}
+
+TEST_F(ColumnPruningTest, ViewAndDerivedTableKeepTheirProjections) {
+  // A view's or derived table's projection keeps its outputs, so the scan
+  // below carries what that projection reads, not what the outer query does.
+  ASSERT_OK(db_.Execute("CREATE VIEW rich AS SELECT id, name, salary, note "
+                        "FROM emp WHERE salary > 250")
+                .status());
+  EXPECT_EQ(ScanWidths("SELECT name FROM rich"), (Strings{"emp:4"}));
+  EXPECT_EQ(Rows("SELECT name FROM rich"), (Strings{"cat", "dan", "eve"}));
+
+  const std::string derived =
+      "SELECT t.n FROM (SELECT name AS n, salary AS s FROM emp) t "
+      "WHERE t.s > 250";
+  EXPECT_EQ(ScanWidths(derived), (Strings{"emp:2"}));
+  EXPECT_EQ(Rows(derived), (Strings{"cat", "dan", "eve"}));
+}
+
+// MT-H: TPC-H Q1 reads 7 lineitem columns, one of them (l_shipdate) only in
+// the scan filter, so the scan emits 6 of 16. At the canonical rewrite the
+// conversion calls also read ttid: 7 of 17.
+TEST(ColumnPruningMthTest, Q1LineitemScanWidth) {
+  mth::MthConfig cfg;
+  cfg.scale_factor = 0.001;
+  cfg.num_tenants = 2;
+  ASSERT_OK_AND_ASSIGN(auto env,
+                       mth::SetupEnvironment(cfg, DbmsProfile::kPostgres));
+  auto lineitem_width = [](Database* db, const std::string& sql,
+                           size_t* width, size_t* table_width) {
+    ASSERT_OK_AND_ASSIGN(sql::Stmt stmt, sql::ParseStatement(sql));
+    Planner planner(db->catalog(), db->udfs(), db->planner_options());
+    ASSERT_OK_AND_ASSIGN(PlanPtr plan, planner.PlanSelect(*stmt.select));
+    const engine::Plan* scan = plan.get();
+    while (scan->left) scan = scan->left.get();
+    ASSERT_NE(scan->table, nullptr);
+    ASSERT_EQ(scan->table->schema().name, "lineitem");
+    *width = scan->columns.size();
+    *table_width = scan->table->schema().columns.size();
+  };
+  const std::string q1 = mth::GetMthQuery(1, cfg.scale_factor).sql;
+  size_t width = 0;
+  size_t table_width = 0;
+  lineitem_width(env->tpch_db.get(), q1, &width, &table_width);
+  EXPECT_EQ(width, 6u);
+  EXPECT_EQ(table_width, 16u);
+
+  mt::Session session = env->OpenSession(1);
+  session.set_optimization_level(mt::OptLevel::kCanonical);
+  ASSERT_OK_AND_ASSIGN(std::string rewritten, session.Rewrite(q1));
+  lineitem_width(env->mth_db.get(), rewritten, &width, &table_width);
+  EXPECT_EQ(width, 7u);
+  EXPECT_EQ(table_width, 17u);
 }
 
 }  // namespace

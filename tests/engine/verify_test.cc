@@ -210,6 +210,66 @@ TEST_F(VerifyTest, StrippedTenantPredicateCaught) {
       << r.status().ToString();
 }
 
+// A scan emits only the columns its plan reads (Plan::emit) while its filter
+// reads the schema row: a ttid the projection drops is beyond every
+// ancestor's reach, so it must be restricted by the scan's own filter — and
+// a predicate on the column that took its output slot must not count.
+TEST_F(VerifyTest, ScanProjectionWithoutTtidNeedsItsOwnDFilter) {
+  verify::VerifyContext ctx = TenantCtx();
+  verify::PlanVerifier verifier(&ctx);
+  Planner planner(db_.catalog(), db_.udfs(), db_.planner_options());
+  struct Case {
+    const char* sql;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"SELECT id FROM acc", false},
+      {"SELECT id FROM acc WHERE ttid IN (1, 2)", true},
+      // id lands in output slot 0, where the unpruned layout had ttid.
+      {"SELECT x.id FROM (SELECT id FROM acc) x WHERE x.id IN (1, 2)", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    ASSERT_OK_AND_ASSIGN(sql::Stmt stmt, sql::ParseStatement(c.sql));
+    ASSERT_OK_AND_ASSIGN(PlanPtr plan, planner.PlanSelect(*stmt.select));
+    const Plan* scan = plan.get();
+    while (scan->left) scan = scan->left.get();
+    ASSERT_EQ(scan->kind, Plan::Kind::kScan);
+    ASSERT_TRUE(scan->emit.has_value());
+    EXPECT_EQ(*scan->emit, std::vector<int>{1});  // id only; ttid is slot 0
+    verify::VerifyResult r = verifier.Verify(*plan);
+    if (c.ok) {
+      EXPECT_TRUE(r.ok()) << r.Message();
+      continue;
+    }
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.violations[0].code,
+              verify::ViolationCode::kTenantPredicateMissing);
+    EXPECT_NE(r.violations[0].subtree.find("Scan acc"), std::string::npos)
+        << r.violations[0].subtree;
+  }
+}
+
+// The verify context belongs to the database that set it: another database
+// driven from the same thread (a plain TPC-H baseline next to an MT-H
+// database) verifies its own plans with engine-level checks only.
+TEST_F(VerifyTest, VerifyContextScopedToItsDatabase) {
+  ScopedVerifyEnv env("1");
+  Database other;
+  ASSERT_OK(other.ExecuteScript(
+      "CREATE TABLE acc (ttid INTEGER NOT NULL, id INTEGER NOT NULL, "
+      "balance INTEGER NOT NULL); INSERT INTO acc VALUES (7, 1, 0)"));
+  db_.set_verify_context(TenantCtx());
+  auto on_other = other.Execute("SELECT id FROM acc");
+  auto on_owner = db_.Execute("SELECT id FROM acc");
+  db_.set_verify_context(verify::VerifyContext());
+  EXPECT_OK(on_other.status());
+  ASSERT_FALSE(on_owner.ok());
+  EXPECT_NE(on_owner.status().ToString().find("TENANT_PREDICATE_MISSING"),
+            std::string::npos)
+      << on_owner.status().ToString();
+}
+
 TEST_F(VerifyTest, ExplainVerifyAnnotation) {
   verify::VerifyContext ctx = TenantCtx();
   ASSERT_OK_AND_ASSIGN(sql::Stmt ok_stmt,
@@ -285,6 +345,49 @@ TEST(VerifyStructuralTest, HandBuiltViolations) {
       found |= v.code == verify::ViolationCode::kNegativeLimit;
     }
     EXPECT_TRUE(found) << r.Message();
+  }
+
+  // Scan projections over a real table's three-column schema row: emitted
+  // slots must lie inside it, ascend, and match the output column count.
+  Database db;
+  ASSERT_OK(db.ExecuteScript("CREATE TABLE t3 (a INTEGER, b INTEGER, "
+                             "c INTEGER)"));
+  const Table* t3 = db.catalog()->FindTable("t3");
+  auto first_code = [&verifier](const Plan& p) {
+    verify::VerifyResult r = verifier.Verify(p);
+    return std::string(
+        r.ok() ? "ok" : verify::ViolationCodeName(r.violations[0].code));
+  };
+  struct ScanCase {
+    std::vector<int> emit;
+    size_t columns;
+    const char* code;
+  };
+  const ScanCase scan_cases[] = {
+      {{0, 2}, 2, "ok"},
+      {{0, 3}, 2, "SLOT_OUT_OF_RANGE"},  // past the schema row
+      {{2, 1}, 2, "SLOT_OUT_OF_RANGE"},  // out of order
+      {{0, 2}, 3, "ARITY_MISMATCH"},     // columns disagree with emit
+  };
+  for (const ScanCase& c : scan_cases) {
+    Plan scan;
+    scan.kind = Plan::Kind::kScan;
+    scan.table = t3;
+    scan.emit = c.emit;
+    scan.columns.resize(c.columns);
+    EXPECT_EQ(first_code(scan), c.code)
+        << "emit size " << c.emit.size() << ", columns " << c.columns;
+  }
+
+  // A join emitting a slot past concat(left, right) — two dual scans.
+  {
+    Plan join;
+    join.kind = Plan::Kind::kJoin;
+    join.left = std::make_unique<Plan>();
+    join.right = std::make_unique<Plan>();
+    join.emit = std::vector<int>{0};
+    join.columns.resize(1);
+    EXPECT_EQ(first_code(join), "SLOT_OUT_OF_RANGE");
   }
 
   // Aggregate output arity disagreeing with keys + aggregates.
