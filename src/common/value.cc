@@ -136,10 +136,12 @@ std::string Value::ToString() const {
   return "?";
 }
 
-size_t HashRow(const Row& row) {
+size_t HashRow(const Row& row) { return HashRow(row.data(), row.size()); }
+
+size_t HashRow(const Value* values, size_t n) {
   size_t h = 14695981039346656037ull;
-  for (const Value& v : row) {
-    h ^= v.Hash();
+  for (size_t i = 0; i < n; ++i) {
+    h ^= values[i].Hash();
     h *= 1099511628211ull;
   }
   return h;

@@ -82,6 +82,8 @@ using Row = std::vector<Value>;
 
 /// Hash of a row prefix, for hash joins and grouping.
 size_t HashRow(const Row& row);
+/// HashRow over `n` contiguous values (a key tuple stored in a flat array).
+size_t HashRow(const Value* values, size_t n);
 
 struct ValueVectorHash {
   size_t operator()(const std::vector<Value>& v) const { return HashRow(v); }

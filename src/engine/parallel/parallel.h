@@ -7,14 +7,14 @@
 // thread-local ExecContext/ExecStats; the region concatenates buffers in
 // morsel order and folds worker counters back, so the observable behavior —
 // row order, error choice, statistics totals — is byte-identical to the
-// serial executor. Hash joins build partitioned tables (per-worker key
-// extraction over contiguous chunks, per-partition merge preserving global
-// row order) and probe in morsels; aggregation accumulates into per-chunk
-// hash tables merged in chunk order, preserving first-appearance group
-// order. Chunk-ordered merging is exact for INT/DECIMAL arithmetic; only
-// SUM/AVG over DOUBLE re-associates floating-point addition and may differ
-// from the serial left-fold in the last bits (deterministic for a fixed
-// thread count). Sort and top-N (sort.cc) follow the same discipline:
+// serial executor. Hash joins build one flat index (per-worker key and hash
+// evaluation over contiguous chunks, then one serial pass linking each
+// bucket's rows in ascending order) and probe in morsels; aggregation
+// accumulates into per-chunk hash tables merged in chunk order, preserving
+// first-appearance group order. Chunk-ordered merging is exact for
+// INT/DECIMAL arithmetic; only SUM/AVG over DOUBLE re-associates
+// floating-point addition and may differ from the serial left-fold in the
+// last bits (deterministic for a fixed thread count). Sort and top-N (sort.cc) follow the same discipline:
 // per-worker stable-sorted runs merge pairwise with earlier-run-wins ties,
 // and top-N's bounded heaps order by (sort keys, input index), so both
 // reproduce the serial stable sort byte-for-byte.

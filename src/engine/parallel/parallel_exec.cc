@@ -409,6 +409,14 @@ Result<std::vector<Row>> FilterExec(const Plan& p, ExecContext* ctx,
 
 Result<std::vector<Row>> ProjectExec(const Plan& p, ExecContext* ctx,
                                      std::vector<Row> input, int workers) {
+  // Output slot i is input slot i for every input slot (e.g. an EXISTS
+  // side's SELECT * narrowed to the scan's emitted keys): rows pass through.
+  bool identity = p.exprs.size() == p.left->columns.size();
+  for (size_t i = 0; identity && i < p.exprs.size(); ++i) {
+    identity = p.exprs[i]->kind == BoundExpr::Kind::kSlot &&
+               p.exprs[i]->slot == static_cast<int>(i);
+  }
+  if (identity) return input;
   if (workers <= 1) {
     std::vector<Row> out;
     out.reserve(input.size());
@@ -423,27 +431,98 @@ Result<std::vector<Row>> ProjectExec(const Plan& p, ExecContext* ctx,
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned hash join
+// Hash join
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Hash table over the build (right) side. Serial execution uses a single
-/// partition; parallel builds hash-partition so P merge tasks can fill the
-/// maps without sharing. Per key, right-row indices are ascending in both
-/// modes, so probe output order matches the serial executor exactly.
-struct JoinTable {
-  size_t partitions = 1;
-  std::vector<std::unordered_map<std::vector<Value>, std::vector<size_t>,
-                                 ValueVectorHash, ValueVectorEq>>
-      maps;
-
-  const std::vector<size_t>* Find(const std::vector<Value>& key) const {
-    const auto& m =
-        maps[partitions == 1 ? 0 : ValueVectorHash()(key) % partitions];
-    auto it = m.find(key);
-    return it == m.end() ? nullptr : &it->second;
+/// StructuralEquals (INT 5 equals DECIMAL 5.00) with a fast path for the
+/// common INT = INT key.
+bool KeyEquals(const Value& a, const Value& b) {
+  if (a.type() == TypeId::kInt && b.type() == TypeId::kInt) {
+    return a.int_value() == b.int_value();
   }
+  return a.StructuralEquals(b);
+}
+
+/// Flat index over the build (right) input. Each build row's key tuple is
+/// evaluated once into one contiguous array, next to its HashRow hash; a
+/// power-of-two bucket directory heads chains that link each bucket's rows
+/// in ascending build-row order, leaving out rows with a NULL key component
+/// (NULL equals nothing). A probe walks its bucket's chain and takes the
+/// rows whose hash and key values equal its own, so it meets its matches in
+/// build-row order and counts only key-equal candidates — the same rows,
+/// order and rows_joined in serial and parallel execution, whatever the
+/// bucket layout.
+class JoinTable {
+ public:
+  static constexpr size_t kEnd = SIZE_MAX;
+
+  JoinTable(size_t rows, size_t width)
+      : width_(width), keys_(rows * width), hashes_(rows) {}
+
+  /// Evaluate and hash the keys of build rows [begin, end). Disjoint ranges
+  /// may be filled concurrently.
+  Status Fill(const Plan& p, const std::vector<Row>& rows, size_t begin,
+              size_t end, ExecContext* ctx) {
+    for (size_t i = begin; i < end; ++i) {
+      Value* key = &keys_[i * width_];
+      for (size_t k = 0; k < width_; ++k) {
+        MTB_ASSIGN_OR_RETURN(key[k], EvalExpr(*p.right_keys[k], rows[i], ctx));
+      }
+      hashes_[i] = HashRow(key, width_);
+    }
+    return Status::OK();
+  }
+
+  /// Link the chains once every row is filled. Pushing rows onto their
+  /// bucket's head from the last row down leaves each chain ascending.
+  void Link() {
+    const size_t n = hashes_.size();
+    int bits = 1;
+    while ((size_t{1} << bits) < n) ++bits;
+    shift_ = 64 - bits;
+    heads_.assign(size_t{1} << bits, kEnd);
+    next_.assign(n, kEnd);
+    for (size_t i = n; i-- > 0;) {
+      const Value* key = &keys_[i * width_];
+      if (std::any_of(key, key + width_,
+                      [](const Value& v) { return v.is_null(); })) {
+        continue;
+      }
+      size_t& head = heads_[Bucket(hashes_[i])];
+      next_[i] = head;
+      head = i;
+    }
+  }
+
+  /// First build row of `hash`'s chain (kEnd when empty); Next() walks on.
+  size_t First(size_t hash) const { return heads_[Bucket(hash)]; }
+  size_t Next(size_t row) const { return next_[row]; }
+
+  bool Matches(size_t row, size_t hash, const std::vector<Value>& key) const {
+    if (hashes_[row] != hash) return false;
+    const Value* stored = &keys_[row * width_];
+    for (size_t k = 0; k < width_; ++k) {
+      if (!KeyEquals(stored[k], key[k])) return false;
+    }
+    return true;
+  }
+
+ private:
+  /// Fibonacci hashing: the top bits of a multiplicative mix, so keys that
+  /// differ only in their hash's high bits still spread.
+  size_t Bucket(size_t hash) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(hash) * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  size_t width_;
+  std::vector<Value> keys_;     // rows * width_, row-major
+  std::vector<size_t> hashes_;  // HashRow of each row's key tuple
+  std::vector<size_t> heads_;
+  std::vector<size_t> next_;
+  int shift_ = 63;
 };
 
 Status ProbeRange(const Plan& p, const std::vector<Row>& left_rows,
@@ -457,9 +536,11 @@ Status ProbeRange(const Plan& p, const std::vector<Row>& left_rows,
     const Row& l = left_rows[i];
     MTB_ASSIGN_OR_RETURN(bool null_key, ComputeKey(p.left_keys, l, ctx, &key));
     bool matched = false;
-    const std::vector<size_t>* hits = null_key ? nullptr : table.Find(key);
-    if (hits != nullptr) {
-      for (size_t ri : *hits) {
+    if (!null_key) {
+      const size_t hash = HashRow(key);
+      for (size_t ri = table.First(hash); ri != JoinTable::kEnd;
+           ri = table.Next(ri)) {
+        if (!table.Matches(ri, hash, key)) continue;
         MTB_ASSIGN_OR_RETURN(bool m,
                              JoinPair(p, l, right_rows[ri], ctx, out));
         matched = matched || m;
@@ -477,70 +558,29 @@ Result<std::vector<Row>> HashJoinExec(const Plan& p, ExecContext* ctx,
                                       std::vector<Row> left_rows,
                                       std::vector<Row> right_rows,
                                       int workers) {
-  JoinTable table;
+  const size_t n = right_rows.size();
+  JoinTable table(n, p.right_keys.size());
   if (workers <= 1) {
-    table.maps.resize(1);
-    table.maps[0].reserve(right_rows.size());
-    std::vector<Value> key;
-    for (size_t i = 0; i < right_rows.size(); ++i) {
-      MTB_ASSIGN_OR_RETURN(bool null_key,
-                           ComputeKey(p.right_keys, right_rows[i], ctx, &key));
-      if (null_key) continue;  // NULL keys never match an equality
-      table.maps[0][std::move(key)].push_back(i);
-    }
+    MTB_RETURN_IF_ERROR(table.Fill(p, right_rows, 0, n, ctx));
+    table.Link();
     std::vector<Row> out;
     MTB_RETURN_IF_ERROR(ProbeRange(p, left_rows, 0, left_rows.size(), table,
                                    right_rows, ctx, &out));
     return out;
   }
 
-  // Parallel build, phase 1: per-worker key extraction over contiguous
-  // chunks. Merging chunk results in worker order keeps each key's right-row
-  // index list ascending — the order the serial build produces.
-  const size_t P = static_cast<size_t>(workers);
-  table.partitions = P;
-  table.maps.resize(P);
-  const size_t n = right_rows.size();
-  struct Entry {
-    size_t idx;
-    std::vector<Value> key;
-  };
-  std::vector<std::vector<std::vector<Entry>>> chunk_parts(
-      static_cast<size_t>(workers));
-  for (auto& cp : chunk_parts) cp.resize(P);
+  // Parallel build: each worker fills one contiguous chunk (the lowest
+  // failing chunk's error wins, as the serial build's first error would),
+  // then one serial pass links the chains.
   MTB_RETURN_IF_ERROR(
       RunRegion(ctx, workers, [&](int w, ExecContext* wctx, RegionError* err) {
         const size_t uw = static_cast<size_t>(w);
         const size_t begin = n * uw / static_cast<size_t>(workers);
         const size_t end = n * (uw + 1) / static_cast<size_t>(workers);
-        std::vector<Value> key;
-        for (size_t i = begin; i < end; ++i) {
-          auto null_key = ComputeKey(p.right_keys, right_rows[i], wctx, &key);
-          if (!null_key.ok()) {
-            err->Record(uw, std::move(null_key).status());
-            return;
-          }
-          if (null_key.value()) continue;
-          size_t h = ValueVectorHash()(key);
-          chunk_parts[uw][h % P].push_back(Entry{i, std::move(key)});
-        }
+        Status s = table.Fill(p, right_rows, begin, end, wctx);
+        if (!s.ok()) err->Record(uw, std::move(s));
       }));
-
-  // Phase 2: per-partition merge into the shared table (one task per
-  // partition; partitions are independent maps, so no locking).
-  std::atomic<size_t> next_part{0};
-  RunPoolProfiled(ctx, workers, [&](int) {
-    for (;;) {
-      size_t part = next_part.fetch_add(1, std::memory_order_relaxed);
-      if (part >= P) break;
-      auto& m = table.maps[part];
-      for (auto& cp : chunk_parts) {
-        for (Entry& entry : cp[part]) {
-          m[std::move(entry.key)].push_back(entry.idx);
-        }
-      }
-    }
-  });
+  table.Link();
   ctx->stats->parallel_joins++;
 
   // Parallel probe in morsels, order-preserving.

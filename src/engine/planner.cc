@@ -1692,12 +1692,14 @@ void ApplyPhysicalAccessPaths(Plan* p) {
 // ---------------------------------------------------------------------------
 //
 // Walks a plan top-down with the output slots its parent reads (`live`).
-// Scans and joins emit only those (Plan::emit); Filter, Sort, TopN and Limit
-// pass the narrowed layout up; Project, Aggregate and Distinct keep their
-// outputs, so result columns and EXPLAIN text do not change, and narrow only
-// what they ask of their input. Each step returns its node's slot map (old
-// output slot -> new output slot, -1 when dropped), which the parent applies
-// to every kSlot it holds over that input.
+// Scans and joins emit only those (Plan::emit) and Projects compute only
+// those; at the root every slot is live, so result columns do not change.
+// Filter, Sort, TopN and Limit pass the narrowed layout up. Aggregate and
+// Distinct keep their outputs (a dropped group key or DISTINCT column would
+// change the rows) and narrow only what they ask of their input. Each step
+// returns its node's slot map (old output slot -> new output slot, -1 when
+// dropped), which the parent applies to every kSlot it holds over that
+// input.
 
 using SlotMap = std::vector<int>;
 
@@ -1755,6 +1757,25 @@ SlotMap EmitLive(Plan* p, std::vector<ColumnMeta> natural,
     p->emit = std::move(emit);
   }
   p->columns = std::move(cols);
+  return map;
+}
+
+/// Keep only the `live` outputs of a Project; returns old output slot ->
+/// new output slot. An unread output is never evaluated.
+SlotMap NarrowProject(Plan* p, const std::vector<bool>& live) {
+  SlotMap map(p->exprs.size(), -1);
+  size_t kept = 0;
+  for (size_t s = 0; s < p->exprs.size(); ++s) {
+    if (!live[s]) continue;
+    map[s] = static_cast<int>(kept);
+    if (kept != s) {
+      p->exprs[kept] = std::move(p->exprs[s]);
+      p->columns[kept] = std::move(p->columns[s]);
+    }
+    ++kept;
+  }
+  p->exprs.resize(kept);
+  p->columns.resize(kept);
   return map;
 }
 
@@ -1859,6 +1880,9 @@ SlotMap PruneNode(Plan* p, const std::vector<bool>& live) {
       return IdentityMap(p->columns.size());
     case Plan::Kind::kProject:
     case Plan::Kind::kAggregate: {
+      const SlotMap out_map = p->kind == Plan::Kind::kProject
+                                  ? NarrowProject(p, live)
+                                  : IdentityMap(p->columns.size());
       std::vector<bool> in_live(all.size(), whole);
       for (const auto& e : p->exprs) MarkSlots(*e, &in_live);
       for (const auto& a : p->aggs) {
@@ -1869,7 +1893,7 @@ SlotMap PruneNode(Plan* p, const std::vector<bool>& live) {
       for (const auto& a : p->aggs) {
         if (a.arg) RemapSlots(*a.arg, map);
       }
-      return IdentityMap(p->columns.size());
+      return out_map;
     }
   }
   return IdentityMap(p->columns.size());
@@ -1888,9 +1912,9 @@ Result<PlanPtr> Planner::PlanSelect(const sql::SelectStmt& sel) const {
   // pruning, index scans) before parallel-safety marking, which needs the
   // final operator kinds.
   if (options_.physical_access_paths) ApplyPhysicalAccessPaths(plan.get());
-  // Carry only the columns the query reads through scans and joins (nested
-  // sub-plans too). Scan filters keep reading the schema row, so the access
-  // paths chosen above are unaffected.
+  // Carry only the columns the query reads through scans, joins and
+  // Projects below the root (nested sub-plans too). Scan filters keep
+  // reading the schema row, so the access paths chosen above are unaffected.
   PruneColumns(plan.get());
   // Mark which operators the executor may run on worker threads (covers
   // nested sub-plans too). Purely advisory: execution still gates on input

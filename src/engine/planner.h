@@ -7,8 +7,9 @@
 // per-row evaluation. See DESIGN.md section 5 for why this mirrors the
 // sub-query policy of real systems. Two post-passes follow: tenant-aware
 // access paths (partition pruning, ordered-index scans) and column pruning,
-// which makes scans and joins carry only the columns the query reads
-// (Plan::emit; docs/ARCHITECTURE.md "Column pruning").
+// which makes scans, joins and Projects below the root carry only the
+// columns the query reads (Plan::emit; docs/ARCHITECTURE.md "Column
+// pruning").
 #ifndef MTBASE_ENGINE_PLANNER_H_
 #define MTBASE_ENGINE_PLANNER_H_
 
@@ -32,7 +33,7 @@ struct PlannerOptions {
   bool decorrelate_subqueries = true;
 
   /// Intra-query parallelism budget: the number of workers a statement's
-  /// execution may use for morsel-driven scans, partitioned hash joins and
+  /// execution may use for morsel-driven scans, hash joins and
   /// parallel aggregation. 0 = auto (MTBASE_THREADS env, else
   /// hardware_concurrency); 1 forces serial execution. Parallel and serial
   /// runs produce byte-identical results, so this is purely a perf knob.

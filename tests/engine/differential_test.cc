@@ -9,6 +9,13 @@
 // byte-identical (row order included) and the row-level counters must
 // match: parallelism is a perf knob, never a semantics knob.
 //
+// Serial and parallel runs share the hash-join kernel, so for a capped
+// number of generated joins per batch a third run is the oracle for that
+// kernel: the same query with its `r.a = s.a` key written as
+// `r.a <= s.a AND r.a >= s.a` has no equi-key and plans a nested loop,
+// whose output order is the hash join's (each outer row's matches in inner
+// row order), so its rows must match byte for byte too.
+//
 // Reproduction: every failure message carries the generator seed and the
 // offending SQL. Re-run with MTBASE_DIFF_SEED=<seed> (and optionally
 // MTBASE_DIFF_QUERIES=<n>) to replay the exact sequence. The SeedSweep test
@@ -26,6 +33,8 @@
 
 #include "common/rng.h"
 #include "engine/database.h"
+#include "engine/explain.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace mtbase {
@@ -301,13 +310,41 @@ class DifferentialTest : public ::testing::Test {
     db_.set_planner_options(opts);
   }
 
+  /// Nested-loop oracle runs per batch: each evaluates up to |r| x |s| =
+  /// 550K pairs, so they are capped to keep the batch fast.
+  static constexpr uint64_t kNestedLoopOracles = 10;
+
+  /// Run a generated join with its hash key rewritten as a range pair (a
+  /// nested loop) and require the rows `expect` holds. Its rows_joined
+  /// counts every pair, so only the rows are compared.
+  void CheckNestedLoopOracle(const std::string& sql,
+                             const std::string& expect) {
+    const std::string key = " WHERE r.a = s.a";
+    const size_t at = sql.find(key);
+    ASSERT_NE(at, std::string::npos);
+    const std::string nested = sql.substr(0, at) +
+                               " WHERE r.a <= s.a AND r.a >= s.a" +
+                               sql.substr(at + key.size());
+    SCOPED_TRACE("nested-loop oracle: " + nested);
+    ASSERT_OK_AND_ASSIGN(sql::Stmt stmt, sql::ParseStatement(nested));
+    ASSERT_OK_AND_ASSIGN(std::string plan,
+                         ExplainSelect(db_.catalog(), db_.udfs(),
+                                       *stmt.select, db_.planner_options()));
+    ASSERT_NE(plan.find("[nested-loop]"), std::string::npos) << plan;
+    auto rs = db_.Execute(nested);
+    ASSERT_OK(rs);
+    ASSERT_EQ(expect, Canon(rs.value()));
+  }
+
   /// Run `count` generated queries for `seed`; every query executes serial
-  /// then parallel and must agree byte-for-byte with matching row counters.
+  /// then parallel and must agree byte-for-byte with matching row counters,
+  /// and the first kNestedLoopOracles joins match their nested-loop oracle.
   void RunBatch(uint64_t seed, uint64_t count) {
     QueryGen single(seed, /*join=*/false);
     QueryGen joined(seed ^ 0x9E3779B97F4A7C15ull, /*join=*/true);
     Rng pick(seed + 1);
     uint64_t parallel_queries = 0;
+    uint64_t oracles = 0;
     StatsScope batch(db_.stats());
     for (uint64_t i = 0; i < count; ++i) {
       const bool join = pick.Chance(0.4);
@@ -319,6 +356,11 @@ class DifferentialTest : public ::testing::Test {
       auto serial = db_.Execute(sql);
       ASSERT_OK(serial);
       ExecStats serial_stats = serial_scope.Delta();
+      if (join && oracles < kNestedLoopOracles) {
+        ++oracles;
+        CheckNestedLoopOracle(sql, Canon(serial.value()));
+        if (HasFatalFailure()) return;
+      }
       SetParallelism(4, 48);
       StatsScope par_scope(db_.stats());
       auto par = db_.Execute(sql);
@@ -342,6 +384,7 @@ class DifferentialTest : public ::testing::Test {
     EXPECT_GT(parallel_queries, count / 2) << "seed=" << seed;
     EXPECT_GT(totals.parallel_sorts, 0u) << "seed=" << seed;
     EXPECT_GT(totals.topn_pushdowns, 0u) << "seed=" << seed;
+    EXPECT_GT(oracles, 0u) << "seed=" << seed;
   }
 
   /// Same-schema sibling database whose tables carry a randomized physical

@@ -178,6 +178,121 @@ TEST_F(JoinTest, TupleInSubquery) {
   EXPECT_EQ(rows[0][0].string_value(), "ann");
 }
 
+// -- Hash-join kernel -------------------------------------------------------
+
+/// Every case runs twice: serially, and with 4 threads under a 2-row
+/// parallel gate, so even these few-row tables take the parallel build and
+/// probe. Both runs must agree byte for byte, rows_joined included.
+class HashJoinKernelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_OK(db_.ExecuteScript(R"(
+      CREATE TABLE prb (k INTEGER, j INTEGER, tag VARCHAR(4));
+      CREATE TABLE bld (k INTEGER, j INTEGER, seq INTEGER);
+      CREATE TABLE dbld (k DECIMAL(10,2), seq INTEGER);
+      CREATE TABLE ebld (k INTEGER, seq INTEGER);
+      INSERT INTO prb VALUES (1, 1, 'p1'), (NULL, 1, 'pn'), (2, 2, 'p2'),
+                             (3, 3, 'p3');
+      INSERT INTO bld VALUES (1, 1, 10), (2, 9, 20), (1, 2, 30), (NULL, 1, 40),
+                             (1, 1, 50), (2, 2, 60), (5, 1, 70);
+      INSERT INTO dbld VALUES (1.00, 1), (2.50, 2), (2.00, 3);
+    )"));
+  }
+
+  void SetThreads(int threads, size_t min_rows) {
+    PlannerOptions opts = db_.planner_options();
+    opts.max_threads = threads;
+    opts.min_parallel_rows = min_rows;
+    db_.set_planner_options(opts);
+  }
+
+  /// Result rows as comma-joined cells, in result order; `rows_joined`
+  /// (optional) receives the join pairs the serial run evaluated.
+  std::vector<std::string> Rows(const std::string& sql,
+                                uint64_t* rows_joined = nullptr) {
+    SCOPED_TRACE(sql);
+    SetThreads(1, 4096);
+    StatsScope serial_scope(db_.stats());
+    auto serial = db_.Execute(sql);
+    const ExecStats serial_stats = serial_scope.Delta();
+    SetThreads(4, 2);
+    StatsScope par_scope(db_.stats());
+    auto par = db_.Execute(sql);
+    const ExecStats par_stats = par_scope.Delta();
+    SetThreads(1, 4096);
+    EXPECT_OK(serial.status());
+    EXPECT_OK(par.status());
+    if (!serial.ok() || !par.ok()) return {};
+    EXPECT_EQ(CanonRows(serial.value().rows), CanonRows(par.value().rows));
+    EXPECT_EQ(serial_stats.rows_joined, par_stats.rows_joined);
+    EXPECT_EQ(serial_stats.parallel_joins, 0u);
+    EXPECT_GT(par_stats.parallel_joins, 0u);
+    if (rows_joined != nullptr) *rows_joined = serial_stats.rows_joined;
+    std::vector<std::string> out;
+    for (const Row& row : serial.value().rows) {
+      std::string line;
+      for (size_t i = 0; i < row.size(); ++i) {
+        if (i > 0) line += ",";
+        line += row[i].ToString();
+      }
+      out.push_back(line);
+    }
+    return out;
+  }
+
+  using Strings = std::vector<std::string>;
+  Database db_;
+};
+
+TEST_F(HashJoinKernelTest, MatchesComeInBuildRowOrder) {
+  uint64_t joined = 0;
+  EXPECT_EQ(Rows("SELECT p.tag, b.seq FROM prb p JOIN bld b ON p.k = b.k",
+                 &joined),
+            (Strings{"p1,10", "p1,30", "p1,50", "p2,20", "p2,60"}));
+  EXPECT_EQ(joined, 5u);  // key-equal candidates only
+}
+
+TEST_F(HashJoinKernelTest, NullKeysOnEitherSide) {
+  // pn's NULL key and bld's (NULL, 1, 40) row never match anything.
+  EXPECT_EQ(
+      Rows("SELECT p.tag, b.seq FROM prb p LEFT JOIN bld b ON p.k = b.k"),
+      (Strings{"p1,10", "p1,30", "p1,50", "pn,NULL", "p2,20", "p2,60",
+               "p3,NULL"}));
+  EXPECT_EQ(Rows("SELECT p.tag FROM prb p WHERE EXISTS "
+                 "(SELECT * FROM bld b WHERE b.k = p.k)"),
+            (Strings{"p1", "p2"}));
+  EXPECT_EQ(Rows("SELECT p.tag FROM prb p WHERE NOT EXISTS "
+                 "(SELECT * FROM bld b WHERE b.k = p.k)"),
+            (Strings{"pn", "p3"}));
+}
+
+TEST_F(HashJoinKernelTest, IntKeyMatchesEqualDecimal) {
+  EXPECT_EQ(Rows("SELECT p.tag, d.seq FROM prb p JOIN dbld d ON p.k = d.k"),
+            (Strings{"p1,1", "p2,3"}));
+}
+
+TEST_F(HashJoinKernelTest, TwoColumnKeyNeedsBothToAgree) {
+  // (1, 2, 30) and (2, 9, 20) agree with a probe row on k only, (5, 1, 70)
+  // and (NULL, 1, 40) on j only.
+  uint64_t joined = 0;
+  EXPECT_EQ(Rows("SELECT p.tag, b.seq FROM prb p JOIN bld b "
+                 "ON p.k = b.k AND p.j = b.j",
+                 &joined),
+            (Strings{"p1,10", "p1,50", "p2,60"}));
+  EXPECT_EQ(joined, 3u);
+}
+
+TEST_F(HashJoinKernelTest, EmptyBuildInput) {
+  EXPECT_EQ(Rows("SELECT p.tag, e.seq FROM prb p JOIN ebld e ON p.k = e.k"),
+            Strings{});
+  EXPECT_EQ(
+      Rows("SELECT p.tag, e.seq FROM prb p LEFT JOIN ebld e ON p.k = e.k"),
+      (Strings{"p1,NULL", "pn,NULL", "p2,NULL", "p3,NULL"}));
+  EXPECT_EQ(Rows("SELECT p.tag FROM prb p WHERE NOT EXISTS "
+                 "(SELECT * FROM ebld e WHERE e.k = p.k)"),
+            (Strings{"p1", "pn", "p2", "p3"}));
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace mtbase

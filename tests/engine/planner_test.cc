@@ -161,7 +161,9 @@ class ColumnPruningTest : public ::testing::Test {
         "(2, 10, 'bob', 200, 'b'), (3, 20, 'cat', 300, 'c'), "
         "(4, NULL, 'dan', 400, 'd'), (5, 30, 'eve', 500, 'e');"
         "INSERT INTO dept VALUES (10, 'eng', 1000, 'zrh'), "
-        "(20, 'ops', 2000, 'ber'), (40, 'hr', 4000, 'par')"));
+        "(20, 'ops', 2000, 'ber'), (40, 'hr', 4000, 'par');"
+        "CREATE FUNCTION dname_of (INTEGER) RETURNS VARCHAR(10) AS "
+        "'SELECT dname FROM dept WHERE did = $1' LANGUAGE SQL IMMUTABLE"));
   }
   void TearDown() override {
     if (had_env_) {
@@ -244,11 +246,11 @@ TEST_F(ColumnPruningTest, LeftJoinPadsDroppedRightSideWithNulls) {
 }
 
 TEST_F(ColumnPruningTest, SemiAntiAndNullAwareAntiJoins) {
-  // EXISTS unnests to SELECT * over dept: that projection keeps its outputs.
+  // EXISTS unnests to SELECT * over dept, narrowed to the join key.
   const std::string exists =
       "SELECT name FROM emp e WHERE EXISTS "
       "(SELECT * FROM dept d WHERE d.did = e.dept)";
-  EXPECT_EQ(ScanWidths(exists), (Strings{"emp:2", "dept:4"}));
+  EXPECT_EQ(ScanWidths(exists), (Strings{"emp:2", "dept:1"}));
   EXPECT_EQ(Rows(exists), (Strings{"ann", "bob", "cat"}));
 
   const std::string not_exists =
@@ -332,10 +334,6 @@ TEST_F(ColumnPruningTest, UncorrelatedInitPlans) {
 }
 
 TEST_F(ColumnPruningTest, UdfBodyPrunedAsItsOwnRoot) {
-  ASSERT_OK(db_.Execute("CREATE FUNCTION dname_of (INTEGER) RETURNS "
-                        "VARCHAR(10) AS 'SELECT dname FROM dept WHERE did = "
-                        "$1' LANGUAGE SQL IMMUTABLE")
-                .status());
   const Udf* udf = db_.udfs()->Find("dname_of");
   ASSERT_NE(udf, nullptr);
   ASSERT_NE(udf->body_plan, nullptr);
@@ -348,13 +346,13 @@ TEST_F(ColumnPruningTest, UdfBodyPrunedAsItsOwnRoot) {
                                 "eve,NULL"}));
 }
 
-TEST_F(ColumnPruningTest, ViewAndDerivedTableKeepTheirProjections) {
-  // A view's or derived table's projection keeps its outputs, so the scan
-  // below carries what that projection reads, not what the outer query does.
+TEST_F(ColumnPruningTest, ViewAndDerivedTableProjectOnlyWhatIsRead) {
+  // A view's or derived table's projection computes only the outputs the
+  // outer query reads, so the scan below carries only what those read.
   ASSERT_OK(db_.Execute("CREATE VIEW rich AS SELECT id, name, salary, note "
                         "FROM emp WHERE salary > 250")
                 .status());
-  EXPECT_EQ(ScanWidths("SELECT name FROM rich"), (Strings{"emp:4"}));
+  EXPECT_EQ(ScanWidths("SELECT name FROM rich"), (Strings{"emp:1"}));
   EXPECT_EQ(Rows("SELECT name FROM rich"), (Strings{"cat", "dan", "eve"}));
 
   const std::string derived =
@@ -362,6 +360,33 @@ TEST_F(ColumnPruningTest, ViewAndDerivedTableKeepTheirProjections) {
       "WHERE t.s > 250";
   EXPECT_EQ(ScanWidths(derived), (Strings{"emp:2"}));
   EXPECT_EQ(Rows(derived), (Strings{"cat", "dan", "eve"}));
+}
+
+TEST_F(ColumnPruningTest, DistinctKeepsColumnsTheOuterQueryDoesNotRead) {
+  // DISTINCT ranges over every column of its projection: 5 (dept, name)
+  // pairs, not the 4 distinct depts.
+  const std::string sql =
+      "SELECT t.dept FROM (SELECT DISTINCT dept, name FROM emp) t";
+  EXPECT_EQ(ScanWidths(sql), (Strings{"emp:2"}));
+  EXPECT_EQ(Rows(sql), (Strings{"10", "10", "20", "NULL", "30"}));
+}
+
+TEST_F(ColumnPruningTest, UnreadDerivedColumnIsNeverComputed) {
+  // The body runs once per distinct did when the column is read, never when
+  // it is not.
+  const std::string unread =
+      "SELECT t.city FROM (SELECT city, dname_of(did) AS dn FROM dept) t";
+  EXPECT_EQ(ScanWidths(unread), (Strings{"dept:1"}));
+  StatsScope stats(db_.stats());
+  EXPECT_EQ(Rows(unread), (Strings{"zrh", "ber", "par"}));
+  EXPECT_EQ(stats.Delta().udf_calls, 0u);
+
+  const std::string read =
+      "SELECT t.dn FROM (SELECT city, dname_of(did) AS dn FROM dept) t";
+  EXPECT_EQ(ScanWidths(read), (Strings{"dept:1"}));
+  stats.Restart();
+  EXPECT_EQ(Rows(read), (Strings{"eng", "ops", "hr"}));
+  EXPECT_EQ(stats.Delta().udf_calls, 3u);
 }
 
 // MT-H: TPC-H Q1 reads 7 lineitem columns, one of them (l_shipdate) only in

@@ -250,6 +250,24 @@ TEST_F(VerifyTest, ScanProjectionWithoutTtidNeedsItsOwnDFilter) {
   }
 }
 
+// A derived table's projection computes only what the outer query reads:
+// an unread ttid is dropped at the scan, so only a D-filter inside the
+// derived table can restrict it.
+TEST_F(VerifyTest, NarrowedDerivedTableNeedsItsOwnDFilter) {
+  ScopedVerifyEnv env("1");
+  db_.set_verify_context(TenantCtx());
+  auto refused = db_.Execute("SELECT x.id FROM (SELECT id, ttid FROM acc) x");
+  auto accepted = db_.Execute(
+      "SELECT x.id FROM (SELECT id, ttid FROM acc WHERE ttid IN (1, 2)) x");
+  db_.set_verify_context(verify::VerifyContext());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().ToString().find("TENANT_PREDICATE_MISSING"),
+            std::string::npos)
+      << refused.status().ToString();
+  ASSERT_OK(accepted.status());
+  EXPECT_EQ(accepted.value().rows.size(), 8u);
+}
+
 // The verify context belongs to the database that set it: another database
 // driven from the same thread (a plain TPC-H baseline next to an MT-H
 // database) verifies its own plans with engine-level checks only.
