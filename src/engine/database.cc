@@ -377,7 +377,7 @@ Result<ResultSet> PreparedPlan::ExecuteInternal(
     MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*st->plan, &ctx));
     ResultSet rs;
     rs.column_names = st->column_names;
-    rs.rows = std::move(rows);
+    rs.rows = rows.TakeRows();
     return rs;
   }
   // DML executes its bound form: no per-execution binder work.
@@ -626,7 +626,7 @@ Result<ResultSet> Database::ExecuteSelect(const sql::SelectStmt& sel,
     MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan, &ctx));
     ResultSet rs;
     for (const auto& c : plan->columns) rs.column_names.push_back(c.name);
-    rs.rows = std::move(rows);
+    rs.rows = rows.TakeRows();
     return rs;
   }();
   const double secs =
@@ -703,7 +703,7 @@ Result<std::string> Database::ExplainAnalyzeSelect(
     for (const auto& c : plan->columns) {
       result_out->column_names.push_back(c.name);
     }
-    result_out->rows = std::move(rows);
+    result_out->rows = rows.TakeRows();
   }
   return out;
 }
@@ -897,7 +897,8 @@ Status Database::ExecuteBoundInsert(const BoundDmlPlan& dml,
   std::vector<Row> source_rows;
   ExecContext ctx = MakeContext(params);
   if (select_plan != nullptr) {
-    MTB_ASSIGN_OR_RETURN(source_rows, ExecutePlan(*select_plan, &ctx));
+    MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*select_plan, &ctx));
+    source_rows = rows.TakeRows();
   } else {
     Row empty_row;
     for (const auto& bound_row : dml.value_rows) {

@@ -45,6 +45,44 @@ const std::vector<Row>& PinnedRows(ExecContext* ctx, const Table& t,
   return *e.rows;
 }
 
+void RowBatch::AppendBatch(RowBatch&& other) {
+  assert(other.width_ == width_);
+  values_.insert(values_.end(), std::make_move_iterator(other.values_.begin()),
+                 std::make_move_iterator(other.values_.end()));
+  rows_ += other.rows_;
+  other.values_.clear();
+  other.rows_ = 0;
+}
+
+void RowBatch::Truncate(size_t rows) {
+  if (rows >= rows_) return;
+  values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(rows * width_),
+                values_.end());
+  rows_ = rows;
+}
+
+void RowBatch::Slice(size_t offset, size_t limit) {
+  const size_t off = std::min(offset, rows_);
+  values_.erase(values_.begin(),
+                values_.begin() + static_cast<std::ptrdiff_t>(off * width_));
+  rows_ -= off;
+  Truncate(limit);
+}
+
+Row RowBatch::TakeRow(size_t i) {
+  Value* v = row_data(i);
+  return Row(std::make_move_iterator(v), std::make_move_iterator(v + width_));
+}
+
+std::vector<Row> RowBatch::TakeRows() {
+  std::vector<Row> rows;
+  rows.reserve(rows_);
+  for (size_t i = 0; i < rows_; ++i) rows.push_back(TakeRow(i));
+  values_.clear();
+  rows_ = 0;
+  return rows;
+}
+
 int SortCompare(const Value& a, const Value& b) {
   if (a.is_null() && b.is_null()) return 0;
   if (a.is_null()) return 1;
@@ -57,74 +95,84 @@ bool IsTrue(const Value& v) {
   return v.type() == TypeId::kBool && v.bool_value();
 }
 
-Result<Value> NumericAdd(const Value& a, const Value& b) {
+namespace {
+
+Status IntOutOfRange() {
+  return Status::InvalidArgument("integer out of range");
+}
+
+/// An INT or DECIMAL operand as a Decimal (exact).
+Decimal ToDecimal(const Value& v) {
+  return v.type() == TypeId::kDecimal ? v.decimal_value()
+                                      : Decimal::FromInt(v.int_value());
+}
+
+/// Arithmetic dispatch shared by + - *: DOUBLE if either side is one, else
+/// DECIMAL if either side is one, else INT with overflow checked.
+template <typename DoubleOp, typename DecimalOp, typename IntOp>
+Result<Value> Arith(const Value& a, const Value& b, const char* verb,
+                    DoubleOp dop, DecimalOp decop, IntOp iop) {
+  if (!a.is_numeric() || !b.is_numeric()) {
+    return Status::InvalidArgument(std::string("cannot ") + verb +
+                                   " non-numeric values");
+  }
   if (a.type() == TypeId::kDouble || b.type() == TypeId::kDouble) {
-    return Value::Double(a.AsDouble() + b.AsDouble());
+    return Value::Double(dop(a.AsDouble(), b.AsDouble()));
   }
   if (a.type() == TypeId::kDecimal || b.type() == TypeId::kDecimal) {
-    Decimal x = a.type() == TypeId::kDecimal ? a.decimal_value()
-                                             : Decimal::FromInt(a.int_value());
-    Decimal y = b.type() == TypeId::kDecimal ? b.decimal_value()
-                                             : Decimal::FromInt(b.int_value());
-    return Value::Dec(x.Add(y));
+    return Value::Dec(decop(ToDecimal(a), ToDecimal(b)));
   }
-  if (a.type() == TypeId::kInt && b.type() == TypeId::kInt) {
-    return Value::Int(a.int_value() + b.int_value());
-  }
-  return Status::InvalidArgument("cannot add non-numeric values");
+  int64_t r = 0;
+  if (iop(a.int_value(), b.int_value(), &r)) return IntOutOfRange();
+  return Value::Int(r);
+}
+
+}  // namespace
+
+Result<Value> NumericAdd(const Value& a, const Value& b) {
+  return Arith(
+      a, b, "add", [](double x, double y) { return x + y; },
+      [](const Decimal& x, const Decimal& y) { return x.Add(y); },
+      [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_add_overflow(x, y, r);
+      });
 }
 
 Result<Value> NumericSub(const Value& a, const Value& b) {
-  if (a.type() == TypeId::kDouble || b.type() == TypeId::kDouble) {
-    return Value::Double(a.AsDouble() - b.AsDouble());
-  }
-  if (a.type() == TypeId::kDecimal || b.type() == TypeId::kDecimal) {
-    Decimal x = a.type() == TypeId::kDecimal ? a.decimal_value()
-                                             : Decimal::FromInt(a.int_value());
-    Decimal y = b.type() == TypeId::kDecimal ? b.decimal_value()
-                                             : Decimal::FromInt(b.int_value());
-    return Value::Dec(x.Sub(y));
-  }
-  if (a.type() == TypeId::kInt && b.type() == TypeId::kInt) {
-    return Value::Int(a.int_value() - b.int_value());
-  }
-  return Status::InvalidArgument("cannot subtract non-numeric values");
+  return Arith(
+      a, b, "subtract", [](double x, double y) { return x - y; },
+      [](const Decimal& x, const Decimal& y) { return x.Sub(y); },
+      [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_sub_overflow(x, y, r);
+      });
 }
 
 Result<Value> NumericMul(const Value& a, const Value& b) {
-  if (a.type() == TypeId::kDouble || b.type() == TypeId::kDouble) {
-    return Value::Double(a.AsDouble() * b.AsDouble());
-  }
-  if (a.type() == TypeId::kDecimal || b.type() == TypeId::kDecimal) {
-    Decimal x = a.type() == TypeId::kDecimal ? a.decimal_value()
-                                             : Decimal::FromInt(a.int_value());
-    Decimal y = b.type() == TypeId::kDecimal ? b.decimal_value()
-                                             : Decimal::FromInt(b.int_value());
-    return Value::Dec(x.Mul(y));
-  }
-  if (a.type() == TypeId::kInt && b.type() == TypeId::kInt) {
-    return Value::Int(a.int_value() * b.int_value());
-  }
-  return Status::InvalidArgument("cannot multiply non-numeric values");
+  return Arith(
+      a, b, "multiply", [](double x, double y) { return x * y; },
+      [](const Decimal& x, const Decimal& y) { return x.Mul(y); },
+      [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_mul_overflow(x, y, r);
+      });
 }
 
 Result<Value> NumericDiv(const Value& a, const Value& b) {
+  if (!a.is_numeric() || !b.is_numeric()) {
+    return Status::InvalidArgument("cannot divide non-numeric values");
+  }
   if (a.type() == TypeId::kDouble || b.type() == TypeId::kDouble) {
     double d = b.AsDouble();
     if (d == 0.0) return Status::InvalidArgument("division by zero");
     return Value::Double(a.AsDouble() / d);
   }
-  Decimal x = a.type() == TypeId::kDecimal ? a.decimal_value()
-                                           : Decimal::FromInt(a.int_value());
-  Decimal y = b.type() == TypeId::kDecimal ? b.decimal_value()
-                                           : Decimal::FromInt(b.int_value());
+  Decimal y = ToDecimal(b);
   if (y.units() == 0) return Status::InvalidArgument("division by zero");
-  return Value::Dec(x.Div(y));
+  return Value::Dec(ToDecimal(a).Div(y));
 }
 
 namespace {
 
-Result<Value> EvalBinary(const BoundExpr& e, const Row& row, ExecContext* ctx) {
+Result<Value> EvalBinary(const BoundExpr& e, RowView row, ExecContext* ctx) {
   // AND / OR use Kleene logic with short circuit.
   if (e.bin_op == BinOp::kAnd || e.bin_op == BinOp::kOr) {
     MTB_ASSIGN_OR_RETURN(Value a, EvalExpr(*e.args[0], row, ctx));
@@ -182,6 +230,9 @@ Result<Value> EvalBinary(const BoundExpr& e, const Row& row, ExecContext* ctx) {
     case BinOp::kLike:
     case BinOp::kNotLike: {
       if (a.is_null() || b.is_null()) return NullV();
+      if (a.type() != TypeId::kString || b.type() != TypeId::kString) {
+        return Status::InvalidArgument("LIKE requires string operands");
+      }
       bool m = LikeMatch(a.string_value(), b.string_value());
       return Value::Bool(e.bin_op == BinOp::kLike ? m : !m);
     }
@@ -190,48 +241,101 @@ Result<Value> EvalBinary(const BoundExpr& e, const Row& row, ExecContext* ctx) {
   }
 }
 
-Result<Value> EvalBuiltin(const BoundExpr& e, const Row& row, ExecContext* ctx) {
-  std::vector<Value> args;
-  args.reserve(e.args.size());
-  for (const auto& a : e.args) {
-    MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, row, ctx));
-    args.push_back(std::move(v));
+constexpr size_t kMaxBuiltinArgs = 3;
+
+/// [min, max] argument count of a fixed-arity builtin (max at most
+/// kMaxBuiltinArgs).
+std::pair<size_t, size_t> BuiltinArity(BuiltinFunc f) {
+  switch (f) {
+    case BuiltinFunc::kSubstring:
+      return {2, 3};
+    case BuiltinFunc::kDateAddDays:
+    case BuiltinFunc::kDateAddMonths:
+    case BuiltinFunc::kDateAddYears:
+      return {2, 2};
+    default:
+      return {1, 1};
+  }
+}
+
+Result<Value> EvalBuiltin(const BoundExpr& e, RowView row, ExecContext* ctx) {
+  // The variadic builtins fold their arguments as they evaluate them (all of
+  // them, in order, so the first evaluation error still wins).
+  if (e.builtin == BuiltinFunc::kConcat) {
+    std::string out;
+    for (const auto& a : e.args) {
+      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, row, ctx));
+      if (!v.is_null()) out += v.ToString();
+    }
+    return Value::Str(std::move(out));
+  }
+  if (e.builtin == BuiltinFunc::kCoalesce) {
+    Value first;
+    for (const auto& a : e.args) {
+      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, row, ctx));
+      if (first.is_null()) first = std::move(v);
+    }
+    return first;
+  }
+  // The rest take at most kMaxBuiltinArgs arguments, evaluated into a stack
+  // array.
+  const auto [min_args, max_args] = BuiltinArity(e.builtin);
+  const size_t n = e.args.size();
+  if (n < min_args || n > max_args) {
+    return Status::InvalidArgument("wrong argument count for a builtin "
+                                   "function");
+  }
+  Value args[kMaxBuiltinArgs];
+  for (size_t i = 0; i < n; ++i) {
+    MTB_ASSIGN_OR_RETURN(args[i], EvalExpr(*e.args[i], row, ctx));
   }
   switch (e.builtin) {
     case BuiltinFunc::kSubstring: {
       if (args[0].is_null() || args[1].is_null()) return NullV();
+      if (args[0].type() != TypeId::kString ||
+          args[1].type() != TypeId::kInt ||
+          (n > 2 && !args[2].is_null() && args[2].type() != TypeId::kInt)) {
+        return Status::InvalidArgument(
+            "SUBSTRING requires a string and integer positions");
+      }
       const std::string& s = args[0].string_value();
       int64_t from = args[1].int_value();
-      int64_t len = args.size() > 2 && !args[2].is_null()
+      int64_t len = n > 2 && !args[2].is_null()
                         ? args[2].int_value()
                         : static_cast<int64_t>(s.size());
-      int64_t start = std::max<int64_t>(from - 1, 0);
+      int64_t start = from > 1 ? from - 1 : 0;
       if (start >= static_cast<int64_t>(s.size()) || len <= 0) {
         return Value::Str("");
       }
       return Value::Str(s.substr(static_cast<size_t>(start),
                                  static_cast<size_t>(len)));
     }
-    case BuiltinFunc::kConcat: {
-      std::string out;
-      for (const Value& v : args) {
-        if (!v.is_null()) out += v.ToString();
-      }
-      return Value::Str(std::move(out));
-    }
     case BuiltinFunc::kCharLength:
-      if (args[0].is_null()) return NullV();
-      return Value::Int(static_cast<int64_t>(args[0].string_value().size()));
     case BuiltinFunc::kUpper:
+    case BuiltinFunc::kLower: {
       if (args[0].is_null()) return NullV();
-      return Value::Str(ToUpperCopy(args[0].string_value()));
-    case BuiltinFunc::kLower:
-      if (args[0].is_null()) return NullV();
-      return Value::Str(ToLowerCopy(args[0].string_value()));
+      if (args[0].type() != TypeId::kString) {
+        return Status::InvalidArgument(
+            "CHAR_LENGTH, UPPER and LOWER require a string argument");
+      }
+      const std::string& s = args[0].string_value();
+      if (e.builtin == BuiltinFunc::kCharLength) {
+        return Value::Int(static_cast<int64_t>(s.size()));
+      }
+      return Value::Str(e.builtin == BuiltinFunc::kUpper ? ToUpperCopy(s)
+                                                         : ToLowerCopy(s));
+    }
     case BuiltinFunc::kAbs: {
       if (args[0].is_null()) return NullV();
       const Value& v = args[0];
-      if (v.type() == TypeId::kInt) return Value::Int(std::abs(v.int_value()));
+      if (v.type() == TypeId::kInt) {
+        int64_t r = 0;
+        if (v.int_value() >= 0) return v;
+        if (__builtin_sub_overflow(int64_t{0}, v.int_value(), &r)) {
+          return IntOutOfRange();
+        }
+        return Value::Int(r);
+      }
       if (v.type() == TypeId::kDouble) {
         return Value::Double(std::abs(v.double_value()));
       }
@@ -241,25 +345,22 @@ Result<Value> EvalBuiltin(const BoundExpr& e, const Row& row, ExecContext* ctx) 
       }
       return Status::InvalidArgument("ABS requires a numeric argument");
     }
-    case BuiltinFunc::kCoalesce:
-      for (Value& v : args) {
-        if (!v.is_null()) return std::move(v);
-      }
-      return NullV();
     case BuiltinFunc::kDateAddDays:
     case BuiltinFunc::kDateAddMonths:
     case BuiltinFunc::kDateAddYears: {
-      if (args[0].is_null()) return NullV();
-      if (args[0].type() != TypeId::kDate) {
+      if (args[0].is_null() || args[1].is_null()) return NullV();
+      if (args[0].type() != TypeId::kDate || args[1].type() != TypeId::kInt) {
         return Status::InvalidArgument("interval arithmetic requires a date");
       }
-      int n = static_cast<int>(args[1].int_value());
+      int n_units = static_cast<int>(args[1].int_value());
       Date d = args[0].date_value();
-      if (e.builtin == BuiltinFunc::kDateAddDays) return Value::Dat(d.AddDays(n));
-      if (e.builtin == BuiltinFunc::kDateAddMonths) {
-        return Value::Dat(d.AddMonths(n));
+      if (e.builtin == BuiltinFunc::kDateAddDays) {
+        return Value::Dat(d.AddDays(n_units));
       }
-      return Value::Dat(d.AddYears(n));
+      if (e.builtin == BuiltinFunc::kDateAddMonths) {
+        return Value::Dat(d.AddMonths(n_units));
+      }
+      return Value::Dat(d.AddYears(n_units));
     }
     case BuiltinFunc::kExtractYear:
     case BuiltinFunc::kExtractMonth:
@@ -273,23 +374,31 @@ Result<Value> EvalBuiltin(const BoundExpr& e, const Row& row, ExecContext* ctx) 
       if (e.builtin == BuiltinFunc::kExtractMonth) return Value::Int(d.month());
       return Value::Int(d.day());
     }
+    case BuiltinFunc::kConcat:
+    case BuiltinFunc::kCoalesce:
+      break;  // handled above
   }
   return Status::Internal("unhandled builtin");
 }
 
-Result<Value> ExecuteSubqueryPerRow(const BoundExpr& e, const Row& row,
-                                    ExecContext* ctx,
-                                    std::vector<Row>* out_rows) {
+Result<RowBatch> ExecuteSubqueryPerRow(const BoundExpr& e, RowView row,
+                                       ExecContext* ctx) {
   ctx->stats->subquery_execs++;
-  ctx->outer_stack.push_back(&row);
+  ctx->outer_stack.push_back(row);
   auto rows = ExecutePlan(*e.subplan, ctx);
   ctx->outer_stack.pop_back();
-  if (!rows.ok()) return rows.status();
-  *out_rows = std::move(rows).value();
-  return Value::Null();
+  return rows;
 }
 
-Result<Value> EvalScalarSub(const BoundExpr& e, const Row& row,
+/// The single value of a scalar sub-query's result (NULL when empty).
+Result<Value> ScalarResult(const RowBatch& rows) {
+  if (rows.size() > 1) {
+    return Status::InvalidArgument("scalar sub-query returned more than one row");
+  }
+  return rows.empty() ? Value::Null() : rows[0][0];
+}
+
+Result<Value> EvalScalarSub(const BoundExpr& e, RowView row,
                             ExecContext* ctx) {
   const Plan* key = e.subplan.get();
   if (!e.correlated) {
@@ -297,22 +406,31 @@ Result<Value> EvalScalarSub(const BoundExpr& e, const Row& row,
     if (it != ctx->scalar_cache.end()) return it->second;
     ctx->stats->initplan_execs++;
     MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*e.subplan, ctx));
-    if (rows.size() > 1) {
-      return Status::InvalidArgument("scalar sub-query returned more than one row");
-    }
-    Value v = rows.empty() ? Value::Null() : rows[0][0];
+    MTB_ASSIGN_OR_RETURN(Value v, ScalarResult(rows));
     ctx->scalar_cache[key] = v;
     return v;
   }
-  std::vector<Row> rows;
-  MTB_RETURN_IF_ERROR(ExecuteSubqueryPerRow(e, row, ctx, &rows).status());
-  if (rows.size() > 1) {
-    return Status::InvalidArgument("scalar sub-query returned more than one row");
-  }
-  return rows.empty() ? Value::Null() : rows[0][0];
+  MTB_ASSIGN_OR_RETURN(auto rows, ExecuteSubqueryPerRow(e, row, ctx));
+  return ScalarResult(rows);
 }
 
-Result<Value> EvalInSet(const BoundExpr& e, const Row& row, ExecContext* ctx) {
+/// An IN sub-query's result as a lookup set (rows with a NULL go to
+/// has_null instead).
+ExecContext::InSetCache BuildInSet(RowBatch rows) {
+  ExecContext::InSetCache built;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const RowView r = rows[i];
+    if (std::any_of(r.begin(), r.end(),
+                    [](const Value& v) { return v.is_null(); })) {
+      built.has_null = true;
+    } else {
+      built.set.insert(rows.TakeRow(i));
+    }
+  }
+  return built;
+}
+
+Result<Value> EvalInSet(const BoundExpr& e, RowView row, ExecContext* ctx) {
   std::vector<Value> needle;
   bool needle_null = false;
   for (const auto& a : e.args) {
@@ -327,31 +445,13 @@ Result<Value> EvalInSet(const BoundExpr& e, const Row& row, ExecContext* ctx) {
     if (it == ctx->inset_cache.end()) {
       ctx->stats->initplan_execs++;
       MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*e.subplan, ctx));
-      ExecContext::InSetCache built;
-      for (auto& r : rows) {
-        bool any_null = false;
-        for (const Value& v : r) any_null = any_null || v.is_null();
-        if (any_null) {
-          built.has_null = true;
-        } else {
-          built.set.insert(std::move(r));
-        }
-      }
-      it = ctx->inset_cache.emplace(e.subplan.get(), std::move(built)).first;
+      it = ctx->inset_cache.emplace(e.subplan.get(), BuildInSet(std::move(rows)))
+               .first;
     }
     cache = &it->second;
   } else {
-    std::vector<Row> rows;
-    MTB_RETURN_IF_ERROR(ExecuteSubqueryPerRow(e, row, ctx, &rows).status());
-    for (auto& r : rows) {
-      bool any_null = false;
-      for (const Value& v : r) any_null = any_null || v.is_null();
-      if (any_null) {
-        local.has_null = true;
-      } else {
-        local.set.insert(std::move(r));
-      }
-    }
+    MTB_ASSIGN_OR_RETURN(auto rows, ExecuteSubqueryPerRow(e, row, ctx));
+    local = BuildInSet(std::move(rows));
     cache = &local;
   }
   Value result;
@@ -373,7 +473,7 @@ Result<Value> EvalInSet(const BoundExpr& e, const Row& row, ExecContext* ctx) {
 
 }  // namespace
 
-Result<Value> EvalExpr(const BoundExpr& e, const Row& row, ExecContext* ctx) {
+Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx) {
   switch (e.kind) {
     case BoundExpr::Kind::kLiteral:
       return e.literal;
@@ -384,8 +484,8 @@ Result<Value> EvalExpr(const BoundExpr& e, const Row& row, ExecContext* ctx) {
       if (static_cast<size_t>(e.depth) > n) {
         return Status::Internal("outer reference beyond execution stack");
       }
-      return (*ctx->outer_stack[n - static_cast<size_t>(e.depth)])
-          [static_cast<size_t>(e.slot)];
+      return ctx->outer_stack[n - static_cast<size_t>(e.depth)]
+                             [static_cast<size_t>(e.slot)];
     }
     case BoundExpr::Kind::kParam:
       if (ctx->params == nullptr ||
@@ -402,7 +502,13 @@ Result<Value> EvalExpr(const BoundExpr& e, const Row& row, ExecContext* ctx) {
     case BoundExpr::Kind::kNeg: {
       MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.args[0], row, ctx));
       if (v.is_null()) return v;
-      if (v.type() == TypeId::kInt) return Value::Int(-v.int_value());
+      if (v.type() == TypeId::kInt) {
+        int64_t r = 0;
+        if (__builtin_sub_overflow(int64_t{0}, v.int_value(), &r)) {
+          return IntOutOfRange();
+        }
+        return Value::Int(r);
+      }
       if (v.type() == TypeId::kDouble) return Value::Double(-v.double_value());
       if (v.type() == TypeId::kDecimal) return Value::Dec(v.decimal_value().Neg());
       return Status::InvalidArgument("cannot negate non-numeric value");
@@ -465,8 +571,7 @@ Result<Value> EvalExpr(const BoundExpr& e, const Row& row, ExecContext* ctx) {
           ctx->scalar_cache[e.subplan.get()] = Value::Bool(exists);
         }
       } else {
-        std::vector<Row> rows;
-        MTB_RETURN_IF_ERROR(ExecuteSubqueryPerRow(e, row, ctx, &rows).status());
+        MTB_ASSIGN_OR_RETURN(auto rows, ExecuteSubqueryPerRow(e, row, ctx));
         exists = !rows.empty();
       }
       return Value::Bool(e.negated ? !exists : exists);
@@ -494,65 +599,69 @@ Result<Value> EvalExpr(const BoundExpr& e, const Row& row, ExecContext* ctx) {
 
 namespace {
 
-/// concat(l, r) restricted to the join's emitted slots (Plan::emit); a null
-/// `r` reads NULL for every right slot.
-Row JoinOutputRow(const Plan& p, const Row& l, const Row* r) {
-  Row out;
-  if (!p.emit) {
-    const bool concat =
-        p.join_kind == JoinKind::kInner || p.join_kind == JoinKind::kLeft;
-    const size_t width = l.size() + (concat ? p.right->columns.size() : 0);
-    out.reserve(width);
-    out.insert(out.end(), l.begin(), l.end());
-    if (r != nullptr) out.insert(out.end(), r->begin(), r->end());
-    out.resize(width);
-    return out;
-  }
-  out.reserve(p.emit->size());
-  for (int slot : *p.emit) {
-    const size_t s = static_cast<size_t>(slot);
-    if (s < l.size()) {
-      out.push_back(l[s]);
-    } else if (r != nullptr) {
-      out.push_back((*r)[s - l.size()]);
-    } else {
-      out.emplace_back();
+bool ConcatOutput(const Plan& p) {
+  return p.join_kind == JoinKind::kInner || p.join_kind == JoinKind::kLeft;
+}
+
+/// Append concat(l, r) restricted to the join's emitted slots (Plan::emit);
+/// a null `r` reads NULL for every right slot.
+void AppendJoinOutput(const Plan& p, RowView l, const RowView* r,
+                      RowBatch* out) {
+  if (p.emit) {
+    for (int slot : *p.emit) {
+      const size_t s = static_cast<size_t>(slot);
+      if (s < l.size()) {
+        out->Push(l[s]);
+      } else if (r != nullptr) {
+        out->Push((*r)[s - l.size()]);
+      } else {
+        out->Push(Value());
+      }
+    }
+  } else {
+    for (const Value& v : l) out->Push(v);
+    for (size_t s = l.size(); s < out->width(); ++s) {
+      if (r != nullptr) {
+        out->Push((*r)[s - l.size()]);
+      } else {
+        out->Push(Value());
+      }
     }
   }
-  return out;
+  out->EndRow();
 }
 
 }  // namespace
 
-Result<bool> JoinPair(const Plan& p, const Row& l, const Row& r,
-                      ExecContext* ctx, std::vector<Row>* out) {
+size_t JoinOutputWidth(const Plan& p, size_t left_width, size_t right_width) {
+  if (p.emit) return p.emit->size();
+  return left_width + (ConcatOutput(p) ? right_width : 0);
+}
+
+Result<bool> JoinPair(const Plan& p, RowView l, RowView r, ExecContext* ctx,
+                      Row* scratch, RowBatch* out) {
   ctx->stats->rows_joined++;
-  const bool concat_output =
-      p.join_kind == JoinKind::kInner || p.join_kind == JoinKind::kLeft;
   if (p.residual) {
-    Row joined;
-    joined.reserve(l.size() + r.size());
-    joined.insert(joined.end(), l.begin(), l.end());
-    joined.insert(joined.end(), r.begin(), r.end());
-    MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.residual, joined, ctx));
+    scratch->assign(l.begin(), l.end());
+    scratch->insert(scratch->end(), r.begin(), r.end());
+    MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.residual, *scratch, ctx));
     if (!IsTrue(v)) return false;
-    if (concat_output) {
-      out->push_back(p.emit ? JoinOutputRow(p, l, &r) : std::move(joined));
+    if (ConcatOutput(p) && !p.emit) {
+      out->AppendMoved(scratch->data());  // the output row is the concat row
+      return true;
     }
-    return true;
   }
-  if (concat_output) out->push_back(JoinOutputRow(p, l, &r));
+  if (ConcatOutput(p)) AppendJoinOutput(p, l, &r, out);
   return true;
 }
 
-void JoinFinishLeft(const Plan& p, const Row& l, bool matched,
-                    std::vector<Row>* out) {
+void JoinFinishLeft(const Plan& p, RowView l, bool matched, RowBatch* out) {
   const bool keep = p.join_kind == JoinKind::kSemi
                         ? matched
                         : (p.join_kind == JoinKind::kLeft ||
                            p.join_kind == JoinKind::kAnti) &&
                               !matched;
-  if (keep) out->push_back(JoinOutputRow(p, l, nullptr));
+  if (keep) AppendJoinOutput(p, l, nullptr, out);
 }
 
 namespace {
@@ -646,7 +755,7 @@ Result<Value> EvalUdf(const Udf& udf, std::vector<Value> args,
 // Operators
 // ---------------------------------------------------------------------------
 
-Result<std::vector<Row>> ExecScan(const Plan& p, ExecContext* ctx) {
+Result<RowBatch> ExecScan(const Plan& p, ExecContext* ctx) {
   if (p.table == nullptr) return parallel::ScanExec(p, ctx, 1);
   uint64_t pinned_version = 0;
   const std::vector<Row>& rows = PinnedRows(ctx, *p.table, &pinned_version);
@@ -686,7 +795,7 @@ Result<std::vector<Row>> ExecScan(const Plan& p, ExecContext* ctx) {
 /// equality key, then re-apply the full scan filter to the candidates (the
 /// lookup is a superset cut, not a filter replacement). Candidates are
 /// re-sorted ascending so output bytes match the equivalent full scan.
-Result<std::vector<Row>> ExecIndexScan(const Plan& p, ExecContext* ctx) {
+Result<RowBatch> ExecIndexScan(const Plan& p, ExecContext* ctx) {
   if (p.table == nullptr) return parallel::ScanExec(p, ctx, 1);
   const TableIndex* ix = p.table->FindIndex(p.index_name);
   if (ix == nullptr) {
@@ -729,10 +838,9 @@ Result<std::vector<Row>> ExecIndexScan(const Plan& p, ExecContext* ctx) {
 /// `naaj_in_keys` pairs form the IN tuple, the rest are correlation keys.
 /// A left row survives iff its correlation group is empty, or the group has
 /// no NULL IN-tuple, the needle has no NULL, and the needle is absent.
-Result<std::vector<Row>> ExecNullAwareAntiJoin(const Plan& p,
-                                               ExecContext* ctx,
-                                               std::vector<Row> left_rows,
-                                               std::vector<Row> right_rows) {
+Result<RowBatch> ExecNullAwareAntiJoin(const Plan& p, ExecContext* ctx,
+                                       const RowBatch& left_rows,
+                                       const RowBatch& right_rows) {
   const size_t n_in = p.naaj_in_keys;
   struct Group {
     std::unordered_set<std::vector<Value>, ValueVectorHash, ValueVectorEq>
@@ -741,43 +849,45 @@ Result<std::vector<Row>> ExecNullAwareAntiJoin(const Plan& p,
   };
   std::unordered_map<std::vector<Value>, Group, ValueVectorHash, ValueVectorEq>
       groups;
-  for (const Row& r : right_rows) {
-    std::vector<Value> corr;
-    corr.reserve(p.right_keys.size() - n_in);
-    bool corr_null = false;
-    for (size_t k = n_in; k < p.right_keys.size(); ++k) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.right_keys[k], r, ctx));
-      corr_null = corr_null || v.is_null();
-      corr.push_back(std::move(v));
+  // Evaluate keys [begin, end) of `keys` over `row` into the reused `out`;
+  // returns whether any component was NULL.
+  auto eval_keys = [ctx](const std::vector<BoundExprPtr>& keys, size_t begin,
+                         size_t end, RowView row,
+                         std::vector<Value>* out) -> Result<bool> {
+    out->clear();
+    bool any_null = false;
+    for (size_t k = begin; k < end; ++k) {
+      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*keys[k], row, ctx));
+      any_null = any_null || v.is_null();
+      out->push_back(std::move(v));
     }
+    return any_null;
+  };
+  std::vector<Value> corr;
+  std::vector<Value> tup;
+  for (size_t i = 0; i < right_rows.size(); ++i) {
+    const RowView r = right_rows[i];
+    MTB_ASSIGN_OR_RETURN(bool corr_null,
+                         eval_keys(p.right_keys, n_in, p.right_keys.size(), r,
+                                   &corr));
     // A NULL correlation key never equals any outer value, so the row
     // belongs to no group.
     if (corr_null) continue;
-    std::vector<Value> tup;
-    tup.reserve(n_in);
-    bool tup_null = false;
-    for (size_t k = 0; k < n_in; ++k) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.right_keys[k], r, ctx));
-      tup_null = tup_null || v.is_null();
-      tup.push_back(std::move(v));
-    }
-    Group& g = groups[std::move(corr)];
+    MTB_ASSIGN_OR_RETURN(bool tup_null,
+                         eval_keys(p.right_keys, 0, n_in, r, &tup));
+    Group& g = groups[corr];
     if (tup_null) {
       g.has_null = true;
     } else {
-      g.tuples.insert(std::move(tup));
+      g.tuples.insert(tup);
     }
   }
-  std::vector<Row> out;
-  for (Row& l : left_rows) {
-    std::vector<Value> corr;
-    corr.reserve(p.left_keys.size() - n_in);
-    bool corr_null = false;
-    for (size_t k = n_in; k < p.left_keys.size(); ++k) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.left_keys[k], l, ctx));
-      corr_null = corr_null || v.is_null();
-      corr.push_back(std::move(v));
-    }
+  RowBatch out(JoinOutputWidth(p, left_rows.width(), right_rows.width()));
+  for (size_t i = 0; i < left_rows.size(); ++i) {
+    const RowView l = left_rows[i];
+    MTB_ASSIGN_OR_RETURN(bool corr_null,
+                         eval_keys(p.left_keys, n_in, p.left_keys.size(), l,
+                                   &corr));
     const Group* g = nullptr;
     if (!corr_null) {
       auto it = groups.find(corr);
@@ -788,22 +898,16 @@ Result<std::vector<Row>> ExecNullAwareAntiJoin(const Plan& p,
       JoinFinishLeft(p, l, /*matched=*/false, &out);
       continue;
     }
-    std::vector<Value> needle;
-    needle.reserve(n_in);
-    bool needle_null = false;
-    for (size_t k = 0; k < n_in; ++k) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.left_keys[k], l, ctx));
-      needle_null = needle_null || v.is_null();
-      needle.push_back(std::move(v));
-    }
+    MTB_ASSIGN_OR_RETURN(bool needle_null,
+                         eval_keys(p.left_keys, 0, n_in, l, &tup));
     ctx->stats->rows_joined++;
-    if (needle_null || g->has_null || g->tuples.count(needle)) continue;
+    if (needle_null || g->has_null || g->tuples.count(tup)) continue;
     JoinFinishLeft(p, l, /*matched=*/false, &out);
   }
   return out;
 }
 
-Result<std::vector<Row>> ExecJoin(const Plan& p, ExecContext* ctx) {
+Result<RowBatch> ExecJoin(const Plan& p, ExecContext* ctx) {
   if (p.decorrelated_from != SubqueryOrigin::kNone) {
     ctx->stats->decorrelated_execs++;
   }
@@ -811,12 +915,12 @@ Result<std::vector<Row>> ExecJoin(const Plan& p, ExecContext* ctx) {
   if (left_rows.empty() && p.join_kind != JoinKind::kInner) {
     // Left/semi/anti joins with an empty outer side produce nothing; inner
     // join also produces nothing but we keep the uniform path below.
-    return std::vector<Row>{};
+    return RowBatch(JoinOutputWidth(p, left_rows.width(),
+                                    p.right->columns.size()));
   }
   MTB_ASSIGN_OR_RETURN(auto right_rows, ExecutePlan(*p.right, ctx));
   if (p.null_aware && p.join_kind == JoinKind::kAnti) {
-    return ExecNullAwareAntiJoin(p, ctx, std::move(left_rows),
-                                 std::move(right_rows));
+    return ExecNullAwareAntiJoin(p, ctx, left_rows, right_rows);
   }
   if (!p.left_keys.empty()) {
     // Hash join (single code path for serial and morsel-parallel execution).
@@ -829,11 +933,14 @@ Result<std::vector<Row>> ExecJoin(const Plan& p, ExecContext* ctx) {
   // Nested-loop join (cross product with optional residual).
   const bool existence_only =
       p.join_kind == JoinKind::kSemi || p.join_kind == JoinKind::kAnti;
-  std::vector<Row> out;
-  for (const Row& l : left_rows) {
+  RowBatch out(JoinOutputWidth(p, left_rows.width(), right_rows.width()));
+  Row scratch;
+  for (size_t i = 0; i < left_rows.size(); ++i) {
+    const RowView l = left_rows[i];
     bool matched = false;
-    for (const Row& r : right_rows) {
-      MTB_ASSIGN_OR_RETURN(bool m, JoinPair(p, l, r, ctx, &out));
+    for (size_t j = 0; j < right_rows.size(); ++j) {
+      MTB_ASSIGN_OR_RETURN(
+          bool m, JoinPair(p, l, right_rows[j], ctx, &scratch, &out));
       matched = matched || m;
       if (m && existence_only) break;
     }
@@ -842,29 +949,38 @@ Result<std::vector<Row>> ExecJoin(const Plan& p, ExecContext* ctx) {
   return out;
 }
 
-Result<std::vector<Row>> ExecAggregate(const Plan& p, ExecContext* ctx) {
-  MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*p.left, ctx));
-  int workers = parallel::PlanWorkers(p, rows.size(), *ctx);
-  return parallel::AggregateExec(p, ctx, std::move(rows), workers);
-}
-
-Result<std::vector<Row>> ExecSort(const Plan& p, ExecContext* ctx) {
-  MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*p.left, ctx));
-  int workers = parallel::PlanWorkers(p, rows.size(), *ctx);
-  return parallel::SortExec(p, ctx, std::move(rows), workers);
-}
-
-Result<std::vector<Row>> ExecTopN(const Plan& p, ExecContext* ctx) {
-  MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*p.left, ctx));
-  int workers = parallel::PlanWorkers(p, rows.size(), *ctx);
-  return parallel::TopNExec(p, ctx, std::move(rows), workers);
+/// DISTINCT: the first occurrence of each row (NULL equals NULL), in input
+/// order.
+RowBatch DistinctRows(RowBatch rows) {
+  std::vector<size_t> hashes(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    hashes[i] = HashRow(rows[i].begin(), rows.width());
+  }
+  auto hash = [&hashes](size_t i) { return hashes[i]; };
+  auto eq = [&rows](size_t a, size_t b) {
+    const RowView x = rows[a];
+    const RowView y = rows[b];
+    for (size_t k = 0; k < x.size(); ++k) {
+      if (!x[k].StructuralEquals(y[k])) return false;
+    }
+    return true;
+  };
+  std::unordered_set<size_t, decltype(hash), decltype(eq)> seen(rows.size(),
+                                                                hash, eq);
+  std::vector<size_t> kept;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (seen.insert(i).second) kept.push_back(i);
+  }
+  RowBatch out(rows.width());
+  out.Reserve(kept.size());
+  for (size_t i : kept) out.AppendMoved(rows.row_data(i));
+  return out;
 }
 
 }  // namespace
 
 /// Uninstrumented execution — the plain hot path.
-static Result<std::vector<Row>> ExecutePlanImpl(const Plan& plan,
-                                                ExecContext* ctx) {
+static Result<RowBatch> ExecutePlanImpl(const Plan& plan, ExecContext* ctx) {
   switch (plan.kind) {
     case Plan::Kind::kScan:
       return ExecScan(plan, ctx);
@@ -872,44 +988,35 @@ static Result<std::vector<Row>> ExecutePlanImpl(const Plan& plan,
       return ExecIndexScan(plan, ctx);
     case Plan::Kind::kJoin:
       return ExecJoin(plan, ctx);
-    case Plan::Kind::kFilter: {
-      MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan.left, ctx));
-      int workers = parallel::PlanWorkers(plan, rows.size(), *ctx);
-      return parallel::FilterExec(plan, ctx, std::move(rows), workers);
-    }
-    case Plan::Kind::kProject: {
-      MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan.left, ctx));
-      int workers = parallel::PlanWorkers(plan, rows.size(), *ctx);
-      return parallel::ProjectExec(plan, ctx, std::move(rows), workers);
-    }
+    case Plan::Kind::kFilter:
+    case Plan::Kind::kProject:
     case Plan::Kind::kAggregate:
-      return ExecAggregate(plan, ctx);
     case Plan::Kind::kSort:
-      return ExecSort(plan, ctx);
-    case Plan::Kind::kTopN:
-      return ExecTopN(plan, ctx);
+    case Plan::Kind::kTopN: {
+      MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan.left, ctx));
+      const int workers = parallel::PlanWorkers(plan, rows.size(), *ctx);
+      switch (plan.kind) {
+        case Plan::Kind::kFilter:
+          return parallel::FilterExec(plan, ctx, std::move(rows), workers);
+        case Plan::Kind::kProject:
+          return parallel::ProjectExec(plan, ctx, std::move(rows), workers);
+        case Plan::Kind::kAggregate:
+          return parallel::AggregateExec(plan, ctx, std::move(rows), workers);
+        case Plan::Kind::kSort:
+          return parallel::SortExec(plan, ctx, std::move(rows), workers);
+        default:
+          return parallel::TopNExec(plan, ctx, std::move(rows), workers);
+      }
+    }
     case Plan::Kind::kLimit: {
       MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan.left, ctx));
-      const size_t off =
-          std::min(static_cast<size_t>(plan.offset), rows.size());
-      if (off > 0) {
-        rows.erase(rows.begin(),
-                   rows.begin() + static_cast<std::ptrdiff_t>(off));
-      }
-      if (static_cast<int64_t>(rows.size()) > plan.limit) {
-        rows.resize(static_cast<size_t>(plan.limit));
-      }
+      rows.Slice(static_cast<size_t>(plan.offset),
+                 static_cast<size_t>(plan.limit));
       return rows;
     }
     case Plan::Kind::kDistinct: {
       MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan.left, ctx));
-      std::unordered_set<std::vector<Value>, ValueVectorHash, ValueVectorEq>
-          seen;
-      std::vector<Row> out;
-      for (Row& r : rows) {
-        if (seen.insert(r).second) out.push_back(std::move(r));
-      }
-      return out;
+      return DistinctRows(std::move(rows));
     }
   }
   return Status::Internal("unhandled plan kind");
@@ -922,8 +1029,8 @@ static Result<std::vector<Row>> ExecutePlanImpl(const Plan& plan,
 /// (which includes executing children on this thread, and region worker 0)
 /// plus the pool-worker CPU RunPoolProfiled accumulated into
 /// `ctx->child_cpu_nanos` during the node.
-static Result<std::vector<Row>> ExecutePlanProfiled(const Plan& plan,
-                                                    ExecContext* ctx) {
+static Result<RowBatch> ExecutePlanProfiled(const Plan& plan,
+                                            ExecContext* ctx) {
   obs::OpProfile* prof = ctx->profiler->Profile(&plan);
   obs::OpProfile* saved_op = ctx->current_op;
   ctx->current_op = prof;
@@ -949,7 +1056,7 @@ static Result<std::vector<Row>> ExecutePlanProfiled(const Plan& plan,
   return rows;
 }
 
-Result<std::vector<Row>> ExecutePlan(const Plan& plan, ExecContext* ctx) {
+Result<RowBatch> ExecutePlan(const Plan& plan, ExecContext* ctx) {
   if (ctx->profiler == nullptr) return ExecutePlanImpl(plan, ctx);
   return ExecutePlanProfiled(plan, ctx);
 }

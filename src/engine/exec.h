@@ -2,11 +2,14 @@
 #ifndef MTBASE_ENGINE_EXEC_H_
 #define MTBASE_ENGINE_EXEC_H_
 
+#include <cassert>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -25,6 +28,80 @@ struct OpProfile;
 namespace engine {
 
 class Table;
+
+/// Non-owning view of one row: size() contiguous values. Converts implicitly
+/// from a table Row. A view into a RowBatch is valid only until that batch is
+/// next modified (an append may reallocate its storage).
+class RowView {
+ public:
+  RowView(const Value* values, size_t width) : values_(values), width_(width) {}
+  RowView(const Row& row) : values_(row.data()), width_(row.size()) {}
+
+  const Value& operator[](size_t i) const { return values_[i]; }
+  size_t size() const { return width_; }
+  const Value* begin() const { return values_; }
+  const Value* end() const { return values_ + width_; }
+
+ private:
+  const Value* values_ = nullptr;
+  size_t width_ = 0;
+};
+
+/// The rows an operator produces: width() values per row, stored back to
+/// back in one contiguous array, plus an explicit row count — so width-0 rows
+/// (a COUNT(*) scan or join that emits no column) still count. Rows are built
+/// in place (Append, AppendMoved, or Push × width() then EndRow), never as
+/// one heap Row each.
+class RowBatch {
+ public:
+  explicit RowBatch(size_t width = 0) : width_(width) {}
+
+  size_t width() const { return width_; }
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+
+  RowView operator[](size_t i) const {
+    return RowView(values_.data() + i * width_, width_);
+  }
+  /// The width() mutable values of row `i`.
+  Value* row_data(size_t i) { return values_.data() + i * width_; }
+
+  void Reserve(size_t rows) { values_.reserve(rows * width_); }
+  /// Append a copy of `row`, which must hold width() values.
+  void Append(RowView row) {
+    assert(row.size() == width_);
+    values_.insert(values_.end(), row.begin(), row.end());
+    ++rows_;
+  }
+  /// Append width() values moved out of `row`.
+  void AppendMoved(Value* row) {
+    values_.insert(values_.end(), std::make_move_iterator(row),
+                   std::make_move_iterator(row + width_));
+    ++rows_;
+  }
+  /// Build a row value by value: width() Push calls, then EndRow.
+  void Push(const Value& v) { values_.push_back(v); }
+  void Push(Value&& v) { values_.push_back(std::move(v)); }
+  void EndRow() {
+    ++rows_;
+    assert(values_.size() == rows_ * width_);
+  }
+  /// Append every row of `other` (same width), moving each value once.
+  void AppendBatch(RowBatch&& other);
+  /// Keep only the first `rows` rows (no-op when already shorter).
+  void Truncate(size_t rows);
+  /// Keep rows [offset, offset + limit) — LIMIT/OFFSET, clamped to size().
+  void Slice(size_t offset, size_t limit);
+  /// Row `i` as a table Row, its values moved out of the batch.
+  Row TakeRow(size_t i);
+  /// Every row as a table Row (the statement root, INSERT ... SELECT).
+  std::vector<Row> TakeRows();
+
+ private:
+  size_t width_;
+  size_t rows_ = 0;
+  std::vector<Value> values_;  // rows_ * width_, row-major
+};
 
 /// Per-statement table snapshot pins. The first scan of each table pins its
 /// current copy-on-write row snapshot here; every later access within the
@@ -92,7 +169,7 @@ struct ExecContext {
 
   /// Rows of enclosing queries for correlated sub-query evaluation;
   /// OuterSlot(depth = 1) reads the innermost enclosing row.
-  std::vector<const Row*> outer_stack;
+  std::vector<RowView> outer_stack;
 
   /// $n parameters of the UDF body currently being executed.
   const std::vector<Value>* params = nullptr;
@@ -108,8 +185,8 @@ struct ExecContext {
   std::unordered_map<std::string, Value> udf_cache;
 };
 
-/// Execute a plan to a fully materialized row set.
-Result<std::vector<Row>> ExecutePlan(const Plan& plan, ExecContext* ctx);
+/// Execute a plan to a fully materialized row batch.
+Result<RowBatch> ExecutePlan(const Plan& plan, ExecContext* ctx);
 
 /// The statement's pinned rows of `t` (pinning on first use), or the live
 /// Table::rows() when the context carries no snapshot set. `version_out`
@@ -119,20 +196,25 @@ const std::vector<Row>& PinnedRows(ExecContext* ctx, const Table& t,
                                    uint64_t* version_out = nullptr);
 
 /// Evaluate a bound expression against `row` (layout as bound).
-Result<Value> EvalExpr(const BoundExpr& e, const Row& row, ExecContext* ctx);
+Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx);
+
+/// Width of a join's output rows given its inputs' widths: the emitted slots
+/// (Plan::emit), else concat(left, right) for inner/left joins and the left
+/// row for semi/anti joins.
+size_t JoinOutputWidth(const Plan& p, size_t left_width, size_t right_width);
 
 /// One candidate pair of a join (hash-key match or nested-loop pair):
-/// evaluate the residual over concat(l, r) and, for inner/left joins, append
-/// the output row — the join's emitted slots (Plan::emit) only. Returns
-/// whether the pair matched. Counts ExecStats::rows_joined.
-Result<bool> JoinPair(const Plan& p, const Row& l, const Row& r,
-                      ExecContext* ctx, std::vector<Row>* out);
+/// evaluate the residual over concat(l, r) — built in `scratch`, which the
+/// calling loop reuses across pairs — and, for inner/left joins, append the
+/// output row (the join's emitted slots only) to `out`. Returns whether the
+/// pair matched. Counts ExecStats::rows_joined.
+Result<bool> JoinPair(const Plan& p, RowView l, RowView r, ExecContext* ctx,
+                      Row* scratch, RowBatch* out);
 
 /// After a left row's candidates: append its left-only output row where the
 /// join kind keeps one (LEFT unmatched, NULL-padded; SEMI matched; ANTI
 /// unmatched).
-void JoinFinishLeft(const Plan& p, const Row& l, bool matched,
-                    std::vector<Row>* out);
+void JoinFinishLeft(const Plan& p, RowView l, bool matched, RowBatch* out);
 
 /// SQL three-valued logic helper: value is BOOL true (not NULL, not false).
 bool IsTrue(const Value& v);

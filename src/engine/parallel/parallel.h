@@ -3,21 +3,24 @@
 // Design (after Leis et al., "Morsel-Driven Parallelism", and the scale-out
 // serving systems cited in the roadmap): operator inputs are split into
 // fixed-size morsels pulled from an atomic counter by a small worker set
-// (TaskPool). Each worker evaluates into a per-morsel output buffer with a
-// thread-local ExecContext/ExecStats; the region concatenates buffers in
-// morsel order and folds worker counters back, so the observable behavior —
-// row order, error choice, statistics totals — is byte-identical to the
-// serial executor. Hash joins build one flat index (per-worker key and hash
-// evaluation over contiguous chunks, then one serial pass linking each
-// bucket's rows in ascending order) and probe in morsels; aggregation
-// accumulates into per-chunk hash tables merged in chunk order, preserving
-// first-appearance group order. Chunk-ordered merging is exact for
-// INT/DECIMAL arithmetic; only SUM/AVG over DOUBLE re-associates
-// floating-point addition and may differ from the serial left-fold in the
-// last bits (deterministic for a fixed thread count). Sort and top-N (sort.cc) follow the same discipline:
-// per-worker stable-sorted runs merge pairwise with earlier-run-wins ties,
-// and top-N's bounded heaps order by (sort keys, input index), so both
-// reproduce the serial stable sort byte-for-byte.
+// (TaskPool). Rows flow between operators as flat RowBatches (exec.h): one
+// contiguous value array per batch, so no operator allocates per row. Each
+// worker evaluates into a per-morsel output batch with a thread-local
+// ExecContext/ExecStats; the region concatenates the batches in morsel order,
+// moving each value once, and folds worker counters back, so the observable
+// behavior — row order, error choice, statistics totals — is byte-identical
+// to the serial executor. Filters compact their input in place instead.
+// Hash joins build one flat index (per-worker key and hash evaluation over
+// contiguous chunks, then one serial pass linking each bucket's rows in
+// ascending order) and probe in morsels; aggregation accumulates into
+// per-chunk hash tables merged in chunk order, preserving first-appearance
+// group order. Chunk-ordered merging is exact for INT/DECIMAL arithmetic;
+// only SUM/AVG over DOUBLE re-associates floating-point addition and may
+// differ from the serial left-fold in the last bits (deterministic for a
+// fixed thread count). Sort and top-N (sort.cc) order row indices, not rows,
+// and gather once: per-worker stable-sorted runs merge pairwise with
+// earlier-run-wins ties, and top-N's bounded heaps order by (sort keys,
+// input index), so both reproduce the serial stable sort byte-for-byte.
 //
 // Safety: a plan node may only run parallel when the planner marked it
 // parallel-safe — its own expressions contain no outer references, no
@@ -39,13 +42,10 @@
 
 #include "common/result.h"
 #include "common/value.h"
+#include "engine/exec.h"
 
 namespace mtbase {
 namespace engine {
-
-struct ExecContext;
-struct Plan;
-
 namespace parallel {
 
 /// Rows per morsel. The min_parallel_rows knob (default 4096) keeps inputs
@@ -84,45 +84,46 @@ void RunPoolProfiled(ExecContext* ctx, int workers,
 
 // Unified operator implementations: with workers == 1 they run the exact
 // serial loops the executor always had; with workers > 1 the same per-row
-// code runs inside morsel workers. exec.cc dispatches here.
+// code runs inside morsel workers. exec.cc dispatches here. Every operator
+// consumes and produces RowBatches (exec.h): flat, one value array per
+// batch, never one heap row per output row.
 /// `candidates` (optional) restricts the scan to the given row ids of
 /// p.table->rows(), in the given order — exec.cc passes the ascending
 /// (insertion-order) survivor list of partition pruning or an index lookup,
 /// so pruned and full scans emit rows in the same order. rows_scanned counts
 /// candidates only, identically for serial and parallel execution.
-Result<std::vector<Row>> ScanExec(const Plan& p, ExecContext* ctx, int workers,
-                                  const std::vector<uint32_t>* candidates =
-                                      nullptr);
-Result<std::vector<Row>> FilterExec(const Plan& p, ExecContext* ctx,
-                                    std::vector<Row> input, int workers);
-Result<std::vector<Row>> ProjectExec(const Plan& p, ExecContext* ctx,
-                                     std::vector<Row> input, int workers);
+Result<RowBatch> ScanExec(const Plan& p, ExecContext* ctx, int workers,
+                          const std::vector<uint32_t>* candidates = nullptr);
+/// Compacts the surviving rows in place: no new batch, serial or parallel.
+Result<RowBatch> FilterExec(const Plan& p, ExecContext* ctx, RowBatch input,
+                            int workers);
+Result<RowBatch> ProjectExec(const Plan& p, ExecContext* ctx, RowBatch input,
+                             int workers);
 /// Equi-key hash join (inner/left/semi/anti; the null-aware anti join and
 /// the key-less nested loop stay in exec.cc).
-Result<std::vector<Row>> HashJoinExec(const Plan& p, ExecContext* ctx,
-                                      std::vector<Row> left_rows,
-                                      std::vector<Row> right_rows,
-                                      int workers);
-Result<std::vector<Row>> AggregateExec(const Plan& p, ExecContext* ctx,
-                                       std::vector<Row> input, int workers);
+Result<RowBatch> HashJoinExec(const Plan& p, ExecContext* ctx,
+                              RowBatch left_rows, RowBatch right_rows,
+                              int workers);
+Result<RowBatch> AggregateExec(const Plan& p, ExecContext* ctx,
+                               RowBatch input, int workers);
 
-/// ORDER BY (sort.cc): with workers == 1 a single std::stable_sort — the
-/// serial executor's historical behavior, with the sort-key slot casts
-/// hoisted out of the comparator; with workers > 1 per-worker stable-sorted
-/// runs merged pairwise in parallel passes. Ties take the earlier run, so
-/// the parallel order is byte-identical to the serial stable sort. Counted
-/// in ExecStats::parallel_sorts when workers > 1.
-Result<std::vector<Row>> SortExec(const Plan& p, ExecContext* ctx,
-                                  std::vector<Row> input, int workers);
+/// ORDER BY (sort.cc): orders an index permutation of the input, then
+/// gathers the rows once. With workers == 1 a single std::stable_sort; with
+/// workers > 1 per-worker stable-sorted runs merged pairwise in parallel
+/// passes. Ties take the earlier run, so the parallel order is byte-identical
+/// to the serial stable sort. Counted in ExecStats::parallel_sorts when
+/// workers > 1.
+Result<RowBatch> SortExec(const Plan& p, ExecContext* ctx, RowBatch input,
+                          int workers);
 
 /// Fused Sort + Limit (Plan::Kind::kTopN, sort.cc): per-worker bounded
-/// max-heaps ordered by (sort keys, input index) keep at most
-/// limit + offset candidates each; the merged union sorts and slices to
-/// rows [offset, offset + limit) — byte-identical to a full sort followed
-/// by OFFSET/LIMIT. Counted in ExecStats::topn_pushdowns; discarded rows in
+/// max-heaps of row indices ordered by (sort keys, input index) keep at most
+/// limit + offset candidates each; the merged union sorts and gathers rows
+/// [offset, offset + limit) — byte-identical to a full sort followed by
+/// OFFSET/LIMIT. Counted in ExecStats::topn_pushdowns; discarded rows in
 /// ExecStats::topn_rows_pruned.
-Result<std::vector<Row>> TopNExec(const Plan& p, ExecContext* ctx,
-                                  std::vector<Row> input, int workers);
+Result<RowBatch> TopNExec(const Plan& p, ExecContext* ctx, RowBatch input,
+                          int workers);
 
 }  // namespace parallel
 }  // namespace engine

@@ -255,16 +255,21 @@ Status RunRegion(
   return Status::OK();
 }
 
-using MorselFn =
-    std::function<Status(size_t, size_t, ExecContext*, std::vector<Row>*)>;
+size_t MorselCount(const ExecContext& ctx, size_t n_rows) {
+  const size_t msize = MorselSize(ctx);
+  return (n_rows + msize - 1) / msize;
+}
 
-/// Run fn over fixed-size morsels of [0, n_rows), each writing a per-morsel
-/// buffer; concatenate in morsel order (= input order).
-Result<std::vector<Row>> RunMorsels(ExecContext* ctx, size_t n_rows,
-                                    int workers, const MorselFn& fn) {
+/// fn(morsel, begin, end, worker_ctx) over the fixed-size morsels of
+/// [0, n_rows).
+using MorselFn = std::function<Status(size_t, size_t, size_t, ExecContext*)>;
+
+/// Run fn over every morsel on `workers` workers; the lowest failing
+/// morsel's error wins.
+Status ForEachMorsel(ExecContext* ctx, size_t n_rows, int workers,
+                     const MorselFn& fn) {
   const size_t msize = MorselSize(*ctx);
-  const size_t n_morsels = (n_rows + msize - 1) / msize;
-  std::vector<std::vector<Row>> outputs(n_morsels);
+  const size_t n_morsels = MorselCount(*ctx, n_rows);
   std::atomic<size_t> next{0};
   MTB_RETURN_IF_ERROR(
       RunRegion(ctx, workers, [&](int, ExecContext* wctx, RegionError* err) {
@@ -279,26 +284,40 @@ Result<std::vector<Row>> RunMorsels(ExecContext* ctx, size_t n_rows,
           if (m >= n_morsels) break;
           size_t begin = m * msize;
           size_t end = std::min(n_rows, begin + msize);
-          Status s = fn(begin, end, wctx, &outputs[m]);
+          Status s = fn(m, begin, end, wctx);
           if (!s.ok()) err->Record(m, std::move(s));
         }
       }));
   ctx->stats->parallel_morsels += n_morsels;
+  return Status::OK();
+}
+
+using MorselOutFn =
+    std::function<Status(size_t, size_t, ExecContext*, RowBatch*)>;
+
+/// Run fn(begin, end, worker_ctx, out) over the morsels of [0, n_rows), each
+/// writing its own batch of `width`; concatenate the batches in morsel order
+/// (= input order), moving each value once.
+Result<RowBatch> RunMorsels(ExecContext* ctx, size_t n_rows, size_t width,
+                            int workers, const MorselOutFn& fn) {
+  std::vector<RowBatch> outputs(MorselCount(*ctx, n_rows), RowBatch(width));
+  MTB_RETURN_IF_ERROR(ForEachMorsel(
+      ctx, n_rows, workers,
+      [&](size_t m, size_t begin, size_t end, ExecContext* wctx) {
+        return fn(begin, end, wctx, &outputs[m]);
+      }));
   size_t total = 0;
   for (const auto& o : outputs) total += o.size();
-  std::vector<Row> out;
-  out.reserve(total);
-  for (auto& o : outputs) {
-    for (Row& r : o) out.push_back(std::move(r));
-  }
+  RowBatch out(width);
+  out.Reserve(total);
+  for (auto& o : outputs) out.AppendBatch(std::move(o));
   return out;
 }
 
-/// Evaluate a key tuple; returns whether any component was NULL.
-Result<bool> ComputeKey(const std::vector<BoundExprPtr>& keys, const Row& r,
+/// Evaluate a key tuple into `out`; returns whether any component was NULL.
+Result<bool> ComputeKey(const std::vector<BoundExprPtr>& keys, RowView r,
                         ExecContext* ctx, std::vector<Value>* out) {
   out->clear();
-  out->reserve(keys.size());
   bool null_key = false;
   for (const auto& k : keys) {
     MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, r, ctx));
@@ -318,7 +337,7 @@ namespace {
 
 Status ScanRange(const Plan& p, const std::vector<Row>& rows,
                  const std::vector<uint32_t>* cand, size_t begin, size_t end,
-                 ExecContext* ctx, std::vector<Row>* out) {
+                 ExecContext* ctx, RowBatch* out) {
   for (size_t i = begin; i < end; ++i) {
     const Row& r = cand != nullptr ? rows[(*cand)[i]] : rows[i];
     if (p.scan_filter) {
@@ -326,106 +345,127 @@ Status ScanRange(const Plan& p, const std::vector<Row>& rows,
       if (!IsTrue(v)) continue;
     }
     if (!p.emit) {
-      out->push_back(r);
+      out->Append(r);
       continue;
     }
     // Column pruning: copy only the slots the plan above reads.
-    Row projected;
-    projected.reserve(p.emit->size());
-    for (int slot : *p.emit) projected.push_back(r[static_cast<size_t>(slot)]);
-    out->push_back(std::move(projected));
+    for (int slot : *p.emit) out->Push(r[static_cast<size_t>(slot)]);
+    out->EndRow();
   }
   return Status::OK();
 }
 
 }  // namespace
 
-Result<std::vector<Row>> ScanExec(const Plan& p, ExecContext* ctx, int workers,
-                                  const std::vector<uint32_t>* candidates) {
-  std::vector<Row> out;
+Result<RowBatch> ScanExec(const Plan& p, ExecContext* ctx, int workers,
+                          const std::vector<uint32_t>* candidates) {
   if (p.table == nullptr) {
-    out.emplace_back();  // one empty row (SELECT without FROM, dummy input)
-    return out;
+    RowBatch dual;  // one width-0 row (SELECT without FROM, dummy input)
+    dual.EndRow();
+    return dual;
   }
+  const size_t width =
+      p.emit ? p.emit->size() : p.table->schema().columns.size();
   const auto& rows = PinnedRows(ctx, *p.table);
   const size_t n = candidates != nullptr ? candidates->size() : rows.size();
   ctx->stats->rows_scanned += n;
   if (workers <= 1) {
-    out.reserve(p.scan_filter ? n / 4 : n);
+    RowBatch out(width);
+    out.Reserve(p.scan_filter ? n / 4 : n);
     MTB_RETURN_IF_ERROR(ScanRange(p, rows, candidates, 0, n, ctx, &out));
     return out;
   }
-  return RunMorsels(ctx, n, workers,
+  return RunMorsels(ctx, n, width, workers,
                     [&p, &rows, candidates](size_t b, size_t e,
-                                            ExecContext* wctx,
-                                            std::vector<Row>* o) {
+                                            ExecContext* wctx, RowBatch* o) {
                       return ScanRange(p, rows, candidates, b, e, wctx, o);
                     });
 }
 
 namespace {
 
-Status FilterRange(const Plan& p, std::vector<Row>* rows, size_t begin,
-                   size_t end, ExecContext* ctx, std::vector<Row>* out) {
-  for (size_t i = begin; i < end; ++i) {
-    Row& r = (*rows)[i];
-    MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.predicate, r, ctx));
-    if (IsTrue(v)) out->push_back(std::move(r));
-  }
-  return Status::OK();
+/// Move row `from` of `rows` onto row `to`.
+void MoveRow(RowBatch* rows, size_t from, size_t to) {
+  Value* src = rows->row_data(from);
+  std::move(src, src + rows->width(), rows->row_data(to));
 }
 
-Status ProjectRange(const Plan& p, const std::vector<Row>& rows, size_t begin,
-                    size_t end, ExecContext* ctx, std::vector<Row>* out) {
+/// Evaluate the predicate over rows [begin, end) and compact the survivors
+/// to the front of the range; returns how many survived.
+Result<size_t> FilterRange(const Plan& p, RowBatch* rows, size_t begin,
+                           size_t end, ExecContext* ctx) {
+  size_t kept = begin;
   for (size_t i = begin; i < end; ++i) {
-    Row projected;
-    projected.reserve(p.exprs.size());
+    MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.predicate, (*rows)[i], ctx));
+    if (!IsTrue(v)) continue;
+    if (kept != i) MoveRow(rows, i, kept);
+    ++kept;
+  }
+  return kept - begin;
+}
+
+Status ProjectRange(const Plan& p, const RowBatch& rows, size_t begin,
+                    size_t end, ExecContext* ctx, RowBatch* out) {
+  for (size_t i = begin; i < end; ++i) {
+    const RowView r = rows[i];
     for (const auto& e : p.exprs) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, rows[i], ctx));
-      projected.push_back(std::move(v));
+      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, r, ctx));
+      out->Push(std::move(v));
     }
-    out->push_back(std::move(projected));
+    out->EndRow();
   }
   return Status::OK();
 }
 
 }  // namespace
 
-Result<std::vector<Row>> FilterExec(const Plan& p, ExecContext* ctx,
-                                    std::vector<Row> input, int workers) {
+Result<RowBatch> FilterExec(const Plan& p, ExecContext* ctx, RowBatch input,
+                            int workers) {
+  const size_t n = input.size();
   if (workers <= 1) {
-    std::vector<Row> out;
-    out.reserve(input.size());
-    MTB_RETURN_IF_ERROR(FilterRange(p, &input, 0, input.size(), ctx, &out));
-    return out;
+    MTB_ASSIGN_OR_RETURN(size_t kept, FilterRange(p, &input, 0, n, ctx));
+    input.Truncate(kept);
+    return input;
   }
-  // Workers move rows out of disjoint ranges of the shared input vector.
-  return RunMorsels(ctx, input.size(), workers,
-                    [&p, &input](size_t b, size_t e, ExecContext* wctx,
-                                 std::vector<Row>* o) {
-                      return FilterRange(p, &input, b, e, wctx, o);
-                    });
+  // Workers compact disjoint morsels of the shared input in place; one
+  // serial pass then closes the gaps between morsels, in morsel order.
+  std::vector<size_t> kept(MorselCount(*ctx, n));
+  MTB_RETURN_IF_ERROR(ForEachMorsel(
+      ctx, n, workers,
+      [&](size_t m, size_t b, size_t e, ExecContext* wctx) -> Status {
+        MTB_ASSIGN_OR_RETURN(kept[m], FilterRange(p, &input, b, e, wctx));
+        return Status::OK();
+      }));
+  const size_t msize = MorselSize(*ctx);
+  size_t out = 0;
+  for (size_t m = 0; m < kept.size(); ++m) {
+    for (size_t i = m * msize; i < m * msize + kept[m]; ++i, ++out) {
+      if (out != i) MoveRow(&input, i, out);
+    }
+  }
+  input.Truncate(out);
+  return input;
 }
 
-Result<std::vector<Row>> ProjectExec(const Plan& p, ExecContext* ctx,
-                                     std::vector<Row> input, int workers) {
+Result<RowBatch> ProjectExec(const Plan& p, ExecContext* ctx, RowBatch input,
+                             int workers) {
   // Output slot i is input slot i for every input slot (e.g. an EXISTS
   // side's SELECT * narrowed to the scan's emitted keys): rows pass through.
-  bool identity = p.exprs.size() == p.left->columns.size();
+  bool identity = p.exprs.size() == input.width();
   for (size_t i = 0; identity && i < p.exprs.size(); ++i) {
     identity = p.exprs[i]->kind == BoundExpr::Kind::kSlot &&
                p.exprs[i]->slot == static_cast<int>(i);
   }
   if (identity) return input;
   if (workers <= 1) {
-    std::vector<Row> out;
-    out.reserve(input.size());
+    RowBatch out(p.exprs.size());
+    out.Reserve(input.size());
     MTB_RETURN_IF_ERROR(ProjectRange(p, input, 0, input.size(), ctx, &out));
     return out;
   }
-  return RunMorsels(ctx, input.size(), workers,
+  return RunMorsels(ctx, input.size(), p.exprs.size(), workers,
                     [&p, &input](size_t b, size_t e, ExecContext* wctx,
-                                 std::vector<Row>* o) {
+                                 RowBatch* o) {
                       return ProjectRange(p, input, b, e, wctx, o);
                     });
 }
@@ -463,8 +503,8 @@ class JoinTable {
 
   /// Evaluate and hash the keys of build rows [begin, end). Disjoint ranges
   /// may be filled concurrently.
-  Status Fill(const Plan& p, const std::vector<Row>& rows, size_t begin,
-              size_t end, ExecContext* ctx) {
+  Status Fill(const Plan& p, const RowBatch& rows, size_t begin, size_t end,
+              ExecContext* ctx) {
     for (size_t i = begin; i < end; ++i) {
       Value* key = &keys_[i * width_];
       for (size_t k = 0; k < width_; ++k) {
@@ -525,15 +565,16 @@ class JoinTable {
   int shift_ = 63;
 };
 
-Status ProbeRange(const Plan& p, const std::vector<Row>& left_rows,
-                  size_t begin, size_t end, const JoinTable& table,
-                  const std::vector<Row>& right_rows, ExecContext* ctx,
-                  std::vector<Row>* out) {
+Status ProbeRange(const Plan& p, const RowBatch& left_rows, size_t begin,
+                  size_t end, const JoinTable& table,
+                  const RowBatch& right_rows, ExecContext* ctx,
+                  RowBatch* out) {
   const bool existence_only =
       p.join_kind == JoinKind::kSemi || p.join_kind == JoinKind::kAnti;
   std::vector<Value> key;
+  Row scratch;  // the residual's concat row, reused across pairs
   for (size_t i = begin; i < end; ++i) {
-    const Row& l = left_rows[i];
+    const RowView l = left_rows[i];
     MTB_ASSIGN_OR_RETURN(bool null_key, ComputeKey(p.left_keys, l, ctx, &key));
     bool matched = false;
     if (!null_key) {
@@ -541,8 +582,8 @@ Status ProbeRange(const Plan& p, const std::vector<Row>& left_rows,
       for (size_t ri = table.First(hash); ri != JoinTable::kEnd;
            ri = table.Next(ri)) {
         if (!table.Matches(ri, hash, key)) continue;
-        MTB_ASSIGN_OR_RETURN(bool m,
-                             JoinPair(p, l, right_rows[ri], ctx, out));
+        MTB_ASSIGN_OR_RETURN(
+            bool m, JoinPair(p, l, right_rows[ri], ctx, &scratch, out));
         matched = matched || m;
         if (m && existence_only) break;
       }
@@ -554,16 +595,17 @@ Status ProbeRange(const Plan& p, const std::vector<Row>& left_rows,
 
 }  // namespace
 
-Result<std::vector<Row>> HashJoinExec(const Plan& p, ExecContext* ctx,
-                                      std::vector<Row> left_rows,
-                                      std::vector<Row> right_rows,
-                                      int workers) {
+Result<RowBatch> HashJoinExec(const Plan& p, ExecContext* ctx,
+                              RowBatch left_rows, RowBatch right_rows,
+                              int workers) {
   const size_t n = right_rows.size();
+  const size_t width =
+      JoinOutputWidth(p, left_rows.width(), right_rows.width());
   JoinTable table(n, p.right_keys.size());
   if (workers <= 1) {
     MTB_RETURN_IF_ERROR(table.Fill(p, right_rows, 0, n, ctx));
     table.Link();
-    std::vector<Row> out;
+    RowBatch out(width);
     MTB_RETURN_IF_ERROR(ProbeRange(p, left_rows, 0, left_rows.size(), table,
                                    right_rows, ctx, &out));
     return out;
@@ -585,8 +627,8 @@ Result<std::vector<Row>> HashJoinExec(const Plan& p, ExecContext* ctx,
 
   // Parallel probe in morsels, order-preserving.
   return RunMorsels(
-      ctx, left_rows.size(), workers,
-      [&](size_t b, size_t e, ExecContext* wctx, std::vector<Row>* o) {
+      ctx, left_rows.size(), width, workers,
+      [&](size_t b, size_t e, ExecContext* wctx, RowBatch* o) {
         return ProbeRange(p, left_rows, b, e, table, right_rows, wctx, o);
       });
 }
@@ -597,13 +639,21 @@ Result<std::vector<Row>> HashJoinExec(const Plan& p, ExecContext* ctx,
 
 namespace {
 
+struct ValueHash {
+  size_t operator()(const Value& v) const { return v.Hash(); }
+};
+struct ValueEq {
+  bool operator()(const Value& a, const Value& b) const {
+    return a.StructuralEquals(b);
+  }
+};
+
 struct AggAccum {
   int64_t count = 0;
   Value sum;
   Value min;
   Value max;
-  std::unordered_set<std::vector<Value>, ValueVectorHash, ValueVectorEq>
-      distinct;
+  std::unordered_set<Value, ValueHash, ValueEq> distinct;
 };
 
 struct LocalAgg {
@@ -613,21 +663,19 @@ struct LocalAgg {
   std::vector<const std::vector<Value>*> order;  // first-appearance order
 };
 
-Status AccumulateRange(const Plan& p, const std::vector<Row>& rows,
-                       size_t begin, size_t end, ExecContext* ctx,
-                       LocalAgg* agg) {
+Status AccumulateRange(const Plan& p, const RowBatch& rows, size_t begin,
+                       size_t end, ExecContext* ctx, LocalAgg* agg) {
+  std::vector<Value> key;  // group key, reused across rows
   for (size_t ri = begin; ri < end; ++ri) {
-    const Row& r = rows[ri];
-    std::vector<Value> key;
-    key.reserve(p.exprs.size());
+    const RowView r = rows[ri];
+    key.clear();
     for (const auto& g : p.exprs) {
       MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, r, ctx));
       key.push_back(std::move(v));
     }
     auto it = agg->groups.find(key);
     if (it == agg->groups.end()) {
-      it = agg->groups
-               .emplace(std::move(key), std::vector<AggAccum>(p.aggs.size()))
+      it = agg->groups.emplace(key, std::vector<AggAccum>(p.aggs.size()))
                .first;
       agg->order.push_back(&it->first);
     }
@@ -641,14 +689,15 @@ Status AccumulateRange(const Plan& p, const std::vector<Row>& rows,
       }
       MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*spec.arg, r, ctx));
       if (v.is_null()) continue;
-      if (spec.distinct) {
-        std::vector<Value> dkey{v};
-        if (!acc.distinct.insert(std::move(dkey)).second) continue;
-      }
+      if (spec.distinct && !acc.distinct.insert(v).second) continue;
       acc.count++;
       switch (spec.func) {
         case AggFunc::kSum:
         case AggFunc::kAvg: {
+          if (!v.is_numeric()) {
+            return Status::InvalidArgument(
+                "SUM and AVG require a numeric argument");
+          }
           if (acc.sum.is_null()) {
             acc.sum = v;
           } else {
@@ -719,63 +768,62 @@ Status MergeAccums(const Plan& p, std::vector<AggAccum>* into,
   return Status::OK();
 }
 
-Result<std::vector<Row>> FinalizeAgg(const Plan& p, const LocalAgg& agg) {
+Result<RowBatch> FinalizeAgg(const Plan& p, const LocalAgg& agg) {
+  RowBatch out(p.exprs.size() + p.aggs.size());
   // Aggregation over an empty input without GROUP BY yields one row.
-  std::vector<Row> out;
   if (agg.groups.empty() && p.exprs.empty()) {
-    Row r;
     for (const AggSpec& spec : p.aggs) {
       if (spec.func == AggFunc::kCount || spec.func == AggFunc::kCountStar) {
-        r.push_back(Value::Int(0));
+        out.Push(Value::Int(0));
       } else {
-        r.push_back(Value::Null());
+        out.Push(Value::Null());
       }
     }
-    out.push_back(std::move(r));
+    out.EndRow();
     return out;
   }
-  out.reserve(agg.groups.size());
+  out.Reserve(agg.groups.size());
   for (const auto* key : agg.order) {
     const auto& accs = agg.groups.find(*key)->second;
-    Row r = *key;
+    for (const Value& v : *key) out.Push(v);
     for (size_t i = 0; i < p.aggs.size(); ++i) {
       const AggSpec& spec = p.aggs[i];
       const AggAccum& acc = accs[i];
       switch (spec.func) {
         case AggFunc::kCountStar:
         case AggFunc::kCount:
-          r.push_back(Value::Int(acc.count));
+          out.Push(Value::Int(acc.count));
           break;
         case AggFunc::kSum:
-          r.push_back(acc.sum);
+          out.Push(acc.sum);
           break;
         case AggFunc::kAvg: {
           if (acc.count == 0) {
-            r.push_back(Value::Null());
+            out.Push(Value::Null());
           } else {
             MTB_ASSIGN_OR_RETURN(Value avg,
                                  NumericDiv(acc.sum, Value::Int(acc.count)));
-            r.push_back(std::move(avg));
+            out.Push(std::move(avg));
           }
           break;
         }
         case AggFunc::kMin:
-          r.push_back(acc.min);
+          out.Push(acc.min);
           break;
         case AggFunc::kMax:
-          r.push_back(acc.max);
+          out.Push(acc.max);
           break;
       }
     }
-    out.push_back(std::move(r));
+    out.EndRow();
   }
   return out;
 }
 
 }  // namespace
 
-Result<std::vector<Row>> AggregateExec(const Plan& p, ExecContext* ctx,
-                                       std::vector<Row> input, int workers) {
+Result<RowBatch> AggregateExec(const Plan& p, ExecContext* ctx,
+                               RowBatch input, int workers) {
   LocalAgg total;
   if (workers <= 1) {
     MTB_RETURN_IF_ERROR(

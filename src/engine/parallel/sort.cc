@@ -1,20 +1,22 @@
 // Parallel sort and top-N: the tail operators of every ORDER BY plan.
 //
 // Design (run-sort + cooperative merge, after the morsel-driven engines the
-// roadmap cites): the materialized input splits into one contiguous run per
-// worker; each worker stable-sorts its run with the executor's NULL-aware
-// SortCompare over a hoisted sort-key view (slot indices precomputed once,
-// no per-comparison casts). Adjacent run pairs then merge in parallel
-// passes — runs are in input order and std::merge takes from the earlier
-// range on ties, so every pass preserves the stable order and the final
-// result is byte-identical to the serial std::stable_sort.
+// roadmap cites): both operators order an index permutation of the input
+// batch and gather the rows once at the end, so no row moves while sorting.
+// The permutation splits into one contiguous run per worker; each worker
+// stable-sorts its run with the executor's NULL-aware SortCompare over a
+// hoisted sort-key view (slot indices precomputed once, no per-comparison
+// casts). Adjacent run pairs then merge in parallel passes — runs are in
+// input order and std::merge takes from the earlier range on ties, so every
+// pass preserves the stable order and the final result is byte-identical to
+// the serial std::stable_sort.
 //
 // Top-N (a fused Sort + Limit, Plan::Kind::kTopN) never sorts the full
 // input: each worker keeps a bounded max-heap of at most limit + offset
-// candidates ordered by (sort keys, input index) — the total order a stable
-// full sort induces — so a row is discarded the moment it provably cannot
-// appear in the output. The merged candidate union is a superset of the
-// true top limit + offset rows; sorting it and slicing [offset,
+// candidate indices ordered by (sort keys, input index) — the total order a
+// stable full sort induces — so a row is discarded the moment it provably
+// cannot appear in the output. The merged candidate union is a superset of
+// the true top limit + offset rows; sorting it and gathering [offset,
 // offset + limit) reproduces the full-sort answer byte-for-byte. Discarded
 // rows are counted in ExecStats::topn_rows_pruned.
 //
@@ -26,7 +28,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -55,7 +56,7 @@ std::vector<SortKey> HoistSortKeys(const Plan& p) {
   return keys;
 }
 
-int CompareRows(const Row& a, const Row& b, const std::vector<SortKey>& keys) {
+int CompareRows(RowView a, RowView b, const std::vector<SortKey>& keys) {
   for (const SortKey& k : keys) {
     int c = SortCompare(a[k.slot], b[k.slot]);
     if (k.desc) c = -c;
@@ -91,21 +92,32 @@ void RecordParallelSort(ExecContext* ctx, size_t runs, int workers) {
   }
 }
 
-}  // namespace
+/// The rows of `input` at positions idx[begin, end), in that order, each
+/// value moved once.
+RowBatch Gather(RowBatch* input, const std::vector<size_t>& idx, size_t begin,
+                size_t end) {
+  RowBatch out(input->width());
+  out.Reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) out.AppendMoved(input->row_data(idx[i]));
+  return out;
+}
 
-Result<std::vector<Row>> SortExec(const Plan& p, ExecContext* ctx,
-                                  std::vector<Row> input, int workers) {
+/// The stable sort order of `input` as an index permutation.
+std::vector<size_t> SortOrder(const Plan& p, ExecContext* ctx,
+                              const RowBatch& input, int workers) {
   const std::vector<SortKey> keys = HoistSortKeys(p);
-  auto less = [&keys](const Row& a, const Row& b) {
-    return CompareRows(a, b, keys) < 0;
+  auto less = [&keys, &input](size_t a, size_t b) {
+    return CompareRows(input[a], input[b], keys) < 0;
   };
-  if (workers <= 1 || input.size() < 2) {
-    std::stable_sort(input.begin(), input.end(), less);
-    return input;
+  std::vector<size_t> order(input.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  if (workers <= 1 || order.size() < 2) {
+    std::stable_sort(order.begin(), order.end(), less);
+    return order;
   }
 
   // Phase 1: stable-sort one contiguous run per worker.
-  std::vector<std::pair<size_t, size_t>> runs = WorkerRuns(input.size(),
+  std::vector<std::pair<size_t, size_t>> runs = WorkerRuns(order.size(),
                                                            workers);
   const size_t initial_runs = runs.size();
   {
@@ -114,8 +126,8 @@ Result<std::vector<Row>> SortExec(const Plan& p, ExecContext* ctx,
       for (;;) {
         size_t r = next.fetch_add(1, std::memory_order_relaxed);
         if (r >= runs.size()) break;
-        std::stable_sort(input.begin() + static_cast<std::ptrdiff_t>(runs[r].first),
-                         input.begin() + static_cast<std::ptrdiff_t>(runs[r].second),
+        std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(runs[r].first),
+                         order.begin() + static_cast<std::ptrdiff_t>(runs[r].second),
                          less);
       }
     });
@@ -128,17 +140,17 @@ Result<std::vector<Row>> SortExec(const Plan& p, ExecContext* ctx,
   // single pair covers the whole input. Splitting preserves stability: the
   // B-side boundary is the first element not less than the A-side split
   // element, which puts B elements equal to it on the right — exactly
-  // where std::merge (first range wins ties) would emit them. Rows
-  // ping-pong between the input vector and a scratch buffer; an odd
-  // trailing run moves over unmerged so the next pass reads one source.
+  // where std::merge (first range wins ties) would emit them. Indices
+  // ping-pong between `order` and a scratch buffer; an odd trailing run
+  // copies over unmerged so the next pass reads one source.
   struct MergeTask {
     size_t a_begin, a_end;  // first (earlier, tie-winning) source range
     size_t b_begin, b_end;  // second source range
     size_t out;             // destination offset
   };
-  std::vector<Row> scratch(input.size());
-  std::vector<Row>* src = &input;
-  std::vector<Row>* dst = &scratch;
+  std::vector<size_t> scratch(order.size());
+  std::vector<size_t>* src = &order;
+  std::vector<size_t>* dst = &scratch;
   while (runs.size() > 1) {
     std::vector<std::pair<size_t, size_t>> merged;
     merged.reserve(runs.size() / 2 + 1);
@@ -181,8 +193,7 @@ Result<std::vector<Row>> SortExec(const Plan& p, ExecContext* ctx,
         if (ti >= tasks.size()) break;
         const MergeTask& t = tasks[ti];
         auto at = [src](size_t i) {
-          return std::make_move_iterator(src->begin() +
-                                         static_cast<std::ptrdiff_t>(i));
+          return src->begin() + static_cast<std::ptrdiff_t>(i);
         };
         std::merge(at(t.a_begin), at(t.a_end), at(t.b_begin), at(t.b_end),
                    dst->begin() + static_cast<std::ptrdiff_t>(t.out), less);
@@ -195,8 +206,16 @@ Result<std::vector<Row>> SortExec(const Plan& p, ExecContext* ctx,
   return std::move(*src);
 }
 
-Result<std::vector<Row>> TopNExec(const Plan& p, ExecContext* ctx,
-                                  std::vector<Row> input, int workers) {
+}  // namespace
+
+Result<RowBatch> SortExec(const Plan& p, ExecContext* ctx, RowBatch input,
+                          int workers) {
+  const std::vector<size_t> order = SortOrder(p, ctx, input, workers);
+  return Gather(&input, order, 0, order.size());
+}
+
+Result<RowBatch> TopNExec(const Plan& p, ExecContext* ctx, RowBatch input,
+                          int workers) {
   ctx->stats->topn_pushdowns++;
   const size_t n = input.size();
   const size_t limit = static_cast<size_t>(p.limit);
@@ -204,50 +223,40 @@ Result<std::vector<Row>> TopNExec(const Plan& p, ExecContext* ctx,
   const size_t keep = limit + offset;  // candidates that can reach the output
   if (keep == 0) {
     ctx->stats->topn_rows_pruned += n;
-    return std::vector<Row>{};
+    return RowBatch(input.width());
   }
   if (keep >= n) {
     // Nothing to prune: a full sort is the same work without heap overhead.
-    MTB_ASSIGN_OR_RETURN(auto sorted, SortExec(p, ctx, std::move(input),
-                                               workers));
-    if (offset > 0) {
-      size_t off = std::min(offset, sorted.size());
-      sorted.erase(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(off));
-    }
-    if (sorted.size() > limit) sorted.resize(limit);
-    return sorted;
+    const std::vector<size_t> order = SortOrder(p, ctx, input, workers);
+    const size_t begin = std::min(offset, n);
+    return Gather(&input, order, begin, begin + std::min(limit, n - begin));
   }
 
   const std::vector<SortKey> keys = HoistSortKeys(p);
   // Total order: sort keys first, input index as the tiebreak — exactly the
   // order a stable full sort followed by OFFSET/LIMIT would produce.
-  struct Item {
-    size_t idx;
-    Row row;
-  };
-  auto item_less = [&keys](const Item& a, const Item& b) {
-    int c = CompareRows(a.row, b.row, keys);
+  auto item_less = [&keys, &input](size_t a, size_t b) {
+    int c = CompareRows(input[a], input[b], keys);
     if (c != 0) return c < 0;
-    return a.idx < b.idx;
+    return a < b;
   };
   // Bounded max-heap pass over one contiguous range: the heap front is the
   // worst kept candidate; a row enters only by beating it.
-  auto heap_range = [&](size_t begin, size_t end, std::vector<Item>* heap) {
+  auto heap_range = [&](size_t begin, size_t end, std::vector<size_t>* heap) {
     heap->reserve(std::min(keep, end - begin));
     for (size_t i = begin; i < end; ++i) {
-      Item item{i, std::move(input[i])};
       if (heap->size() < keep) {
-        heap->push_back(std::move(item));
+        heap->push_back(i);
         std::push_heap(heap->begin(), heap->end(), item_less);
-      } else if (item_less(item, heap->front())) {
+      } else if (item_less(i, heap->front())) {
         std::pop_heap(heap->begin(), heap->end(), item_less);
-        heap->back() = std::move(item);
+        heap->back() = i;
         std::push_heap(heap->begin(), heap->end(), item_less);
       }
     }
   };
 
-  std::vector<std::vector<Item>> heaps;
+  std::vector<std::vector<size_t>> heaps;
   if (workers <= 1) {
     heaps.resize(1);
     heap_range(0, n, &heaps[0]);
@@ -265,26 +274,20 @@ Result<std::vector<Row>> TopNExec(const Plan& p, ExecContext* ctx,
     RecordParallelSort(ctx, runs.size(), workers);
   }
 
-  std::vector<Item> candidates;
+  std::vector<size_t> candidates;
   size_t total = 0;
   for (const auto& h : heaps) total += h.size();
   candidates.reserve(total);
-  for (auto& h : heaps) {
-    for (Item& item : h) candidates.push_back(std::move(item));
+  for (const auto& h : heaps) {
+    candidates.insert(candidates.end(), h.begin(), h.end());
   }
   ctx->stats->topn_rows_pruned += n - candidates.size();
-  // idx disambiguates every pair, so the order (and thus the output) is
-  // schedule-independent; no stability requirement on this final sort.
+  // The index disambiguates every pair, so the order (and thus the output)
+  // is schedule-independent; no stability requirement on this final sort.
   std::sort(candidates.begin(), candidates.end(), item_less);
-  if (candidates.size() > keep) candidates.resize(keep);
-  std::vector<Row> out;
-  const size_t off = std::min(offset, candidates.size());
-  out.reserve(candidates.size() - off);
-  for (size_t i = off; i < candidates.size(); ++i) {
-    out.push_back(std::move(candidates[i].row));
-  }
-  if (out.size() > limit) out.resize(limit);
-  return out;
+  const size_t end = std::min(keep, candidates.size());
+  const size_t begin = std::min(offset, end);
+  return Gather(&input, candidates, begin, end);
 }
 
 }  // namespace parallel

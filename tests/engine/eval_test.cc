@@ -1,6 +1,9 @@
 // Expression evaluation corner cases, exercised through SQL.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "engine/database.h"
 #include "tests/test_util.h"
 
@@ -107,6 +110,9 @@ TEST_F(EvalTest, SubstringEdgeCases) {
   EXPECT_EQ(Scalar("SUBSTRING('hello' FROM 1 FOR 0)").string_value(), "");
   EXPECT_EQ(Scalar("SUBSTRING('hello' FROM 4)").string_value(), "lo");
   EXPECT_TRUE(Scalar("SUBSTRING(NULL FROM 1 FOR 2)").is_null());
+  EXPECT_EQ(Scalar("SUBSTRING('hello', -9223372036854775807 - 1)")
+                .string_value(),
+            "hello");
 }
 
 TEST_F(EvalTest, CaseEvaluationOrder) {
@@ -140,6 +146,54 @@ TEST_F(EvalTest, TypeErrorsSurfaceAsStatuses) {
   EXPECT_FALSE(db_.Execute("SELECT -'a'").ok());
   EXPECT_FALSE(db_.Execute("SELECT 'a' < 1").ok());
   EXPECT_FALSE(db_.Execute("SELECT EXTRACT(YEAR FROM 5)").ok());
+
+  // Ill-typed arguments over a column (one non-NULL row) are InvalidArgument
+  // statuses, never an escaping exception.
+  ASSERT_OK(db_.ExecuteScript(R"(
+    CREATE TABLE t (a INTEGER, s VARCHAR(10), d DECIMAL(10,2));
+    INSERT INTO t VALUES (1, 'abc', 2.50);
+  )"));
+  for (const char* sql :
+       {"SELECT SUBSTRING(s, d) FROM t", "SELECT SUBSTRING(a, 1) FROM t",
+        "SELECT s LIKE 5 FROM t", "SELECT a LIKE 'x' FROM t",
+        "SELECT CHAR_LENGTH(a) FROM t", "SELECT UPPER(a) FROM t",
+        "SELECT LOWER(d) FROM t", "SELECT AVG(s) FROM t",
+        "SELECT SUM(s) FROM t", "SELECT d + s FROM t", "SELECT s / 2 FROM t",
+        "SELECT UPPER() FROM t"}) {
+    auto r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  ASSERT_OK(db_.ExecuteScript("INSERT INTO t VALUES (2, 'de', 1.00)"));
+  auto two = db_.Execute("SELECT SUM(s) FROM t");
+  ASSERT_FALSE(two.ok());
+  EXPECT_EQ(two.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(EvalTest, IntegerOverflowIsAnError) {
+  for (const char* expr :
+       {"9223372036854775807 + 1", "-9223372036854775807 - 2",
+        "4611686018427387904 * 2", "-(-9223372036854775807 - 1)",
+        "ABS(-9223372036854775807 - 1)"}) {
+    auto r = db_.Execute(std::string("SELECT ") + expr);
+    ASSERT_FALSE(r.ok()) << expr;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << expr;
+    EXPECT_EQ(r.status().message(), "integer out of range") << expr;
+  }
+  // The extremes themselves are representable.
+  EXPECT_EQ(Scalar("-9223372036854775807 - 1").int_value(), INT64_MIN);
+  EXPECT_EQ(Scalar("ABS(-9223372036854775807)").int_value(), INT64_MAX);
+
+  // SUM and AVG accumulate INT exactly, and fail past the range.
+  ASSERT_OK(db_.ExecuteScript(R"(
+    CREATE TABLE big (v INTEGER);
+    INSERT INTO big VALUES (9223372036854775807), (1);
+  )"));
+  for (const char* sql : {"SELECT SUM(v) FROM big", "SELECT AVG(v) FROM big"}) {
+    auto r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "mt/mtbase.h"
 #include "tests/test_util.h"
 
@@ -237,6 +240,23 @@ TEST_F(SessionTest, RejectionSurfacesAsError) {
   Session s(mw_.get(), 0);
   auto r = s.Execute("SELECT 1 FROM Employees WHERE E_role_id = E_age");
   EXPECT_EQ(r.status().code(), StatusCode::kRejected);
+}
+
+TEST_F(SessionTest, IllTypedBuiltinIsAStatusWithAuditOff) {
+  // With the rewrite auditor's gate off (the release default) nothing types
+  // the statement before execution: the engine itself must refuse it.
+  const char* env = std::getenv("MTBASE_AUDIT_REWRITES");
+  const std::string saved = env != nullptr ? env : "";
+  setenv("MTBASE_AUDIT_REWRITES", "0", 1);
+  Session s(mw_.get(), 0);
+  auto r = s.Execute("SELECT UPPER(E_emp_id) FROM Employees");
+  if (env != nullptr) {
+    setenv("MTBASE_AUDIT_REWRITES", saved.c_str(), 1);
+  } else {
+    unsetenv("MTBASE_AUDIT_REWRITES");
+  }
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SessionTest, RewriteExposesGeneratedSql) {
