@@ -160,11 +160,15 @@ ExecContext Database::MakeContext(const std::vector<Value>* params) {
   ctx.max_threads = std::max(1, resolved / in_flight);
   ctx.min_parallel_rows = planner_options_.min_parallel_rows;
   if (shared_udf_cache_enabled_) {
-    // The epoch is captured once per statement: DML executed by this very
-    // statement moves the catalog data version, so the *next* statement's
-    // epoch differs and logically evicts everything cached before the write.
+    // The data component read here is replaced at the statement's first
+    // shared-cache access by one folded from the versions it pins (see
+    // ExecContext::shared_udf_epoch): versions read now could be older than
+    // the ones its UDF bodies later scan, if DML commits in between. While
+    // the body tables are unknown (stale plans), the whole-catalog stand-in
+    // stays.
     ctx.shared_udf_cache = &shared_udf_cache_;
     ctx.shared_udf_epoch = CurrentUdfCacheEpoch();
+    if (!udf_plans_stale_) ctx.udf_read_tables = &udf_read_tables_;
   }
   // Bench overhead knob (set_profile_execution): every statement pays the
   // ANALYZE instrumentation cost into a reused, never-rendered profiler.
@@ -205,7 +209,9 @@ UdfCacheEpoch Database::CurrentUdfCacheEpoch() const {
     // is a safe (at worst over-evicting) stand-in with no raw pointers.
     data = catalog_.data_version();
   } else {
-    for (const Table* t : udf_read_tables_) data += t->data_version();
+    for (const Table* t : udf_read_tables_) {
+      data = UdfCacheEpoch::FoldData(data, t->data_version());
+    }
   }
   return UdfCacheEpoch{catalog_.version() + udfs_.version(), data,
                        shared_udf_external_epoch_};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "common/str_util.h"
 #include "engine/catalog.h"
@@ -17,7 +16,7 @@ namespace {
 
 Value NullV() { return Value::Null(); }
 
-Result<Value> EvalUdf(const Udf& udf, std::vector<Value> args, ExecContext* ctx);
+Result<Value> EvalUdfCall(const BoundExpr& e, RowView row, ExecContext* ctx);
 
 }  // namespace
 
@@ -517,15 +516,8 @@ Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx) {
       return EvalBinary(e, row, ctx);
     case BoundExpr::Kind::kBuiltin:
       return EvalBuiltin(e, row, ctx);
-    case BoundExpr::Kind::kUdfCall: {
-      std::vector<Value> args;
-      args.reserve(e.args.size());
-      for (const auto& a : e.args) {
-        MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, row, ctx));
-        args.push_back(std::move(v));
-      }
-      return EvalUdf(*e.udf, std::move(args), ctx);
-    }
+    case BoundExpr::Kind::kUdfCall:
+      return EvalUdfCall(e, row, ctx);
     case BoundExpr::Kind::kCase: {
       for (size_t i = 0; i + 1 < e.args.size(); i += 2) {
         MTB_ASSIGN_OR_RETURN(Value c, EvalExpr(*e.args[i], row, ctx));
@@ -666,54 +658,51 @@ void JoinFinishLeft(const Plan& p, RowView l, bool matched, RowBatch* out) {
 
 namespace {
 
-Result<Value> EvalUdf(const Udf& udf, std::vector<Value> args,
-                      ExecContext* ctx) {
+/// The statement's shared-cache epoch (see ExecContext::shared_udf_epoch),
+/// pinning the UDF body tables on first use. Pins are per statement and
+/// first-wins, so every worker context folds the same versions.
+const UdfCacheEpoch& SharedUdfEpoch(ExecContext* ctx) {
+  if (!ctx->shared_udf_epoch_pinned && ctx->udf_read_tables != nullptr) {
+    uint64_t data = 0;
+    for (const Table* t : *ctx->udf_read_tables) {
+      uint64_t version = 0;
+      PinnedRows(ctx, *t, &version);
+      data = UdfCacheEpoch::FoldData(data, version);
+    }
+    ctx->shared_udf_epoch.data = data;
+  }
+  ctx->shared_udf_epoch_pinned = true;
+  return ctx->shared_udf_epoch;
+}
+
+/// Runs `udf` on args[0..n), which it may move from.
+Result<Value> EvalUdf(const Udf& udf, Value* args, size_t n, ExecContext* ctx) {
   // Per-statement (serial) / per-worker (parallel) result cache for
   // non-volatile UDFs; the shared cross-statement dictionary cache
   // additionally requires IMMUTABLE (STABLE only promises stability within
   // one statement). The System C profile cannot declare determinism, so it
   // never caches (paper Appendix C).
-  std::string cache_key;
   const bool cacheable =
       ctx->profile == DbmsProfile::kPostgres && udf.statement_cacheable();
   const bool shared_cacheable = cacheable && udf.immutable() &&
                                 ctx->shared_udf_cache != nullptr;
+  // The key names the function by its Udf address. That is exact: functions
+  // are never dropped or replaced in place, and every CREATE FUNCTION moves
+  // the registry version, part of the shared cache's compilation epoch.
+  std::string& key = ctx->udf_key;
   if (cacheable) {
-    // Length-prefixed serialization: a string argument may itself contain
-    // the separator, and the shared cache is cross-session, so the key must
-    // be injective in the argument tuple. Doubles key on their exact bit
-    // pattern — ToString's %.6f rendering would collide values that differ
-    // past six decimals. Every other type renders exactly (INT, fixed-point
-    // DECIMAL, DATE, BOOL, VARCHAR).
-    cache_key = udf.name;
-    for (const Value& v : args) {
-      std::string s;
-      if (v.type() == TypeId::kDouble) {
-        uint64_t bits;
-        double d = v.double_value();
-        std::memcpy(&bits, &d, sizeof(bits));
-        s = std::to_string(bits);
-      } else {
-        s = v.ToString();
-      }
-      cache_key += '\x1f';
-      cache_key += static_cast<char>('0' + static_cast<int>(v.type()));
-      cache_key += std::to_string(s.size());
-      cache_key += ':';
-      cache_key += s;
-    }
-    auto it = ctx->udf_cache.find(cache_key);
+    EncodeUdfCallKey(&udf, args, n, &key);
+    auto it = ctx->udf_cache.find(key);
     if (it != ctx->udf_cache.end()) {
       ctx->stats->udf_cache_hits++;
       return it->second;
     }
     if (shared_cacheable) {
       Value v;
-      if (ctx->shared_udf_cache->Lookup(ctx->shared_udf_epoch, cache_key,
-                                        &v)) {
+      if (ctx->shared_udf_cache->Lookup(SharedUdfEpoch(ctx), key, &v)) {
         ctx->stats->udf_cache_hits++;
         ctx->stats->udf_shared_cache_hits++;
-        ctx->udf_cache[cache_key] = v;
+        ctx->udf_cache.emplace(key, v);
         return v;
       }
     }
@@ -725,6 +714,8 @@ Result<Value> EvalUdf(const Udf& udf, std::vector<Value> args,
   }
   ctx->stats->udf_calls++;
   if (ctx->in_parallel_worker) ctx->stats->udf_parallel_evals++;
+  const std::vector<Value> params(std::make_move_iterator(args),
+                                  std::make_move_iterator(args + n));
   const std::vector<Value>* saved = ctx->params;
   // UDF bodies execute un-profiled: their plans are not part of the rendered
   // EXPLAIN tree (the invoking operator's [actual: udf=...] accounts for
@@ -734,7 +725,7 @@ Result<Value> EvalUdf(const Udf& udf, std::vector<Value> args,
   obs::OpProfile* saved_op = ctx->current_op;
   ctx->profiler = nullptr;
   ctx->current_op = nullptr;
-  ctx->params = &args;
+  ctx->params = &params;
   auto rows = ExecutePlan(*udf.body_plan, ctx);
   ctx->params = saved;
   ctx->profiler = saved_profiler;
@@ -743,12 +734,33 @@ Result<Value> EvalUdf(const Udf& udf, std::vector<Value> args,
   Value result =
       rows.value().empty() ? Value::Null() : rows.value()[0][0];
   if (cacheable) {
-    ctx->udf_cache[cache_key] = result;
+    // UDF calls inside the body reused ctx->udf_key: encode ours again.
+    EncodeUdfCallKey(&udf, params.data(), n, &key);
+    ctx->udf_cache.emplace(key, result);
     if (shared_cacheable) {
-      ctx->shared_udf_cache->Insert(ctx->shared_udf_epoch, cache_key, result);
+      ctx->shared_udf_cache->Insert(SharedUdfEpoch(ctx), key, result);
     }
   }
   return result;
+}
+
+/// A UDF call site: arguments are evaluated into an inline array (the heap
+/// only past kInlineArgs), so a cache hit allocates nothing. Kept out of
+/// EvalExpr so the array does not widen every recursive EvalExpr frame.
+Result<Value> EvalUdfCall(const BoundExpr& e, RowView row, ExecContext* ctx) {
+  constexpr size_t kInlineArgs = 4;
+  const size_t n = e.args.size();
+  Value inline_args[kInlineArgs];
+  std::vector<Value> spilled;
+  Value* args = inline_args;
+  if (n > kInlineArgs) {
+    spilled.resize(n);
+    args = spilled.data();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    MTB_ASSIGN_OR_RETURN(args[i], EvalExpr(*e.args[i], row, ctx));
+  }
+  return EvalUdf(*e.udf, args, n, ctx);
 }
 
 // ---------------------------------------------------------------------------

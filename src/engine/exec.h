@@ -145,10 +145,18 @@ struct ExecContext {
 
   /// Cross-statement dictionary-conversion cache (null = disabled, the
   /// engine default; the MT middleware enables it on its Database). Consulted
-  /// for immutable UDFs after the per-statement/per-worker cache misses;
-  /// `shared_udf_epoch` is the validity token captured at statement start.
+  /// for immutable UDFs after the per-statement/per-worker cache misses.
   SharedUdfCache* shared_udf_cache = nullptr;
+  /// The statement's validity token for shared entries. Compilation and
+  /// external components are captured at statement start. At its first
+  /// shared-cache access the statement pins every table of
+  /// `udf_read_tables` (the tables UDF bodies read; null = keep the captured
+  /// data component) and folds the pinned versions into the data component.
+  /// So every entry it reads or writes matches the dictionary versions its
+  /// own UDF bodies scan, and statements that call no UDF pin nothing.
   UdfCacheEpoch shared_udf_epoch;
+  bool shared_udf_epoch_pinned = false;
+  const std::vector<const Table*>* udf_read_tables = nullptr;
 
   /// Pinned per-statement table snapshots (see TableSnapshots). Shared with
   /// worker contexts so parallel morsels scan the same pinned versions.
@@ -180,9 +188,11 @@ struct ExecContext {
   };
   std::unordered_map<const Plan*, Value> scalar_cache;   // InitPlan results
   std::unordered_map<const Plan*, InSetCache> inset_cache;
-  // Non-volatile UDF results, keyed by (function, args). Per statement in
-  // serial execution, per worker under parallel execution.
+  // Non-volatile UDF results, keyed by EncodeUdfCallKey (function, args). Per
+  // statement in serial execution, per worker under parallel execution.
   std::unordered_map<std::string, Value> udf_cache;
+  // Reused buffer for the key of the UDF call being looked up.
+  std::string udf_key;
 };
 
 /// Execute a plan to a fully materialized row batch.

@@ -201,6 +201,8 @@ ExecContext WorkerContext(const ExecContext& parent, ExecStats* stats) {
   // distinct key per worker) before executing a body.
   c.shared_udf_cache = parent.shared_udf_cache;
   c.shared_udf_epoch = parent.shared_udf_epoch;
+  c.shared_udf_epoch_pinned = parent.shared_udf_epoch_pinned;
+  c.udf_read_tables = parent.udf_read_tables;
   // Workers share the statement's pinned table snapshots so every morsel
   // scans the same row versions the statement thread pinned.
   c.snapshots = parent.snapshots;

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstdlib>
@@ -71,6 +72,45 @@ class Parser {
   }
   Result<std::string> ExpectIdentifier(const std::string& what);
 
+  // Nesting bound (kMaxNestingDepth). depth_ is the level the parser has
+  // recursed to. reach_ is the depth of the deepest node built so far below
+  // the innermost open operator chain: each link wraps everything before it
+  // in one more node, so a link adds one to it.
+  Status CheckDepth() const {
+    if (reach_ > kMaxNestingDepth) return Err("expression nested too deeply");
+    return Status::OK();
+  }
+  /// One level of recursion: a parenthesis, an argument list, CASE, a
+  /// sub-query or a unary operator. Call CheckDepth() right after.
+  class Nest {
+   public:
+    explicit Nest(Parser* p) : p_(p) {
+      ++p_->depth_;
+      p_->reach_ = std::max(p_->reach_, p_->depth_);
+    }
+    ~Nest() { --p_->depth_; }
+
+   private:
+    Parser* p_;
+  };
+  /// One left-deep chain; Link() once per node wrapped around the result so
+  /// far, after that node's other operands are parsed.
+  class Chain {
+   public:
+    explicit Chain(Parser* p) : p_(p), outer_reach_(p->reach_) {
+      p_->reach_ = p_->depth_;
+    }
+    ~Chain() { p_->reach_ = std::max(outer_reach_, p_->reach_); }
+    Status Link() {
+      ++p_->reach_;
+      return p_->CheckDepth();
+    }
+
+   private:
+    Parser* p_;
+    int outer_reach_;
+  };
+
   // Expression precedence chain.
   Result<ExprPtr> ParseOr();
   Result<ExprPtr> ParseAnd();
@@ -100,6 +140,8 @@ class Parser {
   bool saw_question_param_ = false;
   bool saw_dollar_param_ = false;
   size_t pos_ = 0;
+  int depth_ = 0;
+  int reach_ = 0;
 };
 
 bool Parser::MatchSym(const std::string& s) {
@@ -139,18 +181,22 @@ bool Parser::IsReserved(const std::string& word) const {
 Result<ExprPtr> Parser::ParseExpr() { return ParseOr(); }
 
 Result<ExprPtr> Parser::ParseOr() {
+  Chain chain(this);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
   while (MatchKw("OR")) {
     MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
+    MTB_RETURN_IF_ERROR(chain.Link());
     lhs = Binary("OR", std::move(lhs), std::move(rhs));
   }
   return lhs;
 }
 
 Result<ExprPtr> Parser::ParseAnd() {
+  Chain chain(this);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
   while (MatchKw("AND")) {
     MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
+    MTB_RETURN_IF_ERROR(chain.Link());
     lhs = Binary("AND", std::move(lhs), std::move(rhs));
   }
   return lhs;
@@ -158,6 +204,8 @@ Result<ExprPtr> Parser::ParseAnd() {
 
 Result<ExprPtr> Parser::ParseNot() {
   if (MatchKw("NOT")) {
+    Nest nest(this);
+    MTB_RETURN_IF_ERROR(CheckDepth());
     MTB_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
     return Unary("NOT", std::move(inner));
   }
@@ -165,6 +213,7 @@ Result<ExprPtr> Parser::ParseNot() {
 }
 
 Result<ExprPtr> Parser::ParseComparison() {
+  Chain chain(this);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
   for (;;) {
     bool negated = false;
@@ -174,6 +223,8 @@ Result<ExprPtr> Parser::ParseComparison() {
     }
     if (MatchKw("IN")) {
       MTB_RETURN_IF_ERROR(ExpectSym("("));
+      Nest nest(this);
+      MTB_RETURN_IF_ERROR(CheckDepth());
       auto e = std::make_unique<Expr>();
       e->negated = negated;
       if (IsKw("SELECT")) {
@@ -192,11 +243,13 @@ Result<ExprPtr> Parser::ParseComparison() {
         for (auto& item : list) e->args.push_back(std::move(item));
       }
       MTB_RETURN_IF_ERROR(ExpectSym(")"));
+      MTB_RETURN_IF_ERROR(chain.Link());
       lhs = std::move(e);
       continue;
     }
     if (MatchKw("LIKE")) {
       MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
+      MTB_RETURN_IF_ERROR(chain.Link());
       lhs = Binary(negated ? "NOT LIKE" : "LIKE", std::move(lhs), std::move(rhs));
       continue;
     }
@@ -208,6 +261,7 @@ Result<ExprPtr> Parser::ParseComparison() {
       MTB_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
       MTB_RETURN_IF_ERROR(ExpectKw("AND"));
       MTB_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
+      MTB_RETURN_IF_ERROR(chain.Link());
       e->args.push_back(std::move(lo));
       e->args.push_back(std::move(hi));
       lhs = std::move(e);
@@ -216,6 +270,7 @@ Result<ExprPtr> Parser::ParseComparison() {
     if (MatchKw("IS")) {
       bool isn = MatchKw("NOT");
       MTB_RETURN_IF_ERROR(ExpectKw("NULL"));
+      MTB_RETURN_IF_ERROR(chain.Link());
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kIsNull;
       e->negated = isn;
@@ -229,6 +284,7 @@ Result<ExprPtr> Parser::ParseComparison() {
           s == ">=") {
         std::string op = Advance().text;
         MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
+        MTB_RETURN_IF_ERROR(chain.Link());
         lhs = Binary(op, std::move(lhs), std::move(rhs));
         continue;
       }
@@ -239,11 +295,13 @@ Result<ExprPtr> Parser::ParseComparison() {
 }
 
 Result<ExprPtr> Parser::ParseAdditive() {
+  Chain chain(this);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
   for (;;) {
     if (IsSym("+") || IsSym("-") || IsSym("||")) {
       std::string op = Advance().text;
       MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
+      MTB_RETURN_IF_ERROR(chain.Link());
       lhs = Binary(op, std::move(lhs), std::move(rhs));
     } else {
       break;
@@ -253,11 +311,13 @@ Result<ExprPtr> Parser::ParseAdditive() {
 }
 
 Result<ExprPtr> Parser::ParseMultiplicative() {
+  Chain chain(this);
   MTB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
   for (;;) {
     if (IsSym("*") || IsSym("/")) {
       std::string op = Advance().text;
       MTB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
+      MTB_RETURN_IF_ERROR(chain.Link());
       lhs = Binary(op, std::move(lhs), std::move(rhs));
     } else {
       break;
@@ -267,11 +327,15 @@ Result<ExprPtr> Parser::ParseMultiplicative() {
 }
 
 Result<ExprPtr> Parser::ParseUnary() {
+  // Unary plus is a no-op: skip it without recursing.
+  while (MatchSym("+")) {
+  }
   if (MatchSym("-")) {
+    Nest nest(this);
+    MTB_RETURN_IF_ERROR(CheckDepth());
     MTB_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
     return Unary("-", std::move(inner));
   }
-  if (MatchSym("+")) return ParseUnary();
   return ParsePrimary();
 }
 
@@ -337,6 +401,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
   }
   // Parenthesized expression, row expression, or scalar subquery.
   if (MatchSym("(")) {
+    Nest nest(this);
+    MTB_RETURN_IF_ERROR(CheckDepth());
     if (IsKw("SELECT")) {
       MTB_ASSIGN_OR_RETURN(auto sub, ParseSelectStmt());
       MTB_RETURN_IF_ERROR(ExpectSym(")"));
@@ -354,6 +420,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
   // Keyword-introduced expression forms.
   if (IsKw("CASE")) {
     Advance();
+    Nest nest(this);
+    MTB_RETURN_IF_ERROR(CheckDepth());
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kCase;
     if (!IsKw("WHEN")) {
@@ -376,6 +444,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
   if (IsKw("EXISTS")) {
     Advance();
     MTB_RETURN_IF_ERROR(ExpectSym("("));
+    Nest nest(this);
+    MTB_RETURN_IF_ERROR(CheckDepth());
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kExists;
     MTB_ASSIGN_OR_RETURN(e->subquery, ParseSelectStmt());
@@ -411,6 +481,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
   if (IsKw("EXTRACT")) {
     Advance();
     MTB_RETURN_IF_ERROR(ExpectSym("("));
+    Nest nest(this);
+    MTB_RETURN_IF_ERROR(CheckDepth());
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kExtract;
     MTB_ASSIGN_OR_RETURN(std::string field, ExpectIdentifier("extract field"));
@@ -424,6 +496,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
   if (IsKw("SUBSTRING") && IsSym("(", 1)) {
     Advance();
     Advance();
+    Nest nest(this);
+    MTB_RETURN_IF_ERROR(CheckDepth());
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kFunction;
     e->fname = "SUBSTRING";
@@ -460,6 +534,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
   // Function call or column reference.
   std::string name = Advance().text;
   if (MatchSym("(")) {
+    Nest nest(this);
+    MTB_RETURN_IF_ERROR(CheckDepth());
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kFunction;
     e->fname = name;
@@ -567,6 +643,8 @@ Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectStmt() {
 Result<std::unique_ptr<TableRef>> Parser::ParseTablePrimary() {
   auto t = std::make_unique<TableRef>();
   if (MatchSym("(")) {
+    Nest nest(this);
+    MTB_RETURN_IF_ERROR(CheckDepth());
     t->kind = TableRef::Kind::kSubquery;
     MTB_ASSIGN_OR_RETURN(t->subquery, ParseSelectStmt());
     MTB_RETURN_IF_ERROR(ExpectSym(")"));
@@ -586,6 +664,7 @@ Result<std::unique_ptr<TableRef>> Parser::ParseTablePrimary() {
 }
 
 Result<std::unique_ptr<TableRef>> Parser::ParseTableRef() {
+  Chain chain(this);
   MTB_ASSIGN_OR_RETURN(auto left, ParseTablePrimary());
   for (;;) {
     JoinType jt = JoinType::kInner;
@@ -610,6 +689,7 @@ Result<std::unique_ptr<TableRef>> Parser::ParseTableRef() {
     join->right = std::move(right);
     MTB_RETURN_IF_ERROR(ExpectKw("ON"));
     MTB_ASSIGN_OR_RETURN(join->join_cond, ParseExpr());
+    MTB_RETURN_IF_ERROR(chain.Link());
     left = std::move(join);
   }
   return left;

@@ -12,6 +12,13 @@
 namespace mtbase {
 namespace sql {
 
+/// The deepest tree the parser builds. Each parenthesis, argument list,
+/// CASE, sub-query and unary operator nests one level; each link of a
+/// left-deep chain (a + b + c, a AND b, t1 JOIN t2) adds one to the height
+/// of everything before it. Deeper input is a SyntaxError ("expression
+/// nested too deeply"), which bounds the recursion of every later pass.
+constexpr int kMaxNestingDepth = 256;
+
 /// Parse a single statement (trailing ';' optional).
 Result<Stmt> ParseStatement(const std::string& text);
 

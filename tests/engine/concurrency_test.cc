@@ -354,6 +354,77 @@ TEST_F(ConcurrencyTest, StressMixedWorkloadInvariants) {
   EXPECT_EQ(SumCanon(), expect);
 }
 
+// Time-boxed (ctest label `stress`). A statement's shared-cache epoch must
+// name the dictionary version its own UDF bodies read: otherwise a statement
+// that started before a rate update but pinned the new rates caches them
+// under the old epoch, and another statement of that epoch mixes them with
+// its own old-rate results. One writer flips the rate between two versions;
+// eight readers each convert 20k distinct amounts through a shared cache
+// small enough to evict in every shard, and every statement must have used
+// one rate for all of its rows.
+TEST(ConversionEpochTest, StressOneRateVersionPerStatement) {
+  const uint64_t budget_s = EnvU64("MTBASE_STRESS_SECONDS", 1);
+  constexpr int kAmounts = 20000;
+  constexpr int kReaders = 8;
+  Database db(DbmsProfile::kPostgres);
+  db.EnableSharedUdfCache(/*capacity=*/4096);
+  std::string script = R"(
+    CREATE TABLE rates (k INTEGER NOT NULL, r DECIMAL(15,6) NOT NULL);
+    INSERT INTO rates VALUES (1, 1.0);
+    CREATE FUNCTION conv (DECIMAL(15,2), INTEGER) RETURNS DECIMAL(15,2)
+      AS 'SELECT r * $1 FROM rates WHERE k = $2' LANGUAGE SQL IMMUTABLE;
+    CREATE TABLE amounts (x DECIMAL(15,2) NOT NULL);
+    INSERT INTO amounts VALUES )";
+  for (int i = 1; i <= kAmounts; ++i) {
+    script += (i > 1 ? ", (" : "(") + std::to_string(i) + ".25)";
+  }
+  ASSERT_OK(db.ExecuteScript(script));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(budget_s);
+  FailureLog failures;
+  std::atomic<int> readers_left{kReaders};
+  std::atomic<uint64_t> statements{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int flip = 0; readers_left.load() > 0; ++flip) {
+      auto st = db.Execute(flip % 2 == 0 ? "UPDATE rates SET r = 2.0"
+                                         : "UPDATE rates SET r = 1.0");
+      if (!st.ok()) failures.Record(st.status().ToString());
+    }
+  });
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&] {
+      do {
+        auto rs = db.Execute("SELECT x, conv(x, 1) FROM amounts");
+        ++statements;
+        if (!rs.ok()) {
+          failures.Record(rs.status().ToString());
+          break;
+        }
+        const std::vector<Row>& rows = rs.value().rows;
+        if (rows.size() != static_cast<size_t>(kAmounts)) {
+          failures.Record("rows: " + std::to_string(rows.size()));
+          break;
+        }
+        const double rate = rows[0][1].AsDouble() / rows[0][0].AsDouble();
+        for (const Row& row : rows) {
+          if (row[1].AsDouble() != rate * row[0].AsDouble()) {
+            failures.Record("one statement used two rates: " +
+                            row[0].ToString() + " -> " + row[1].ToString() +
+                            ", but " + rows[0][0].ToString() + " -> " +
+                            rows[0][1].ToString());
+            break;
+          }
+        }
+      } while (std::chrono::steady_clock::now() < deadline);
+      --readers_left;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.count(), 0) << failures.first();
+  EXPECT_GE(statements.load(), static_cast<uint64_t>(kReaders));
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace mtbase

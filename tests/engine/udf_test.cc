@@ -171,6 +171,76 @@ TEST(UdfTest, SharedCacheLruBound) {
   EXPECT_EQ(scope.Delta().udf_shared_cache_hits, 1u);
 }
 
+std::string RenderTyped(const ResultSet& rs) {
+  std::string out;
+  for (const Value& v : rs.rows.at(0)) {
+    if (!out.empty()) out += " | ";
+    out += std::string(TypeIdName(v.type())) + " " + v.ToString();
+  }
+  return out;
+}
+
+// Cache keys are exact: two calls share a cached result only if they pass
+// the same function the same argument types with bit-identical payloads.
+// Each statement runs twice with the shared cache on. The first run's body
+// executions show which calls shared a key; the repeat must come entirely
+// from the caches, one shared hit per distinct key, rendered the same.
+TEST(UdfTest, CacheKeysAreExact) {
+  Database db(DbmsProfile::kPostgres);
+  db.EnableSharedUdfCache();
+  ASSERT_OK(db.ExecuteScript(kSetup));
+  ASSERT_OK(db.ExecuteScript(R"(
+    CREATE FUNCTION ident (DECIMAL(15,6)) RETURNS DECIMAL(15,6)
+      AS 'SELECT $1' LANGUAGE SQL IMMUTABLE;
+    CREATE FUNCTION pair (VARCHAR(10), VARCHAR(10)) RETURNS VARCHAR(21)
+      AS 'SELECT CONCAT($1, ''|'', $2)' LANGUAGE SQL IMMUTABLE;
+    CREATE FUNCTION orelse (VARCHAR(10)) RETURNS VARCHAR(10)
+      AS 'SELECT COALESCE($1, ''none'')' LANGUAGE SQL IMMUTABLE;
+    CREATE FUNCTION six (INTEGER, INTEGER, INTEGER, INTEGER, INTEGER, INTEGER)
+      RETURNS INTEGER
+      AS 'SELECT $1 + 10 * $2 + 100 * $3 + 1000 * $4 + 10000 * $5 + 100000 * $6'
+      LANGUAGE SQL IMMUTABLE;
+    CREATE FUNCTION viaconv (DECIMAL(15,2), INTEGER) RETURNS DECIMAL(15,2)
+      AS 'SELECT conv($1, $2) + 1' LANGUAGE SQL IMMUTABLE;
+  )"));
+  auto check = [&db](const std::string& sql, const std::string& want,
+                     uint64_t calls, uint64_t distinct_keys) {
+    StatsScope scope(db.stats());
+    ASSERT_OK_AND_ASSIGN(auto rs, db.Execute(sql));
+    EXPECT_EQ(RenderTyped(rs), want) << sql;
+    EXPECT_EQ(scope.Delta().udf_calls, calls) << sql;
+    scope.Restart();
+    ASSERT_OK_AND_ASSIGN(rs, db.Execute(sql));
+    EXPECT_EQ(RenderTyped(rs), want) << sql << " (repeat)";
+    EXPECT_EQ(scope.Delta().udf_calls, 0u) << sql << " (repeat)";
+    EXPECT_EQ(scope.Delta().udf_shared_cache_hits, distinct_keys)
+        << sql << " (repeat)";
+  };
+  // Equal numbers, different scales or types: literals trim trailing zeros,
+  // so the scales come from arithmetic.
+  check("SELECT ident(1.25 + 0.25), ident(1.5), ident(3 / 2), ident(2)",
+        "DECIMAL 1.50 | DECIMAL 1.5 | DECIMAL 1.500000 | INT 2", 4, 4);
+  // String boundaries: the same concatenated bytes, split differently.
+  check("SELECT pair('ab', 'c'), pair('a', 'bc')",
+        "STRING ab|c | STRING a|bc", 2, 2);
+  // NULL is a tag, not a rendering.
+  check("SELECT orelse(NULL), orelse('NULL')", "STRING none | STRING NULL", 2,
+        2);
+  // Past the inline arguments: the sixth argument still counts.
+  check(
+      "SELECT six(1, 2, 3, 4, 5, 6), six(1, 2, 3, 4, 5, 7), "
+      "six(1, 2, 3, 4, 5, 6)",
+      "INT 654321 | INT 754321 | INT 654321", 2, 2);
+  // A call in another call's argument: the inner result is cached under its
+  // own key, which the last item hits.
+  check("SELECT conv(conv(10.00, 2), 3), conv(10.00, 2)",
+        "DECIMAL 10.0 | DECIMAL 20", 2, 2);
+  // A body that calls a cached UDF: the outer result is cached under the
+  // outer key, though the body's call reused the key buffer.
+  check("SELECT viaconv(30.00, 3), conv(30.00, 3), viaconv(30.00, 3)",
+        "DECIMAL 16.0 | DECIMAL 15.0 | DECIMAL 16.0", 2, 2);
+}
+
 TEST(UdfTest, StableUdfCachedPerStatementNotShared) {
   Database db(DbmsProfile::kPostgres);
   db.EnableSharedUdfCache();

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "mt/mtbase.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace mtbase {
@@ -257,6 +258,43 @@ TEST_F(SessionTest, IllTypedBuiltinIsAStatusWithAuditOff) {
   }
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The parser's nesting bound holds end to end. A statement half the bound
+// deep around a convertible column runs at the levels that wrap or move its
+// conversion: the rewrite adds function calls around the column, and the
+// engine parses the printed SQL again. Far past the bound, the statement is
+// a syntax error, not a crash.
+TEST_F(SessionTest, NestingBoundHoldsThroughTheRewrite) {
+  // 1 * (1 * (... E_salary ...)): each level is one link and one
+  // parenthesis, and the printer keeps both.
+  std::string expr = "E_salary";
+  for (int i = 0; i < sql::kMaxNestingDepth / 4; ++i) {
+    expr = "1 * (" + expr + ")";
+  }
+  Session s(mw_.get(), 0);
+  for (OptLevel level : {OptLevel::kCanonical, OptLevel::kO4}) {
+    s.set_optimization_level(level);
+    ASSERT_OK_AND_ASSIGN(
+        auto rs, s.Execute("SELECT E_emp_id, " + expr +
+                           " FROM Employees ORDER BY E_emp_id"));
+    ASSERT_EQ(rs.rows.size(), 3u) << OptLevelName(level);
+    if (level == OptLevel::kCanonical) {
+      EXPECT_NE(s.last_sql().find("currencyToUniversal(E_salary"),
+                std::string::npos);
+    }
+    EXPECT_DOUBLE_EQ(rs.rows[0][1].AsDouble(), 50000.0) << OptLevelName(level);
+    EXPECT_DOUBLE_EQ(rs.rows[2][1].AsDouble(), 150000.0)
+        << OptLevelName(level);
+  }
+  const std::string deep = std::string(100000, '(') + "E_salary" +
+                           std::string(100000, ')');
+  auto r = s.Execute("SELECT " + deep + " FROM Employees");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kSyntaxError);
+  EXPECT_NE(r.status().message().find("expression nested too deeply"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 TEST_F(SessionTest, RewriteExposesGeneratedSql) {

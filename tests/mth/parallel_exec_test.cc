@@ -174,11 +174,11 @@ TEST(ParallelJoinStatsTest, ParallelJoinsCounted) {
 class CanonicalConversionParallelTest : public ::testing::TestWithParam<int> {
 };
 
-TEST_P(CanonicalConversionParallelTest, ConversionHeavyPlansParallelize) {
+void CheckConversionHeavyPlanParallelizes(int query) {
   auto& fixture = ParallelEnv::Get();
   ASSERT_NE(fixture.env(), nullptr);
   engine::Database* db = fixture.env()->mth_db.get();
-  MthQuery q = GetMthQuery(GetParam(), fixture.env()->config.scale_factor);
+  MthQuery q = GetMthQuery(query, fixture.env()->config.scale_factor);
   // Parallel run first, against a cold shared dictionary cache, so body
   // evaluations demonstrably happen on the workers. The gate is lower than
   // the byte-parity suite's: Q6's aggregate input (the rows that survive the
@@ -206,6 +206,26 @@ TEST_P(CanonicalConversionParallelTest, ConversionHeavyPlansParallelize) {
   EXPECT_EQ(serial.stats.udf_parallel_evals, 0u) << q.name;
   EXPECT_EQ(Canon(serial.result), Canon(par.result))
       << q.name << ": parallel conversion evaluation changed the result";
+}
+
+TEST_P(CanonicalConversionParallelTest, ConversionHeavyPlansParallelize) {
+  CheckConversionHeavyPlanParallelizes(GetParam());
+}
+
+// The same at a shared-cache capacity far below the working set: four
+// workers evict from the striped shards while they fill them, and the
+// results stay byte-identical to the serial run.
+TEST_P(CanonicalConversionParallelTest, ParallelizeWhileTheCacheEvicts) {
+  ASSERT_NE(ParallelEnv::Get().env(), nullptr);
+  engine::SharedUdfCache* cache =
+      ParallelEnv::Get().env()->mth_db->shared_udf_cache();
+  const size_t saved = cache->capacity();
+  cache->set_capacity(64);
+  CheckConversionHeavyPlanParallelizes(GetParam());
+  // Every shard full: the serial run alone, from an empty cache, filled
+  // all 64 entries.
+  EXPECT_EQ(cache->size(), 64u);
+  cache->set_capacity(saved);
 }
 
 INSTANTIATE_TEST_SUITE_P(ConversionQueries, CanonicalConversionParallelTest,

@@ -387,6 +387,79 @@ INSTANTIATE_TEST_SUITE_P(
         "GRANT READ ON Employees TO 42",
         "SET SCOPE = \"FROM Employees WHERE E_salary > 180000\""));
 
+// Nesting is bounded: every later pass (printer, rewriter, binder,
+// evaluator) recurses over the parsed tree, so input past kMaxNestingDepth
+// must come back as a clean status instead of overflowing the stack of the
+// process every tenant shares.
+std::string Parens(int depth) {
+  return std::string(static_cast<size_t>(depth), '(') + "1" +
+         std::string(static_cast<size_t>(depth), ')');
+}
+
+std::string Sum(int links) {
+  std::string s = "1";
+  for (int i = 0; i < links; ++i) s += " + 1";
+  return s;
+}
+
+void ExpectTooDeep(const std::string& sql) {
+  auto r = ParseSelect(sql);
+  ASSERT_FALSE(r.ok()) << sql.substr(0, 80);
+  EXPECT_EQ(r.status().code(), StatusCode::kSyntaxError);
+  EXPECT_NE(r.status().message().find("expression nested too deeply"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(ParserTest, NestingAtTheLimitParses) {
+  ASSERT_OK(ParseSelect("SELECT " + Parens(kMaxNestingDepth)).status());
+  ASSERT_OK(ParseSelect("SELECT " + Sum(kMaxNestingDepth)).status());
+}
+
+TEST(ParserTest, NestingPastTheLimitIsSyntaxError) {
+  ExpectTooDeep("SELECT " + Parens(kMaxNestingDepth + 1));
+  ExpectTooDeep("SELECT " + Sum(kMaxNestingDepth + 1));
+  ExpectTooDeep("SELECT " + Parens(100000));
+  ExpectTooDeep("SELECT " + Sum(100000));
+}
+
+TEST(ParserTest, NestingCountsEveryRecursiveForm) {
+  const int n = kMaxNestingDepth + 1;
+  auto repeat = [n](const std::string& open, const std::string& mid,
+                    const std::string& close) {
+    std::string s;
+    for (int i = 0; i < n; ++i) s += open;
+    s += mid;
+    for (int i = 0; i < n; ++i) s += close;
+    return s;
+  };
+  ExpectTooDeep("SELECT " + repeat("NOT ", "TRUE", ""));
+  ExpectTooDeep("SELECT " + repeat("- ", "1", ""));
+  ExpectTooDeep("SELECT " + repeat("f(", "1", ")"));
+  ExpectTooDeep("SELECT " + repeat("CASE WHEN TRUE THEN ", "1", " END"));
+  ExpectTooDeep("SELECT " + repeat("1 IN (", "1", ")"));
+  ExpectTooDeep("SELECT " + repeat("(SELECT ", "1", ")"));
+  ExpectTooDeep("SELECT 1 FROM " + repeat("(SELECT 1 FROM ", "t", ") AS s"));
+  std::string joins = "SELECT 1 FROM t0";
+  for (int i = 1; i <= n; ++i) joins += " JOIN t ON TRUE";
+  ExpectTooDeep(joins);
+  // Unary plus nests nothing.
+  ASSERT_OK(ParseSelect("SELECT " + std::string(100000, '+') + "1").status());
+}
+
+TEST(ParserTest, ChainHeightAddsToItsOperands) {
+  // A chain wraps its first operand: a 200-link sum as the first operand of
+  // a 100-link sum sits 300 deep, though neither chain alone passes the
+  // limit. As the last operand it sits one link deep.
+  ExpectTooDeep("SELECT (" + Sum(200) + ")" + Sum(100).substr(1));
+  ASSERT_OK(ParseSelect("SELECT " + Sum(100) + " + (" + Sum(200) + ")")
+                .status());
+  // Siblings do not add up: two 200-link operands of one AND are 202 deep.
+  ASSERT_OK(
+      ParseSelect("SELECT " + Sum(200) + " = 1 AND " + Sum(200) + " = 1")
+          .status());
+}
+
 }  // namespace
 }  // namespace sql
 }  // namespace mtbase
