@@ -10,6 +10,8 @@
 #include "common/str_util.h"
 #include "engine/explain.h"
 #include "engine/obs/metrics.h"
+#include "engine/obs/profile.h"
+#include "engine/obs/statement.h"
 #include "engine/obs/trace.h"
 #include "engine/parallel/parallel.h"
 #include "sql/parser.h"
@@ -58,7 +60,7 @@ Database::StatsFrame::~StatsFrame() {
   if (!active_) return;
   tl_stats_frame_ = prev_;
   std::lock_guard<std::mutex> lock(db_->stats_mu_);
-  db_->stats_.MergeStatement(local_);
+  db_->stats_.Merge(local_);
 }
 
 ExecStats* Database::CurStats() {
@@ -170,9 +172,6 @@ ExecContext Database::MakeContext(const std::vector<Value>* params) {
     ctx.shared_udf_epoch = CurrentUdfCacheEpoch();
     if (!udf_plans_stale_) ctx.udf_read_tables = &udf_read_tables_;
   }
-  // Bench overhead knob (set_profile_execution): every statement pays the
-  // ANALYZE instrumentation cost into a reused, never-rendered profiler.
-  if (profile_execution_) ctx.profiler = &bench_profiler_;
   return ctx;
 }
 
@@ -257,6 +256,11 @@ struct PreparedPlan::CompiledState {
   std::vector<std::string> column_names;
 };
 
+PreparedPlan::PreparedPlan(Database* db, sql::Stmt stmt, std::string sql_text)
+    : db_(db),
+      sql_(std::move(sql_text)),
+      stmt_(std::move(stmt)),
+      param_count_(sql::MaxParamIndex(stmt_)) {}
 PreparedPlan::PreparedPlan(PreparedPlan&&) noexcept = default;
 PreparedPlan& PreparedPlan::operator=(PreparedPlan&&) noexcept = default;
 PreparedPlan::~PreparedPlan() = default;
@@ -297,117 +301,105 @@ PreparedPlan::CompileLocked() {
   return std::shared_ptr<const CompiledState>(std::move(state));
 }
 
+Result<std::shared_ptr<const PreparedPlan::CompiledState>>
+PreparedPlan::State() {
+  std::lock_guard<std::mutex> lock(*mu_);
+  if (state_ == nullptr || state_->version != db_->compilation_version()) {
+    // Invalidate first: a failed recompile (e.g. against a dropped table)
+    // must not leave a handle that silently executes the stale plan.
+    state_.reset();
+    MTB_ASSIGN_OR_RETURN(auto compiled, CompileLocked());
+    column_names_ = compiled->column_names;
+    state_ = std::move(compiled);
+  }
+  return state_;
+}
+
 Result<ResultSet> PreparedPlan::Execute(const std::vector<Value>& params) {
+  if (!db_->profile_execution()) return Run(params, nullptr);
+  // Bench knob (Database::set_profile_execution): this execution pays the
+  // ANALYZE instrumentation cost into its own, never-rendered profiler.
+  obs::PlanProfiler profiler;
+  return Run(params, &profiler);
+}
+
+Result<ResultSet> PreparedPlan::Run(const std::vector<Value>& params,
+                                    obs::PlanProfiler* profiler) {
   // Admission first (blocking while holding no locks), then the stats frame
   // and the statement-scope lock: shared for SELECT/DML, exclusive for DDL
-  // statement kinds executed through a prepared handle.
+  // statement kinds executed through a handle. Then the observability
+  // shell: one engine-layer trace record per statement (nested statements
+  // append to the enclosing record via the Database slot) plus metrics.
   Database::AdmissionPass admission(db_);
   if (!admission.status().ok()) return admission.status();
   Database::StatsFrame frame(db_);
   Database::StatementGuard guard(db_, Database::IsDdlStmt(stmt_));
-  // Observability shell around the execution body: one engine-layer trace
-  // record per statement (nested statements append to the enclosing record
-  // via the Database slot), plus process-wide metrics. With tracing off
-  // (no MTBASE_TRACE) the record scope is inert; the metrics feed is a few
-  // mutex-guarded map bumps per statement.
-  obs::TraceRecordScope trace(obs::Tracer::Global(), &db_->active_trace_,
-                              "engine", sql_);
-  StatsScope scope(db_->CurStats());
-  const auto t0 = std::chrono::steady_clock::now();
-  Result<ResultSet> result = ExecuteInternal(params);
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
-  const ExecStats d = scope.Delta();
-  auto* metrics = obs::MetricsRegistry::Global();
-  metrics->Add("mtbase_engine_statements_total");
-  if (!result.ok()) metrics->Add("mtbase_engine_statement_errors_total");
-  metrics->Observe("mtbase_engine_execute_seconds", secs);
-  if (d.udf_calls > 0) {
-    metrics->Add("mtbase_engine_udf_calls_total", d.udf_calls);
-  }
-  if (d.udf_cache_hits > 0) {
-    metrics->Add("mtbase_engine_udf_cache_hits_total", d.udf_cache_hits);
-  }
-  if (d.udf_cache_misses > 0) {
-    metrics->Add("mtbase_engine_udf_cache_misses_total", d.udf_cache_misses);
-  }
-  if (d.plan_cache_hits > 0) {
-    metrics->Add("mtbase_engine_plan_cache_hits_total", d.plan_cache_hits);
-  }
-  if (d.plans_verified > 0) {
-    metrics->Add("mtbase_engine_plans_verified_total", d.plans_verified);
-  }
-  if (result.ok()) {
-    metrics->Add("mtbase_engine_rows_returned_total",
-                 result.value().rows.size());
-  }
+  obs::StatementShell shell(obs::Layer::kEngine, &db_->active_trace_, sql_,
+                            db_->CurStats());
+  Result<ResultSet> result = ExecuteInternal(params, profiler);
+  shell.Finish(result.status(), result.ok() ? result.value().rows.size() : 0);
   return result;
 }
 
+namespace {
+
+/// The one-row result of UPDATE / DELETE: the affected row count.
+ResultSet RowCount(const char* column, int64_t n) {
+  ResultSet rs;
+  rs.column_names = {column};
+  rs.rows.push_back({Value::Int(n)});
+  return rs;
+}
+
+}  // namespace
+
 Result<ResultSet> PreparedPlan::ExecuteInternal(
-    const std::vector<Value>& params) {
+    const std::vector<Value>& params, obs::PlanProfiler* profiler) {
   if (static_cast<int>(params.size()) < param_count_) {
     return Status::InvalidArgument(
         "prepared statement needs " + std::to_string(param_count_) +
         " parameter(s), got " + std::to_string(params.size()));
   }
   if (db_->udf_plans_stale_) db_->RefreshUdfPlans();
-  std::shared_ptr<const CompiledState> st;
-  {
-    std::lock_guard<std::mutex> lock(*mu_);
-    st = state_;
-  }
-  if (st == nullptr || st->version != db_->compilation_version()) {
-    std::lock_guard<std::mutex> lock(*mu_);
-    if (state_ == nullptr ||
-        state_->version != db_->compilation_version()) {
-      // Invalidate first: a failed recompile (e.g. against a dropped table)
-      // must not leave a handle that silently executes the stale plan.
-      state_.reset();
-      MTB_ASSIGN_OR_RETURN(auto compiled, CompileLocked());
-      column_names_ = compiled->column_names;
-      state_ = std::move(compiled);
-    }
-    st = state_;
-  }
+  MTB_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledState> st, State());
   // The first execution after a compile is amortization, not reuse.
   if (!st->fresh.exchange(false, std::memory_order_acq_rel)) {
     ++db_->CurStats()->plan_cache_hits;
   }
   obs::SpanTimer exec_span(db_->active_trace_, "execute", db_->CurStats());
   const std::vector<Value>* bound = params.empty() ? nullptr : &params;
-  if (stmt_.kind == sql::Stmt::Kind::kSelect) {
-    ExecContext ctx = db_->MakeContext(bound);
-    MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*st->plan, &ctx));
-    ResultSet rs;
-    rs.column_names = st->column_names;
-    rs.rows = rows.TakeRows();
-    return rs;
-  }
-  // DML executes its bound form: no per-execution binder work.
   switch (stmt_.kind) {
+    case sql::Stmt::Kind::kSelect: {
+      ExecContext ctx = db_->MakeContext(bound);
+      ctx.profiler = profiler;
+      const auto t0 = std::chrono::steady_clock::now();
+      MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*st->plan, &ctx));
+      if (profiler != nullptr) {
+        profiler->set_total_wall_nanos(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
+      }
+      ResultSet rs;
+      rs.column_names = st->column_names;
+      rs.rows = rows.TakeRows();
+      return rs;
+    }
+    // DML executes its bound form: no per-execution binder work.
     case sql::Stmt::Kind::kInsert:
       MTB_RETURN_IF_ERROR(
           db_->ExecuteBoundInsert(*st->dml, st->plan.get(), bound));
       return ResultSet();
     case sql::Stmt::Kind::kUpdate: {
       MTB_ASSIGN_OR_RETURN(int64_t n, db_->ExecuteBoundUpdate(*st->dml, bound));
-      ResultSet rs;
-      rs.column_names = {"updated"};
-      rs.rows.push_back({Value::Int(n)});
-      return rs;
+      return RowCount("updated", n);
     }
     case sql::Stmt::Kind::kDelete: {
       MTB_ASSIGN_OR_RETURN(int64_t n, db_->ExecuteBoundDelete(*st->dml, bound));
-      ResultSet rs;
-      rs.column_names = {"deleted"};
-      rs.rows.push_back({Value::Int(n)});
-      return rs;
+      return RowCount("deleted", n);
     }
     default:
-      return db_->ExecuteStmt(stmt_, bound);
+      return db_->ExecuteStmt(stmt_);
   }
 }
 
@@ -435,17 +427,8 @@ Result<PreparedPlan> Database::PrepareStmt(sql::Stmt stmt,
   StatsFrame frame(this);
   // The compile reads the catalog/UDF registry: shared statement lock.
   StatementGuard guard(this, /*exclusive=*/false);
-  PreparedPlan plan;
-  plan.db_ = this;
-  plan.sql_ = std::move(sql_text);
-  plan.param_count_ = sql::MaxParamIndex(stmt);
-  plan.stmt_ = std::move(stmt);
-  {
-    std::lock_guard<std::mutex> lock(*plan.mu_);
-    MTB_ASSIGN_OR_RETURN(auto compiled, plan.CompileLocked());
-    plan.column_names_ = compiled->column_names;
-    plan.state_ = std::move(compiled);
-  }
+  PreparedPlan plan(this, std::move(stmt), std::move(sql_text));
+  MTB_RETURN_IF_ERROR(plan.State().status());
   return plan;
 }
 
@@ -470,15 +453,19 @@ Result<ResultSet> Database::ExecuteScript(const std::string& sql) {
   CurStats()->statements_parsed += stmts.size();
   ResultSet last;
   for (size_t i = 0; i < stmts.size(); ++i) {
-    auto r = ExecuteStmt(stmts[i]);
+    // The script owns the parsed statement: hand it to an uncompiled handle,
+    // which compiles on its first (and only) execution, inside its own
+    // trace record. The text is printed back for the trace only.
+    std::string text = obs::Tracer::GlobalEnabled() ? sql::PrintStmt(stmts[i])
+                                                    : std::string();
+    auto r = PreparedPlan(this, std::move(stmts[i]), std::move(text)).Execute();
     if (!r.ok()) return AtScriptStatement(i + 1, r.status());
     last = std::move(r).value();
   }
   return last;
 }
 
-Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt,
-                                        const std::vector<Value>* params) {
+Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt) {
   AdmissionPass admission(this);
   if (!admission.status().ok()) return admission.status();
   StatsFrame frame(this);
@@ -490,8 +477,6 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt,
   if (udf_plans_stale_) RefreshUdfPlans();
   ResultSet empty;
   switch (stmt.kind) {
-    case sql::Stmt::Kind::kSelect:
-      return ExecuteSelect(*stmt.select, params);
     case sql::Stmt::Kind::kCreateTable:
       MTB_RETURN_IF_ERROR(ExecuteCreateTable(*stmt.create_table));
       RefreshUdfPlans();
@@ -510,31 +495,6 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt,
                                                stmt.create_index->columns));
       RefreshUdfPlans();
       return empty;
-    case sql::Stmt::Kind::kInsert:
-      // Ad-hoc DML shares the prepared path's bound form; only the
-      // INSERT ... SELECT source still plans per execution here.
-      if (stmt.insert->select) {
-        MTB_RETURN_IF_ERROR(ExecuteInsert(*stmt.insert, params));
-      } else {
-        MTB_ASSIGN_OR_RETURN(auto dml, BindDml(stmt));
-        MTB_RETURN_IF_ERROR(ExecuteBoundInsert(*dml, nullptr, params));
-      }
-      return empty;
-    case sql::Stmt::Kind::kUpdate: {
-      // Ad-hoc DML shares the prepared path's bound form (bind + execute).
-      MTB_ASSIGN_OR_RETURN(auto dml, BindDml(stmt));
-      MTB_ASSIGN_OR_RETURN(int64_t n, ExecuteBoundUpdate(*dml, params));
-      empty.column_names = {"updated"};
-      empty.rows.push_back({Value::Int(n)});
-      return empty;
-    }
-    case sql::Stmt::Kind::kDelete: {
-      MTB_ASSIGN_OR_RETURN(auto dml, BindDml(stmt));
-      MTB_ASSIGN_OR_RETURN(int64_t n, ExecuteBoundDelete(*dml, params));
-      empty.column_names = {"deleted"};
-      empty.rows.push_back({Value::Int(n)});
-      return empty;
-    }
     case sql::Stmt::Kind::kGrant:
       // Privileges are enforced by the MT middleware (paper section 2.3);
       // the engine accepts and ignores plain-SQL grants.
@@ -552,8 +512,14 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt,
       }
       udf_plans_stale_ = true;
       return empty;
+    case sql::Stmt::Kind::kSelect:
+    case sql::Stmt::Kind::kInsert:
+    case sql::Stmt::Kind::kUpdate:
+    case sql::Stmt::Kind::kDelete:
+      break;
   }
-  return Status::Internal("unhandled statement kind");
+  return Status::Internal(
+      "SELECT and DML statements execute through a PreparedPlan");
 }
 
 void Database::EnsureUdfPlansFresh() {
@@ -600,117 +566,46 @@ Status Database::VerifyPlan(Plan* plan) {
                                  result.Message());
 }
 
-Result<ResultSet> Database::ExecuteSelect(const sql::SelectStmt& sel,
-                                          const std::vector<Value>* params) {
-  // Ad-hoc SELECTs (scripts, ExecuteStmt callers) reach execution without a
-  // PreparedPlan, so this path carries its own observability shell. The
-  // statement text only exists as an AST here; it is printed back to SQL
-  // for the trace record only when tracing is actually on.
-  AdmissionPass admission(this);
-  if (!admission.status().ok()) return admission.status();
-  StatsFrame frame(this);
-  StatementGuard guard(this, /*exclusive=*/false);
-  ExecStats* stats = CurStats();
-  obs::Tracer* tracer = obs::Tracer::Global();
-  obs::TraceRecordScope trace(
-      tracer, &active_trace_, "engine",
-      tracer != nullptr && tracer->enabled() ? sql::PrintSelect(sel)
-                                             : std::string());
-  StatsScope scope(stats);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = [&]() -> Result<ResultSet> {
-    PlanPtr plan;
-    {
-      obs::SpanTimer span(active_trace_, "plan", stats);
-      Planner planner(&catalog_, &udfs_, planner_options_);
-      MTB_ASSIGN_OR_RETURN(plan, planner.PlanSelect(sel));
-      ++stats->statements_planned;
-    }
-    MTB_RETURN_IF_ERROR(VerifyPlan(plan.get()));
-    obs::SpanTimer span(active_trace_, "execute", stats);
-    ExecContext ctx = MakeContext(params);
-    MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan, &ctx));
-    ResultSet rs;
-    for (const auto& c : plan->columns) rs.column_names.push_back(c.name);
-    rs.rows = rows.TakeRows();
-    return rs;
-  }();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
-  const ExecStats d = scope.Delta();
-  auto* metrics = obs::MetricsRegistry::Global();
-  metrics->Add("mtbase_engine_statements_total");
-  if (!result.ok()) metrics->Add("mtbase_engine_statement_errors_total");
-  metrics->Observe("mtbase_engine_execute_seconds", secs);
-  if (d.udf_calls > 0) {
-    metrics->Add("mtbase_engine_udf_calls_total", d.udf_calls);
-  }
-  if (d.udf_cache_hits > 0) {
-    metrics->Add("mtbase_engine_udf_cache_hits_total", d.udf_cache_hits);
-  }
-  if (d.udf_cache_misses > 0) {
-    metrics->Add("mtbase_engine_udf_cache_misses_total", d.udf_cache_misses);
-  }
-  if (d.plans_verified > 0) {
-    metrics->Add("mtbase_engine_plans_verified_total", d.plans_verified);
-  }
-  if (result.ok()) {
-    metrics->Add("mtbase_engine_rows_returned_total",
-                 result.value().rows.size());
-  }
-  return result;
-}
-
 Result<std::string> Database::ExplainAnalyzeSelect(
     const sql::SelectStmt& sel, const verify::VerifyContext* footer_verify_ctx,
     ResultSet* result_out) {
+  // The statement shell's own admission, frame and shared lock, held on past
+  // the execution: rendering reads the plan's catalog objects.
   AdmissionPass admission(this);
   if (!admission.status().ok()) return admission.status();
   StatsFrame frame(this);
   StatementGuard guard(this, /*exclusive=*/false);
-  if (udf_plans_stale_) RefreshUdfPlans();
-  Planner planner(&catalog_, &udfs_, planner_options_);
-  MTB_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(sel));
-  ++CurStats()->statements_planned;
-  MTB_RETURN_IF_ERROR(VerifyPlan(plan.get()));
-  // Instrumented execution: same context a plain run gets, plus a profiler.
+  sql::Stmt stmt;
+  stmt.kind = sql::Stmt::Kind::kSelect;
+  stmt.select = sel.Clone();
+  PreparedPlan prepared(
+      this, std::move(stmt),
+      obs::Tracer::GlobalEnabled() ? sql::PrintSelect(sel) : std::string());
+  // Instrumented execution: the same pipeline a plain run takes, plus a
+  // profiler.
   obs::PlanProfiler profiler;
   StatsScope scope(CurStats());
-  ExecContext ctx = MakeContext();
-  ctx.profiler = &profiler;
-  const auto t0 = std::chrono::steady_clock::now();
-  MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan, &ctx));
-  const double total_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  MTB_ASSIGN_OR_RETURN(ResultSet rs, prepared.Run({}, &profiler));
   const ExecStats d = scope.Delta();
-  std::string out = ExplainPlan(*plan, &planner_options_, &profiler);
+  const Plan& plan = *prepared.state_->plan;
+  std::string out = ExplainPlan(plan, &planner_options_, &profiler);
   // Footer order is fixed (docs/observability.md): verify, analyze; the
   // session layer appends its audit footer after both.
   if (footer_verify_ctx != nullptr) {
     verify::PlanVerifier verifier(footer_verify_ctx);
-    out += "[verify: " + verifier.Verify(*plan).Summary() + "]\n";
+    out += "[verify: " + verifier.Verify(plan).Summary() + "]\n";
   }
   char footer[160];
   std::snprintf(footer, sizeof(footer),
                 "[analyze: rows=%llu workers=%d time=%.3fms udf_calls=%llu"
                 " udf_cache_hits=%llu]\n",
-                static_cast<unsigned long long>(rows.size()),
-                profiler.MaxWorkers(), total_ms,
+                static_cast<unsigned long long>(rs.rows.size()),
+                profiler.MaxWorkers(), profiler.total_wall_nanos() / 1e6,
                 static_cast<unsigned long long>(d.udf_calls),
                 static_cast<unsigned long long>(d.udf_cache_hits));
   out += footer;
   obs::MetricsRegistry::Global()->Add("mtbase_engine_analyze_runs_total");
-  if (result_out != nullptr) {
-    result_out->column_names.clear();
-    for (const auto& c : plan->columns) {
-      result_out->column_names.push_back(c.name);
-    }
-    result_out->rows = rows.TakeRows();
-  }
+  if (result_out != nullptr) *result_out = std::move(rs);
   return out;
 }
 
@@ -982,22 +877,6 @@ Result<int64_t> Database::ExecuteBoundDelete(const BoundDmlPlan& dml,
   }
   if (deleted > 0) dml.table->ReplaceRows(std::move(kept));
   return deleted;
-}
-
-Status Database::ExecuteInsert(const sql::InsertStmt& ins,
-                               const std::vector<Value>* params) {
-  Table* table = catalog_.FindTable(ins.table);
-  if (table == nullptr) {
-    return Status::NotFound("table " + ins.table + " does not exist");
-  }
-  MTB_ASSIGN_OR_RETURN(std::vector<int> targets,
-                       ResolveInsertTargets(ins, table->schema()));
-  if (!ins.select) {
-    return Status::Internal(
-        "INSERT ... VALUES executes through the bound DML path");
-  }
-  MTB_ASSIGN_OR_RETURN(ResultSet rs, ExecuteSelect(*ins.select, params));
-  return ApplyInsertRows(table, targets, std::move(rs.rows));
 }
 
 Status Database::ValidateTable(const Table& table) {

@@ -6,8 +6,10 @@
 //
 // The execution API is prepared-statement shaped: Prepare() compiles a
 // statement once (parse + bind + plan), PreparedPlan::Execute() runs it many
-// times with $n / ? parameter bindings. One-shot Execute() is prepare +
-// execute. Prepared handles snapshot the catalog/UDF compilation version and
+// times with $n / ? parameter bindings. Every SELECT and DML statement runs
+// through a PreparedPlan: one-shot Execute(), each statement of
+// ExecuteScript() and EXPLAIN (ANALYZE) prepare and then execute once.
+// Prepared handles snapshot the catalog/UDF compilation version and
 // transparently recompile after DDL.
 #ifndef MTBASE_ENGINE_DATABASE_H_
 #define MTBASE_ENGINE_DATABASE_H_
@@ -25,7 +27,6 @@
 #include "engine/admission.h"
 #include "engine/catalog.h"
 #include "engine/exec.h"
-#include "engine/obs/profile.h"
 #include "engine/planner.h"
 #include "engine/stats.h"
 #include "engine/udf.h"
@@ -36,6 +37,7 @@
 namespace mtbase {
 
 namespace obs {
+class PlanProfiler;
 struct StatementTrace;
 }  // namespace obs
 
@@ -62,6 +64,8 @@ struct BoundDmlPlan;
 /// Execute() revalidates the handle against the database's compilation
 /// version and recompiles transparently when DDL moved it; every execution
 /// after the first one per compilation counts as ExecStats::plan_cache_hits.
+/// CompileLocked is the only place a statement is planned and verified, and
+/// ExecuteInternal the only SELECT/DML dispatcher.
 ///
 /// Concurrency: Execute() is safe to call from many threads on one handle —
 /// the compiled form lives in an immutable state block swapped under a
@@ -89,7 +93,8 @@ class PreparedPlan {
 
  private:
   friend class Database;
-  PreparedPlan() = default;
+  /// An uncompiled handle: its first execution compiles it.
+  PreparedPlan(Database* db, sql::Stmt stmt, std::string sql_text);
 
   /// Immutable compiled form (plan / bound DML / version), defined in
   /// database.cc; re-compiles swap a fresh block in under mu_.
@@ -100,10 +105,20 @@ class PreparedPlan {
   /// dropped table) cannot leave a usable handle.
   Result<std::shared_ptr<const CompiledState>> CompileLocked();
 
-  /// The execution body. Execute() wraps it with the observability surface
-  /// (statement trace record, execute span, metrics) so the wrapped path
-  /// stays readable.
-  Result<ResultSet> ExecuteInternal(const std::vector<Value>& params);
+  /// The compiled state to execute: the current one, or a fresh compile
+  /// when there is none yet or DDL moved the compilation version.
+  Result<std::shared_ptr<const CompiledState>> State();
+
+  /// The statement shell: admission, stats frame, statement lock and the
+  /// engine-layer obs::StatementShell around ExecuteInternal. `profiler`
+  /// (null = plain execution) instruments a SELECT for EXPLAIN (ANALYZE).
+  Result<ResultSet> Run(const std::vector<Value>& params,
+                        obs::PlanProfiler* profiler);
+
+  /// The execution body: compile if needed, then dispatch on the statement
+  /// kind (DDL, GRANT and SET SCOPE go on to Database::ExecuteStmt).
+  Result<ResultSet> ExecuteInternal(const std::vector<Value>& params,
+                                    obs::PlanProfiler* profiler);
 
   Database* db_ = nullptr;
   std::string sql_;
@@ -129,19 +144,21 @@ class Database {
 
   /// Execute one statement given as SQL text (prepare + execute).
   Result<ResultSet> Execute(const std::string& sql);
-  /// Execute a ';'-separated script; returns the last statement's result.
-  /// Errors are prefixed with the 1-based statement index.
+  /// Execute a ';'-separated script, each statement prepared and executed
+  /// once; returns the last statement's result. Errors are prefixed with the
+  /// 1-based statement index.
   Result<ResultSet> ExecuteScript(const std::string& sql);
-  /// Execute a parsed statement with optional $n parameter bindings.
-  Result<ResultSet> ExecuteStmt(const sql::Stmt& stmt,
-                                const std::vector<Value>* params = nullptr);
+  /// Execute a parsed DDL, GRANT or SET SCOPE statement. SELECT and DML run
+  /// through a PreparedPlan (Prepare / Execute / ExecuteScript).
+  Result<ResultSet> ExecuteStmt(const sql::Stmt& stmt);
 
   /// Validate primary keys, foreign keys and check constraints of `table`
   /// (all tables if empty). Deferred validation keeps bulk loads fast.
   Status ValidateConstraints(const std::string& table = "");
 
-  /// EXPLAIN (ANALYZE) (docs/observability.md): plan `sel`, execute it with
-  /// per-operator instrumentation attached, and render the plan with
+  /// EXPLAIN (ANALYZE) (docs/observability.md): prepare a copy of `sel`,
+  /// execute it once with per-operator instrumentation attached (one engine
+  /// statement: trace record and metrics), and render the plan with
   /// trailing `[actual: ...]` annotations plus an `[analyze: ...]` statement
   /// footer. With `footer_verify_ctx` set a `[verify: ...]` footer precedes
   /// the analyze footer (the EXPLAIN (VERIFY, ANALYZE) composition — footer
@@ -157,15 +174,12 @@ class Database {
   /// (docs/observability.md "Metrics").
   std::string DumpMetrics() const;
 
-  /// Bench knob: attach a Database-owned PlanProfiler to every statement
-  /// context so executions pay the full ANALYZE instrumentation cost
+  /// Bench knob: every SELECT a PreparedPlan executes gets its own
+  /// PlanProfiler, so executions pay the full ANALYZE instrumentation cost
   /// without rendering anything — rewrite_bench measures
   /// analyze_overhead_pct by toggling this. Off by default; plain execution
-  /// never touches the profiler.
-  void set_profile_execution(bool on) {
-    profile_execution_ = on;
-    bench_profiler_.Clear();
-  }
+  /// never touches a profiler.
+  void set_profile_execution(bool on) { profile_execution_ = on; }
   bool profile_execution() const { return profile_execution_; }
 
   Catalog* catalog() { return &catalog_; }
@@ -316,10 +330,8 @@ class Database {
   /// therefore need the exclusive statement lock.
   static bool IsDdlStmt(const sql::Stmt& stmt);
 
-  Result<ResultSet> ExecuteSelect(const sql::SelectStmt& sel,
-                                  const std::vector<Value>* params = nullptr);
   /// Bind a DML statement's expressions once for repeated execution
-  /// (PreparedPlan::Compile counts the compilation).
+  /// (PreparedPlan::CompileLocked counts the compilation).
   Result<std::unique_ptr<BoundDmlPlan>> BindDml(const sql::Stmt& stmt);
   /// `select_plan` carries the precompiled INSERT ... SELECT source, if any.
   Status ExecuteBoundInsert(const BoundDmlPlan& dml, const Plan* select_plan,
@@ -330,10 +342,6 @@ class Database {
                                      const std::vector<Value>* params);
   Status ExecuteCreateTable(const sql::CreateTableStmt& ct);
   Status ExecuteCreateFunction(const sql::CreateFunctionStmt& cf);
-  /// Ad-hoc INSERT ... SELECT (plans the source per execution; prepared
-  /// inserts and VALUES go through BindDml / ExecuteBoundInsert).
-  Status ExecuteInsert(const sql::InsertStmt& ins,
-                       const std::vector<Value>* params);
   Status ValidateTable(const Table& table);
 
   /// Replan every UDF body: body plans hold raw Table pointers and embed
@@ -395,9 +403,7 @@ class Database {
   /// enclosing record instead of emitting their own. Thread-local so
   /// concurrent statements trace independently.
   static thread_local obs::StatementTrace* active_trace_;
-  /// Reused profiler for set_profile_execution (bench overhead knob).
-  obs::PlanProfiler bench_profiler_;
-  bool profile_execution_ = false;
+  std::atomic<bool> profile_execution_{false};
 
   /// Statement-scope reader/writer lock (see StatementGuard).
   std::shared_mutex ddl_mu_;

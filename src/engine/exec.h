@@ -165,7 +165,7 @@ struct ExecContext {
   /// EXPLAIN (ANALYZE) instrumentation (null = off, the plain hot path).
   /// Statement-thread only: WorkerContext deliberately never copies these
   /// (see parallel_exec.cc), so the profile map needs no locking; worker
-  /// counters reach the profiler through the MergeWorker fold.
+  /// counters reach the profiler through the Merge fold.
   obs::PlanProfiler* profiler = nullptr;
   /// Profile of the plan node currently executing — parallel regions report
   /// their worker counts here (null when not profiling).

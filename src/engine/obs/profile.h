@@ -5,7 +5,7 @@
 // physical plan node. The map is owned and mutated by the statement thread
 // only: morsel workers never see the profiler (WorkerContext deliberately
 // does not copy it) — their counters flow back through the existing
-// ExecStats::MergeWorker fold before the wrapper computes its delta, and
+// ExecStats::Merge fold before the wrapper computes its delta, and
 // their CPU time is summed in by RunPoolProfiled.
 #ifndef MTBASE_ENGINE_OBS_PROFILE_H_
 #define MTBASE_ENGINE_OBS_PROFILE_H_
@@ -54,7 +54,11 @@ class PlanProfiler {
   }
 
   bool empty() const { return profiles_.empty(); }
-  void Clear() { profiles_.clear(); }
+
+  /// Wall time of the whole plan execution, recorded by the statement
+  /// pipeline; the [analyze: ...] footer's time= reports it.
+  uint64_t total_wall_nanos() const { return total_wall_nanos_; }
+  void set_total_wall_nanos(uint64_t n) { total_wall_nanos_ = n; }
 
   /// Peak worker count over all profiled nodes (1 = everything ran serial).
   /// The [analyze: ...] statement footer reports this.
@@ -69,6 +73,7 @@ class PlanProfiler {
 
  private:
   std::unordered_map<const void*, OpProfile> profiles_;
+  uint64_t total_wall_nanos_ = 0;
 };
 
 /// CPU time consumed by the calling thread, in nanoseconds

@@ -17,52 +17,20 @@ std::string FormatMs(double ms) {
   return buf;
 }
 
-// Nonzero ExecStats fields as JSON members, in declaration order. Field
-// names mirror the struct so tools/check_trace_schema.py can validate them
-// against a fixed list.
+// Nonzero ExecStats fields as JSON members, in declaration order, named as
+// the struct's fields (tools/check_trace_schema.py reads the same list).
 void AppendStatsJson(const engine::ExecStats& s, std::string* out) {
-  struct Field {
-    const char* name;
-    uint64_t value;
-  };
-  const Field fields[] = {
-      {"rows_scanned", s.rows_scanned},
-      {"rows_joined", s.rows_joined},
-      {"udf_calls", s.udf_calls},
-      {"udf_cache_hits", s.udf_cache_hits},
-      {"udf_shared_cache_hits", s.udf_shared_cache_hits},
-      {"udf_cache_misses", s.udf_cache_misses},
-      {"udf_parallel_evals", s.udf_parallel_evals},
-      {"subquery_execs", s.subquery_execs},
-      {"initplan_execs", s.initplan_execs},
-      {"decorrelated_execs", s.decorrelated_execs},
-      {"statements_parsed", s.statements_parsed},
-      {"statements_rewritten", s.statements_rewritten},
-      {"statements_planned", s.statements_planned},
-      {"prepare_count", s.prepare_count},
-      {"plan_cache_hits", s.plan_cache_hits},
-      {"rewrite_cache_hits", s.rewrite_cache_hits},
-      {"parallel_morsels", s.parallel_morsels},
-      {"parallel_joins", s.parallel_joins},
-      {"parallel_sorts", s.parallel_sorts},
-      {"topn_pushdowns", s.topn_pushdowns},
-      {"topn_rows_pruned", s.topn_rows_pruned},
-      {"threads_used", s.threads_used},
-      {"plans_verified", s.plans_verified},
-      {"verify_violations", s.verify_violations},
-      {"rewrites_audited", s.rewrites_audited},
-      {"audit_violations", s.audit_violations},
-  };
   *out += "{";
   bool first = true;
-  for (const Field& f : fields) {
-    if (f.value == 0) continue;
-    if (!first) *out += ", ";
-    *out += "\"";
-    *out += f.name;
-    *out += "\": " + std::to_string(f.value);
-    first = false;
-  }
+  engine::ForEachExecStatsField(
+      [&](const char* name, uint64_t engine::ExecStats::*field) {
+        if (s.*field == 0) return;
+        if (!first) *out += ", ";
+        *out += "\"";
+        *out += name;
+        *out += "\": " + std::to_string(s.*field);
+        first = false;
+      });
   *out += "}";
 }
 
@@ -169,6 +137,11 @@ Tracer* Tracer::Global() {
 }
 
 void Tracer::SetGlobalForTesting(Tracer* t) { g_tracer_override = t; }
+
+bool Tracer::GlobalEnabled() {
+  Tracer* t = Global();
+  return t != nullptr && t->enabled();
+}
 
 Tracer::Tracer(const std::string& path) {
   file_ = std::fopen(path.c_str(), "a");

@@ -68,6 +68,9 @@ class Tracer {
   /// Override Global() (tests). Pass null to restore the env-derived tracer.
   static void SetGlobalForTesting(Tracer* t);
 
+  /// True when Global() is on: statement text is worth printing only then.
+  static bool GlobalEnabled();
+
   explicit Tracer(const std::string& path);
   ~Tracer();
   Tracer(const Tracer&) = delete;

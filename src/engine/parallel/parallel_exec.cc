@@ -208,7 +208,7 @@ ExecContext WorkerContext(const ExecContext& parent, ExecStats* stats) {
   c.snapshots = parent.snapshots;
   // parent.profiler / parent.current_op are deliberately NOT copied: the
   // PlanProfiler map is statement-thread-only state. Worker counters reach
-  // it via the MergeWorker fold below; worker CPU via RunPoolProfiled.
+  // it via the Merge fold below; worker CPU via RunPoolProfiled.
   return c;
 }
 
@@ -245,7 +245,7 @@ Status RunRegion(
         WorkerContext(*ctx, &worker_stats[static_cast<size_t>(w)]);
     fn(w, &wctx, &err);
   });
-  for (const ExecStats& ws : worker_stats) ctx->stats->MergeWorker(ws);
+  for (const ExecStats& ws : worker_stats) ctx->stats->Merge(ws);
   if (err.failed.load()) return err.status;
   ctx->stats->threads_used = std::max<uint64_t>(
       ctx->stats->threads_used, static_cast<uint64_t>(workers));

@@ -3,6 +3,12 @@
 // Besides profiling, the MT layer's tests use these counters for
 // timing-independent assertions about the optimizations (e.g. aggregation
 // distribution performs exactly T+1 conversions, paper section 4.2.2).
+//
+// MTBASE_EXEC_STATS_FIELDS below is the only place to add a counter. The
+// struct's members, operator-, Merge, the trace-span JSON
+// (obs/trace.cc), the per-layer statement metrics (obs/statement.cc), the
+// trace schema check (tools/check_trace_schema.py) and the tests'
+// field-wise comparisons are all generated from it.
 #ifndef MTBASE_ENGINE_STATS_H_
 #define MTBASE_ENGINE_STATS_H_
 
@@ -12,155 +18,111 @@
 namespace mtbase {
 namespace engine {
 
+// X(field, layer), in declaration order. `layer` names the statement shell
+// (obs::StatementShell) that exports the field's per-statement delta as the
+// counter mtbase_<layer>_<field>_total: engine, session, or none.
+#define MTBASE_EXEC_STATS_FIELDS(X)                                         \
+  X(rows_scanned, none)                                                     \
+  X(rows_joined, none)                                                      \
+  /* UDF invocations that executed the body. */                             \
+  X(udf_calls, engine)                                                      \
+  /* Invocations answered from a result cache: the per-statement cache or   \
+     the shared dictionary cache (udf_shared_cache_hits counts the subset   \
+     answered by the latter). */                                            \
+  X(udf_cache_hits, engine)                                                 \
+  X(udf_shared_cache_hits, none)                                            \
+  /* Cacheable invocations that found neither cache populated and had to    \
+     execute the body (volatile UDFs never count: they are not cacheable). */ \
+  X(udf_cache_misses, engine)                                               \
+  /* Body executions performed from a morsel worker thread (immutable UDFs  \
+     only; volatile/stable UDFs keep their plans serial). */                \
+  X(udf_parallel_evals, none)                                               \
+  X(subquery_execs, none)     /* per-row (correlated) sub-query runs */     \
+  X(initplan_execs, none)     /* one-off sub-query executions */            \
+  X(decorrelated_execs, none) /* decorrelated sub-query joins executed */   \
+  /* Prepared-statement compilation counters. Tests assert O(1)             \
+     compilation timing-independently: re-executing a prepared statement    \
+     under an unchanged fingerprint must leave the first four at zero and   \
+     only bump the cache hits. */                                           \
+  X(statements_parsed, none)    /* SQL/MTSQL texts run through the parser */ \
+  X(statements_rewritten, none) /* MTSQL-to-SQL rewriter invocations */     \
+  /* Statement compilations: SELECT plans and DML binds. */                 \
+  X(statements_planned, none)                                               \
+  X(prepare_count, none) /* compilations by PreparedPlan (CompileLocked) */ \
+  /* Prepared executions that reused an earlier compilation (the first      \
+     execution after each compile amortizes it and is not a hit). */        \
+  X(plan_cache_hits, engine)                                                \
+  X(rewrite_cache_hits, session) /* executions reusing a cached rewrite */  \
+  /* Morsel-driven parallel execution (src/engine/parallel/). */            \
+  X(parallel_morsels, none) /* morsels processed by parallel operators */   \
+  X(parallel_joins, none)   /* hash joins executed with > 1 worker */       \
+  /* Sort/top-N regions executed with > 1 worker (run-sort + merge). */     \
+  X(parallel_sorts, none)                                                   \
+  /* Executions of a fused Sort+Limit (top-N) operator, serial or           \
+     parallel. */                                                           \
+  X(topn_pushdowns, none)                                                   \
+  /* Rows a top-N operator discarded via its bounded heaps instead of       \
+     materializing them into a full sorted result. */                       \
+  X(topn_rows_pruned, none)                                                 \
+  /* Tenant-aware physical design (partition pruning + index scans). */     \
+  X(partitions_pruned, none)  /* partitions skipped by pruned scans */      \
+  X(index_scans, none)        /* kIndexScan operator executions */          \
+  X(index_rows_skipped, none) /* rows an index lookup never visited */      \
+  /* High-water mark of workers used by any parallel region: the one       \
+     gauge. operator- and Merge take the max of the two sides instead of    \
+     subtracting or adding. */                                              \
+  X(threads_used, none)                                                     \
+  /* Static plan verification (src/engine/verify/). It runs at compile      \
+     time, so re-executing a prepared statement under an unchanged          \
+     fingerprint moves neither counter. */                                  \
+  X(plans_verified, engine)   /* plans run through PlanVerifier */          \
+  X(verify_violations, none)  /* invariant violations (0 = clean) */        \
+  /* Static rewrite auditing (src/mt/audit/); compile time like             \
+     verification. */                                                       \
+  X(rewrites_audited, none) /* rewritten statements audited */              \
+  X(audit_violations, none) /* audit violations reported (0 = clean) */
+
 struct ExecStats {
-  uint64_t rows_scanned = 0;
-  uint64_t rows_joined = 0;
-  uint64_t udf_calls = 0;        // UDF invocations that executed the body
-  // Invocations answered from a result cache — the per-statement cache or
-  // the shared dictionary cache (udf_shared_cache_hits counts the subset
-  // answered by the latter).
-  uint64_t udf_cache_hits = 0;
-  uint64_t udf_shared_cache_hits = 0;
-  // Cacheable invocations that found neither cache populated and had to
-  // execute the body (volatile UDFs never count: they are not cacheable).
-  uint64_t udf_cache_misses = 0;
-  // Body executions performed from a morsel worker thread (immutable UDFs
-  // only; volatile/stable UDFs keep their plans serial).
-  uint64_t udf_parallel_evals = 0;
-  uint64_t subquery_execs = 0;   // per-row (correlated) sub-query executions
-  uint64_t initplan_execs = 0;   // one-off sub-query executions
-  uint64_t decorrelated_execs = 0;  // decorrelated sub-query joins executed
-
-  // Prepared-statement compilation counters. Tests assert O(1) compilation
-  // timing-independently: re-executing a prepared statement under an
-  // unchanged fingerprint must leave the first three at zero and only bump
-  // the cache hits.
-  uint64_t statements_parsed = 0;     // SQL/MTSQL texts run through the parser
-  uint64_t statements_rewritten = 0;  // MTSQL-to-SQL rewriter invocations
-  uint64_t statements_planned = 0;    // statement compilations (SELECT plans
-                                      // and prepared-DML binds)
-  uint64_t prepare_count = 0;   // statement compilations via Prepare
-  // Prepared executions that reused an earlier compilation (the first
-  // execution after each compile amortizes it and is not a hit).
-  uint64_t plan_cache_hits = 0;
-  uint64_t rewrite_cache_hits = 0;  // executions reusing a cached rewrite
-
-  // Morsel-driven parallel execution (src/engine/parallel/).
-  uint64_t parallel_morsels = 0;  // morsels processed by parallel operators
-  uint64_t parallel_joins = 0;    // hash joins executed with > 1 worker
-  // Sort/top-N regions executed with > 1 worker (run-sort + merge).
-  uint64_t parallel_sorts = 0;
-  // Executions of a fused Sort+Limit (top-N) operator, serial or parallel.
-  uint64_t topn_pushdowns = 0;
-  // Rows a top-N operator discarded via its bounded heaps instead of
-  // materializing them into a full sorted result (input - merged candidates).
-  uint64_t topn_rows_pruned = 0;
-  // Tenant-aware physical design (partition pruning + index scans). All
-  // three can tick inside UDF body plans running on worker threads, so they
-  // are worker-mergeable.
-  uint64_t partitions_pruned = 0;   // partitions skipped by pruned scans
-  uint64_t index_scans = 0;         // kIndexScan operator executions
-  uint64_t index_rows_skipped = 0;  // rows an index lookup never visited
-  /// High-water mark of workers used by any parallel region (a gauge, not a
-  /// monotonic counter: operator- takes max(threads_used, o.threads_used),
-  /// i.e. a delta reports the higher watermark of the two snapshots rather
-  /// than a meaningless subtraction).
-  uint64_t threads_used = 0;
-
-  // Static plan verification (src/engine/verify/). Verification runs at
-  // compile time, so re-executing a prepared statement under an unchanged
-  // fingerprint does not move either counter.
-  uint64_t plans_verified = 0;    // top-level plans run through PlanVerifier
-  uint64_t verify_violations = 0; // invariant violations reported (0 = clean)
-
-  // Static rewrite auditing (src/mt/audit/). Like plan verification this
-  // runs at compile time: cached re-executions move neither counter.
-  uint64_t rewrites_audited = 0;  // rewritten statements run through the
-                                  // RewriteAuditor
-  uint64_t audit_violations = 0;  // audit violations reported (0 = clean)
+#define MTBASE_EXEC_STATS_DECLARE(field, layer) uint64_t field = 0;
+  MTBASE_EXEC_STATS_FIELDS(MTBASE_EXEC_STATS_DECLARE)
+#undef MTBASE_EXEC_STATS_DECLARE
 
   void Reset() { *this = ExecStats(); }
   uint64_t total_udf_invocations() const { return udf_calls + udf_cache_hits; }
 
   /// Field-wise difference (counters are monotonic; use via StatsScope).
+  /// The threads_used gauge reports the higher watermark of the two
+  /// snapshots rather than a meaningless subtraction.
   ExecStats operator-(const ExecStats& o) const {
     ExecStats d;
-    d.rows_scanned = rows_scanned - o.rows_scanned;
-    d.rows_joined = rows_joined - o.rows_joined;
-    d.udf_calls = udf_calls - o.udf_calls;
-    d.udf_cache_hits = udf_cache_hits - o.udf_cache_hits;
-    d.udf_shared_cache_hits = udf_shared_cache_hits - o.udf_shared_cache_hits;
-    d.udf_cache_misses = udf_cache_misses - o.udf_cache_misses;
-    d.udf_parallel_evals = udf_parallel_evals - o.udf_parallel_evals;
-    d.subquery_execs = subquery_execs - o.subquery_execs;
-    d.initplan_execs = initplan_execs - o.initplan_execs;
-    d.decorrelated_execs = decorrelated_execs - o.decorrelated_execs;
-    d.statements_parsed = statements_parsed - o.statements_parsed;
-    d.statements_rewritten = statements_rewritten - o.statements_rewritten;
-    d.statements_planned = statements_planned - o.statements_planned;
-    d.prepare_count = prepare_count - o.prepare_count;
-    d.plan_cache_hits = plan_cache_hits - o.plan_cache_hits;
-    d.rewrite_cache_hits = rewrite_cache_hits - o.rewrite_cache_hits;
-    d.parallel_morsels = parallel_morsels - o.parallel_morsels;
-    d.parallel_joins = parallel_joins - o.parallel_joins;
-    d.parallel_sorts = parallel_sorts - o.parallel_sorts;
-    d.topn_pushdowns = topn_pushdowns - o.topn_pushdowns;
-    d.topn_rows_pruned = topn_rows_pruned - o.topn_rows_pruned;
-    d.partitions_pruned = partitions_pruned - o.partitions_pruned;
-    d.index_scans = index_scans - o.index_scans;
-    d.index_rows_skipped = index_rows_skipped - o.index_rows_skipped;
-    // Gauge, not a counter: explicit max semantics (see the field comment).
+#define MTBASE_EXEC_STATS_SUB(field, layer) d.field = field - o.field;
+    MTBASE_EXEC_STATS_FIELDS(MTBASE_EXEC_STATS_SUB)
+#undef MTBASE_EXEC_STATS_SUB
     d.threads_used = std::max(threads_used, o.threads_used);
-    d.plans_verified = plans_verified - o.plans_verified;
-    d.verify_violations = verify_violations - o.verify_violations;
-    d.rewrites_audited = rewrites_audited - o.rewrites_audited;
-    d.audit_violations = audit_violations - o.audit_violations;
     return d;
   }
 
-  /// Fold a worker's thread-local counters back into the statement's stats
-  /// after a parallel region completes (threads_used is a high-water mark and
-  /// is tracked by the region itself, not by workers).
-  /// Fold a per-statement stats frame back into the database-wide cumulative
-  /// counters (all fields; threads_used keeps gauge semantics). Used by the
-  /// serving layer so concurrent statements each count into a private frame
-  /// and merge once, under one lock, at statement end.
-  void MergeStatement(const ExecStats& s) {
-    MergeWorker(s);
-    statements_parsed += s.statements_parsed;
-    statements_rewritten += s.statements_rewritten;
-    statements_planned += s.statements_planned;
-    prepare_count += s.prepare_count;
-    plan_cache_hits += s.plan_cache_hits;
-    rewrite_cache_hits += s.rewrite_cache_hits;
-    threads_used = std::max(threads_used, s.threads_used);
-    plans_verified += s.plans_verified;
-    verify_violations += s.verify_violations;
-    rewrites_audited += s.rewrites_audited;
-    audit_violations += s.audit_violations;
-  }
-
-  void MergeWorker(const ExecStats& w) {
-    rows_scanned += w.rows_scanned;
-    rows_joined += w.rows_joined;
-    udf_calls += w.udf_calls;
-    udf_cache_hits += w.udf_cache_hits;
-    udf_shared_cache_hits += w.udf_shared_cache_hits;
-    udf_cache_misses += w.udf_cache_misses;
-    udf_parallel_evals += w.udf_parallel_evals;
-    subquery_execs += w.subquery_execs;
-    initplan_execs += w.initplan_execs;
-    decorrelated_execs += w.decorrelated_execs;
-    parallel_morsels += w.parallel_morsels;
-    parallel_joins += w.parallel_joins;
-    parallel_sorts += w.parallel_sorts;
-    topn_pushdowns += w.topn_pushdowns;
-    topn_rows_pruned += w.topn_rows_pruned;
-    partitions_pruned += w.partitions_pruned;
-    index_scans += w.index_scans;
-    index_rows_skipped += w.index_rows_skipped;
+  /// Fold another frame's counters into this one: a morsel worker's
+  /// thread-local counters after its parallel region, or a statement's
+  /// private frame into the database totals. Counters add; the
+  /// threads_used gauge keeps the max.
+  void Merge(const ExecStats& s) {
+    const uint64_t peak = std::max(threads_used, s.threads_used);
+#define MTBASE_EXEC_STATS_ADD(field, layer) field += s.field;
+    MTBASE_EXEC_STATS_FIELDS(MTBASE_EXEC_STATS_ADD)
+#undef MTBASE_EXEC_STATS_ADD
+    threads_used = peak;
   }
 };
+
+/// Calls f(name, member) for every ExecStats field, in declaration order;
+/// `member` is a pointer to member (`stats.*member` reads the field).
+template <typename F>
+void ForEachExecStatsField(F&& f) {
+#define MTBASE_EXEC_STATS_VISIT(field, layer) f(#field, &ExecStats::field);
+  MTBASE_EXEC_STATS_FIELDS(MTBASE_EXEC_STATS_VISIT)
+#undef MTBASE_EXEC_STATS_VISIT
+}
 
 /// RAII counter snapshot: scopes ExecStats deltas to a region of code without
 /// resetting the live (cumulative) counters, so independent measurements can

@@ -1,12 +1,11 @@
 #include "mt/session.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 
 #include "common/str_util.h"
 #include "engine/explain.h"
-#include "engine/obs/metrics.h"
+#include "engine/obs/statement.h"
 #include "engine/obs/trace.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -495,37 +494,21 @@ Result<engine::ResultSet> PreparedQuery::Execute(
   // the stats frame keeps this statement's counters race-free until they
   // merge into the database totals, and the shared meta lock holds the MT
   // meta state (schema, privileges, conversions, tenants) still for the
-  // whole compile+execute path. Then the observability shell: one
-  // session-layer trace record per statement plus session metrics. Nested
-  // statements (e.g. a one-shot Session::Execute that already opened a
-  // record) append their spans to the enclosing record via the Session
-  // slot. The MTSQL text is empty on the one-shot path — print the AST
-  // back only when tracing is on.
+  // whole compile+execute path. Then the session-layer observability shell
+  // (engine/obs/statement.h). Nested statements (e.g. a one-shot
+  // Session::Execute that already opened a record) append their spans to
+  // the enclosing record via the Session slot. The MTSQL text is empty on
+  // the one-shot path — print the AST back only when tracing is on.
   engine::ScopedCancelToken cancel(session_->closed_.get());
   engine::Database::StatsFrame frame(session_->mw_->db());
   Middleware::MetaGuard meta(session_->mw_, /*exclusive=*/false);
-  obs::Tracer* tracer = obs::Tracer::Global();
-  obs::TraceRecordScope trace(
-      tracer, &session_->active_trace_, "session",
-      !mtsql_.empty() || tracer == nullptr || !tracer->enabled()
-          ? mtsql_
-          : sql::PrintStmt(stmt_));
-  engine::StatsScope scope(session_->mw_->db()->CurStats());
-  const auto t0 = std::chrono::steady_clock::now();
+  obs::StatementShell shell(
+      obs::Layer::kSession, &session_->active_trace_,
+      !mtsql_.empty() || !obs::Tracer::GlobalEnabled() ? mtsql_
+                                                       : sql::PrintStmt(stmt_),
+      session_->mw_->db()->CurStats());
   Result<engine::ResultSet> result = ExecuteImpl(params);
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  trace.FinishFromStatus(result.ok() ? Status::OK() : result.status());
-  const engine::ExecStats d = scope.Delta();
-  auto* metrics = obs::MetricsRegistry::Global();
-  metrics->Add("mtbase_session_statements_total");
-  if (!result.ok()) metrics->Add("mtbase_session_statement_errors_total");
-  metrics->Observe("mtbase_session_execute_seconds", secs);
-  if (d.rewrite_cache_hits > 0) {
-    metrics->Add("mtbase_session_rewrite_cache_hits_total",
-                 d.rewrite_cache_hits);
-  }
+  shell.Finish(result.status());
   return result;
 }
 

@@ -299,6 +299,45 @@ TEST_F(ConcurrencyTest, MetricsReconcileAcrossThreads) {
             static_cast<uint64_t>(kThreads * kPerThread));
 }
 
+// With Database::set_profile_execution on, every statement pays the ANALYZE
+// instrumentation cost into a profiler of its own: concurrent profiled
+// statements share no instrumentation state (the TSan lane runs this) and
+// return exactly what an unprofiled run returns.
+TEST_F(ConcurrencyTest, ProfiledStatementsShareNoProfiler) {
+  PlannerOptions opts = db_.planner_options();
+  opts.max_threads = 8;  // four statements in flight keep two workers each
+  opts.min_parallel_rows = 16;
+  db_.set_planner_options(opts);
+  const std::string q =
+      "SELECT bal, SUM(id) AS s, COUNT(*) AS n FROM acct WHERE id >= 10 "
+      "GROUP BY bal ORDER BY bal";
+  StatsScope scope(db_.stats());
+  ASSERT_OK_AND_ASSIGN(ResultSet off, db_.Execute(q));
+  ASSERT_GT(scope.Delta().threads_used, 1u) << "not parallel-eligible";
+  const std::string expected = CanonRows(off.rows);
+  db_.set_profile_execution(true);
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 25;
+  FailureLog failures;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRuns; ++i) {
+        auto rs = db_.Execute(q);
+        if (!rs.ok()) {
+          failures.Record(rs.status().ToString());
+        } else if (CanonRows(rs.value().rows) != expected) {
+          failures.Record("profiled result differs:\n" +
+                          CanonRows(rs.value().rows));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  db_.set_profile_execution(false);
+  ASSERT_EQ(failures.count(), 0) << failures.first();
+}
+
 // Time-boxed stress mix (ctest label `stress`; the TSan CI lane raises
 // MTBASE_STRESS_SECONDS). Eight threads hammer the balanced workload plus
 // periodic index DDL while every reader checks the SUM invariant.

@@ -122,6 +122,31 @@ TEST(StatsGaugeTest, ThreadsUsedDeltaIsMaxOfSnapshots) {
   EXPECT_EQ((a - b).rows_scanned, 6u);
 }
 
+// operator- and Merge cover every field of the list: counters subtract and
+// add, the threads_used gauge takes the max both ways.
+TEST(StatsGaugeTest, DeltaAndMergeCoverEveryField) {
+  ExecStats a, b;
+  uint64_t i = 0;
+  ForEachExecStatsField([&](const char*, uint64_t ExecStats::*field) {
+    ++i;
+    a.*field = 100 * i;
+    b.*field = i;
+  });
+  ExecStats merged = a;
+  merged.Merge(b);
+  const ExecStats d = a - b;
+  ForEachExecStatsField([&](const char* name, uint64_t ExecStats::*field) {
+    const bool gauge = field == &ExecStats::threads_used;
+    EXPECT_EQ(d.*field, gauge ? a.*field : a.*field - b.*field) << name;
+    EXPECT_EQ(merged.*field, gauge ? a.*field : a.*field + b.*field) << name;
+  });
+  // The gauge keeps the higher side whichever frame holds it.
+  ExecStats low;
+  low.threads_used = 1;
+  low.Merge(a);
+  EXPECT_EQ(low.threads_used, a.threads_used);
+}
+
 // ---------------------------------------------------------------------------
 // Tracing
 // ---------------------------------------------------------------------------
@@ -172,6 +197,27 @@ TEST(TraceTest, ToJsonEscapesAndOrdersFields) {
   // Only nonzero stats fields are emitted.
   EXPECT_NE(json.find("\"stats\": {\"rows_scanned\": 3}"), std::string::npos)
       << json;
+}
+
+// Every field of the ExecStats list reaches a span's JSON under its own
+// name.
+TEST(TraceTest, SpanJsonCarriesEveryStatsField) {
+  obs::StatementTrace rec;
+  obs::TraceSpan sp;
+  sp.phase = "execute";
+  sp.has_stats = true;
+  uint64_t i = 0;
+  ForEachExecStatsField([&](const char*, uint64_t ExecStats::*field) {
+    sp.stats.*field = ++i;
+  });
+  rec.spans.push_back(sp);
+  const std::string json = rec.ToJson();
+  i = 0;
+  ForEachExecStatsField([&](const char* name, uint64_t ExecStats::*) {
+    const std::string member =
+        "\"" + std::string(name) + "\": " + std::to_string(++i);
+    EXPECT_NE(json.find(member), std::string::npos) << member << "\n" << json;
+  });
 }
 
 TEST(TraceTest, JsonEscapeControlCharacters) {
@@ -281,6 +327,49 @@ TEST_F(ObsAnalyzeTest, VerifyFooterPrecedesAnalyzeFooter) {
   ASSERT_NE(verify_pos, std::string::npos) << text;
   ASSERT_NE(analyze_pos, std::string::npos) << text;
   EXPECT_LT(verify_pos, analyze_pos) << text;
+}
+
+// An engine EXPLAIN (ANALYZE) is one engine statement: exactly one trace
+// record carrying its plan, verify and execute spans, and one tick of the
+// statement and ANALYZE counters.
+TEST_F(ObsAnalyzeTest, AnalyzeIsOneTracedEngineStatement) {
+  const std::string path = ::testing::TempDir() + "/obs_trace_analyze.jsonl";
+  std::remove(path.c_str());
+  ASSERT_OK_AND_ASSIGN(auto sel,
+                       sql::ParseSelect("SELECT a FROM t WHERE a > 1"));
+  auto* metrics = obs::MetricsRegistry::Global();
+  const uint64_t statements =
+      metrics->CounterValue("mtbase_engine_statements_total");
+  const uint64_t analyze_runs =
+      metrics->CounterValue("mtbase_engine_analyze_runs_total");
+  ScopedVerifyEnv verify_on("1");  // so the compile records a verify span
+  {
+    obs::Tracer tracer(path);
+    ASSERT_TRUE(tracer.enabled());
+    obs::Tracer::SetGlobalForTesting(&tracer);
+    auto text = db_.ExplainAnalyzeSelect(*sel);
+    obs::Tracer::SetGlobalForTesting(nullptr);
+    ASSERT_OK(text.status());
+  }
+  EXPECT_EQ(metrics->CounterValue("mtbase_engine_statements_total"),
+            statements + 1);
+  EXPECT_EQ(metrics->CounterValue("mtbase_engine_analyze_runs_total"),
+            analyze_runs + 1);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"layer\": \"engine\""), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("SELECT a FROM t WHERE a > 1"), std::string::npos)
+      << lines[0];
+  for (const char* phase : {"plan", "verify", "execute"}) {
+    EXPECT_NE(lines[0].find("\"phase\": \"" + std::string(phase) + "\""),
+              std::string::npos)
+        << phase << "\n" << lines[0];
+  }
 }
 
 TEST_F(ObsAnalyzeTest, AnalyzeResultMatchesPlainExecution) {

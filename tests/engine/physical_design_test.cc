@@ -24,27 +24,6 @@ namespace {
 
 constexpr int kParts = 4;
 
-class ScopedVerifyEnv {
- public:
-  explicit ScopedVerifyEnv(const char* value) {
-    const char* old = std::getenv("MTBASE_VERIFY_PLANS");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv("MTBASE_VERIFY_PLANS", value, 1);
-  }
-  ~ScopedVerifyEnv() {
-    if (had_) {
-      setenv("MTBASE_VERIFY_PLANS", saved_.c_str(), 1);
-    } else {
-      unsetenv("MTBASE_VERIFY_PLANS");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
-
 /// Two copies of the same data: `part` is hash-partitioned on ttid and
 /// carries a ttid-leading index, `flat` has no physical design. Every
 /// positive test proves byte-identity between the two.

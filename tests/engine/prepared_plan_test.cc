@@ -1,6 +1,9 @@
 // Prepared-statement API at the engine layer: one-time compilation, $n / ?
 // parameter binding, O(1) re-execution (asserted through ExecStats, not
 // wall-clock) and transparent recompilation after DDL.
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
@@ -10,14 +13,14 @@ namespace mtbase {
 namespace engine {
 namespace {
 
+constexpr const char* kSetup = R"(
+  CREATE TABLE t (a INTEGER NOT NULL, b VARCHAR(10), c DECIMAL(15,2));
+  INSERT INTO t VALUES (1, 'x', 1.50), (2, 'y', 2.50), (3, 'z', 3.50);
+)";
+
 class PreparedPlanTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ASSERT_OK(db_.ExecuteScript(R"(
-      CREATE TABLE t (a INTEGER NOT NULL, b VARCHAR(10), c DECIMAL(15,2));
-      INSERT INTO t VALUES (1, 'x', 1.50), (2, 'y', 2.50), (3, 'z', 3.50);
-    )"));
-  }
+  void SetUp() override { ASSERT_OK(db_.ExecuteScript(kSetup)); }
 
   Database db_;
 };
@@ -217,6 +220,42 @@ TEST_F(PreparedPlanTest, UdfBodyReplannedAfterDdl) {
 TEST_F(PreparedPlanTest, SetScopeNotPreparable) {
   auto r = db_.Prepare("SET SCOPE = \"IN (1)\"");
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A script prepares and executes each statement like Prepare + Execute do:
+// run one by one through prepared handles, the same statements return the
+// same result sets as every prefix of the script does as a whole, and each
+// statement counts one compilation either way.
+TEST_F(PreparedPlanTest, ScriptMatchesPreparedStatementByStatement) {
+  const std::vector<std::string> stmts = {
+      "INSERT INTO t VALUES (4, 'w', 4.50), (5, 'v', 5.50)",
+      "CREATE TABLE t2 (a INTEGER, b VARCHAR(10), c DECIMAL(15,2))",
+      "INSERT INTO t2 SELECT a, b, c FROM t WHERE a >= 3",
+      "UPDATE t2 SET c = c * 2 WHERE a > 3",
+      "DELETE FROM t WHERE a <= 2",
+      "SELECT t.a, t.b, t2.c FROM t JOIN t2 ON t.a = t2.a ORDER BY t.a",
+  };
+  std::vector<ResultSet> prepared;
+  StatsScope prepared_scope(db_.stats());
+  for (const std::string& sql : stmts) {
+    ASSERT_OK_AND_ASSIGN(PreparedPlan plan, db_.Prepare(sql));
+    ASSERT_OK_AND_ASSIGN(ResultSet rs, plan.Execute());
+    prepared.push_back(std::move(rs));
+  }
+  EXPECT_EQ(prepared_scope.Delta().prepare_count, stmts.size());
+  ASSERT_EQ(prepared.back().rows.size(), 3u);
+
+  std::string script;
+  for (size_t i = 0; i < stmts.size(); ++i) {
+    script += stmts[i] + ";\n";
+    Database db;
+    ASSERT_OK(db.ExecuteScript(kSetup));
+    StatsScope scope(db.stats());
+    ASSERT_OK_AND_ASSIGN(ResultSet rs, db.ExecuteScript(script));
+    EXPECT_EQ(scope.Delta().prepare_count, i + 1) << script;
+    EXPECT_EQ(rs.column_names, prepared[i].column_names) << stmts[i];
+    EXPECT_EQ(CanonRows(rs.rows), CanonRows(prepared[i].rows)) << stmts[i];
+  }
 }
 
 TEST_F(PreparedPlanTest, ScriptErrorsCarryStatementIndex) {

@@ -19,29 +19,6 @@ namespace mtbase {
 namespace engine {
 namespace {
 
-/// Force enforcement on for a test's lifetime (the default build is NDEBUG,
-/// where verification is opt-in), restoring the previous value after.
-class ScopedVerifyEnv {
- public:
-  explicit ScopedVerifyEnv(const char* value) {
-    const char* old = std::getenv("MTBASE_VERIFY_PLANS");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv("MTBASE_VERIFY_PLANS", value, 1);
-  }
-  ~ScopedVerifyEnv() {
-    if (had_) {
-      setenv("MTBASE_VERIFY_PLANS", saved_.c_str(), 1);
-    } else {
-      unsetenv("MTBASE_VERIFY_PLANS");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
-
 class VerifyTest : public ::testing::Test {
  protected:
   void SetUp() override {

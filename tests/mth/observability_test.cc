@@ -159,44 +159,17 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, ObservabilityTest,
                            return std::string(buf);
                          });
 
-#define EXPECT_STATS_FIELD_EQ(a, b, field) \
-  EXPECT_EQ((a).field, (b).field) << #field
-
 void ExpectStatsEqual(const engine::ExecStats& a, const engine::ExecStats& b) {
-  EXPECT_STATS_FIELD_EQ(a, b, rows_scanned);
-  EXPECT_STATS_FIELD_EQ(a, b, rows_joined);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_calls);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_cache_hits);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_shared_cache_hits);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_cache_misses);
-  EXPECT_STATS_FIELD_EQ(a, b, udf_parallel_evals);
-  EXPECT_STATS_FIELD_EQ(a, b, subquery_execs);
-  EXPECT_STATS_FIELD_EQ(a, b, initplan_execs);
-  EXPECT_STATS_FIELD_EQ(a, b, decorrelated_execs);
-  EXPECT_STATS_FIELD_EQ(a, b, statements_parsed);
-  EXPECT_STATS_FIELD_EQ(a, b, statements_rewritten);
-  EXPECT_STATS_FIELD_EQ(a, b, statements_planned);
-  EXPECT_STATS_FIELD_EQ(a, b, prepare_count);
-  EXPECT_STATS_FIELD_EQ(a, b, plan_cache_hits);
-  EXPECT_STATS_FIELD_EQ(a, b, rewrite_cache_hits);
-  EXPECT_STATS_FIELD_EQ(a, b, parallel_morsels);
-  EXPECT_STATS_FIELD_EQ(a, b, parallel_joins);
-  EXPECT_STATS_FIELD_EQ(a, b, parallel_sorts);
-  EXPECT_STATS_FIELD_EQ(a, b, topn_pushdowns);
-  EXPECT_STATS_FIELD_EQ(a, b, topn_rows_pruned);
-  EXPECT_STATS_FIELD_EQ(a, b, threads_used);
-  EXPECT_STATS_FIELD_EQ(a, b, plans_verified);
-  EXPECT_STATS_FIELD_EQ(a, b, verify_violations);
-  EXPECT_STATS_FIELD_EQ(a, b, rewrites_audited);
-  EXPECT_STATS_FIELD_EQ(a, b, audit_violations);
+  engine::ForEachExecStatsField(
+      [&](const char* name, uint64_t engine::ExecStats::*field) {
+        EXPECT_EQ(a.*field, b.*field) << name;
+      });
 }
-
-#undef EXPECT_STATS_FIELD_EQ
 
 // Two StatsScopes opened around the same parallel Q6 run must report the
 // same delta: scopes snapshot without resetting the live counters, so
 // overlapping measurements never double-count or steal from each other —
-// including the worker counters folded back by MergeWorker under 4 threads.
+// including the worker counters folded back by Merge under 4 threads.
 // Runs in the TSan lane (not `long`-labelled) to prove the fold is clean
 // under the race detector too.
 TEST(ObservabilityMiscTest, OverlappingStatsScopesAgreeUnderParallelism) {

@@ -2,6 +2,7 @@
 #ifndef MTBASE_TESTS_TEST_UTIL_H_
 #define MTBASE_TESTS_TEST_UTIL_H_
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,30 @@
 #include "common/value.h"
 
 namespace mtbase {
+
+/// Set MTBASE_VERIFY_PLANS (plan-verification enforcement) for a scope —
+/// "1" forces it on in the default NDEBUG build, where it is opt-in — and
+/// restore the previous value after.
+class ScopedVerifyEnv {
+ public:
+  explicit ScopedVerifyEnv(const char* value) {
+    const char* old = std::getenv("MTBASE_VERIFY_PLANS");
+    if (old != nullptr) saved_ = old;
+    had_ = old != nullptr;
+    setenv("MTBASE_VERIFY_PLANS", value, 1);
+  }
+  ~ScopedVerifyEnv() {
+    if (had_) {
+      setenv("MTBASE_VERIFY_PLANS", saved_.c_str(), 1);
+    } else {
+      unsetenv("MTBASE_VERIFY_PLANS");
+    }
+  }
+
+ private:
+  std::string saved_;
+  bool had_ = false;
+};
 
 /// Byte-exact canonical form of a row set (type tag + rendered value per
 /// cell, row order preserved): the encoding every serial-vs-parallel and

@@ -11,40 +11,36 @@ substrings, not the whole grammar).
 Usage: python3 tools/check_trace_schema.py <trace.jsonl>
 """
 import json
+import os
+import re
 import sys
 
 LAYERS = {"engine", "session"}
 OUTCOMES = {"ok", "refused", "error"}
 PHASES = {"parse", "rewrite", "audit", "plan", "verify", "execute"}
-# ExecStats fields, mirroring AppendStatsJson in src/engine/obs/trace.cc.
-STATS_FIELDS = {
-    "rows_scanned",
-    "rows_joined",
-    "udf_calls",
-    "udf_cache_hits",
-    "udf_shared_cache_hits",
-    "udf_cache_misses",
-    "udf_parallel_evals",
-    "subquery_execs",
-    "initplan_execs",
-    "decorrelated_execs",
-    "statements_parsed",
-    "statements_rewritten",
-    "statements_planned",
-    "prepare_count",
-    "plan_cache_hits",
-    "rewrite_cache_hits",
-    "parallel_morsels",
-    "parallel_joins",
-    "parallel_sorts",
-    "topn_pushdowns",
-    "topn_rows_pruned",
-    "threads_used",
-    "plans_verified",
-    "verify_violations",
-    "rewrites_audited",
-    "audit_violations",
-}
+STATS_HEADER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "..", "src", "engine", "stats.h")
+
+
+def load_stats_fields(path):
+    """ExecStats field names: the X(field, layer) entries of the
+    MTBASE_EXEC_STATS_FIELDS list in src/engine/stats.h, the one place they
+    are declared. Empty when the header cannot be read or holds no list."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError:
+        return set()
+    match = re.search(r"#define MTBASE_EXEC_STATS_FIELDS\(X\)((?:.*\\\n)*.*)",
+                      text)
+    if not match:
+        return set()
+    body = re.sub(r"/\*.*?\*/", "", match.group(1), flags=re.S)
+    return set(re.findall(r"\bX\(\s*(\w+)\s*,", body))
+
+
+# The keys a span's "stats" object may carry.
+STATS_FIELDS = load_stats_fields(STATS_HEADER)
 RECORD_KEYS = {"seq", "layer", "statement", "outcome", "codes", "spans"}
 SPAN_KEYS = {"phase", "duration_ms", "outcome", "codes", "stats"}
 
@@ -109,6 +105,10 @@ def main():
         print(__doc__.strip().splitlines()[-1])
         return 2
     path = sys.argv[1]
+    if not STATS_FIELDS:
+        print(f"{STATS_HEADER}: found no ExecStats field names (X(field, "
+              "layer) entries of MTBASE_EXEC_STATS_FIELDS)")
+        return 1
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
