@@ -80,24 +80,10 @@ class Value {
 
 using Row = std::vector<Value>;
 
-/// Hash of a row prefix, for hash joins and grouping.
+/// Hash of a key tuple (engine::KeyIndex keys every hashed operator on it).
 size_t HashRow(const Row& row);
 /// HashRow over `n` contiguous values (a key tuple stored in a flat array).
 size_t HashRow(const Value* values, size_t n);
-
-struct ValueVectorHash {
-  size_t operator()(const std::vector<Value>& v) const { return HashRow(v); }
-};
-struct ValueVectorEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!a[i].StructuralEquals(b[i])) return false;
-    }
-    return true;
-  }
-};
 
 }  // namespace mtbase
 

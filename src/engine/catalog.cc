@@ -178,12 +178,6 @@ std::shared_ptr<const std::vector<uint32_t>> Table::IndexOrderAt(
   return index.order;
 }
 
-uint64_t Catalog::data_version() const {
-  uint64_t sum = 0;
-  for (const auto& [key, table] : tables_) sum += table->data_version();
-  return sum;
-}
-
 Status Catalog::CreateTable(TableSchema schema) {
   std::string key = ToLowerCopy(schema.name);
   if (tables_.count(key) || views_.count(key)) {

@@ -190,11 +190,6 @@ class Catalog {
   /// concurrent statements can fingerprint-check without the DDL lock.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
-  /// Sum of all tables' row-mutation counters (combined with version() in
-  /// the shared-UDF-cache epoch, so dropping a table cannot leave the sum
-  /// looking unchanged).
-  uint64_t data_version() const;
-
  private:
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   std::unordered_map<std::string, ViewDef> views_;

@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
-#include <unordered_set>
 
 #include "common/str_util.h"
 #include "engine/explain.h"
+#include "engine/key_index.h"
 #include "engine/obs/metrics.h"
 #include "engine/obs/profile.h"
 #include "engine/obs/statement.h"
@@ -165,12 +165,10 @@ ExecContext Database::MakeContext(const std::vector<Value>* params) {
     // The data component read here is replaced at the statement's first
     // shared-cache access by one folded from the versions it pins (see
     // ExecContext::shared_udf_epoch): versions read now could be older than
-    // the ones its UDF bodies later scan, if DML commits in between. While
-    // the body tables are unknown (stale plans), the whole-catalog stand-in
-    // stays.
+    // the ones its UDF bodies later scan, if DML commits in between.
     ctx.shared_udf_cache = &shared_udf_cache_;
     ctx.shared_udf_epoch = CurrentUdfCacheEpoch();
-    if (!udf_plans_stale_) ctx.udf_read_tables = &udf_read_tables_;
+    ctx.udf_read_tables = &udf_read_tables_;
   }
   return ctx;
 }
@@ -203,14 +201,8 @@ void Database::RebuildUdfReadTables() {
 
 UdfCacheEpoch Database::CurrentUdfCacheEpoch() const {
   uint64_t data = 0;
-  if (udf_plans_stale_) {
-    // Table set unknown until the lazy refresh runs; the whole-catalog sum
-    // is a safe (at worst over-evicting) stand-in with no raw pointers.
-    data = catalog_.data_version();
-  } else {
-    for (const Table* t : udf_read_tables_) {
-      data = UdfCacheEpoch::FoldData(data, t->data_version());
-    }
+  for (const Table* t : udf_read_tables_) {
+    data = UdfCacheEpoch::FoldData(data, t->data_version());
   }
   return UdfCacheEpoch{catalog_.version() + udfs_.version(), data,
                        shared_udf_external_epoch_};
@@ -360,7 +352,6 @@ Result<ResultSet> PreparedPlan::ExecuteInternal(
         "prepared statement needs " + std::to_string(param_count_) +
         " parameter(s), got " + std::to_string(params.size()));
   }
-  if (db_->udf_plans_stale_) db_->RefreshUdfPlans();
   MTB_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledState> st, State());
   // The first execution after a compile is amortization, not reuse.
   if (!st->fresh.exchange(false, std::memory_order_acq_rel)) {
@@ -469,12 +460,11 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt) {
   AdmissionPass admission(this);
   if (!admission.status().ok()) return admission.status();
   StatsFrame frame(this);
-  // DDL takes the statement lock exclusive; everything else shared. DDL
-  // branches replan UDF bodies eagerly before releasing the exclusive lock,
-  // so statements running under the shared lock never observe a body plan
-  // mid-replan.
+  // DDL takes the statement lock exclusive; everything else shared. Every
+  // DDL branch that changes what a UDF body may reference replans the bodies
+  // before releasing the exclusive lock, so statements running under the
+  // shared lock never observe a body plan mid-replan.
   StatementGuard guard(this, IsDdlStmt(stmt));
-  if (udf_plans_stale_) RefreshUdfPlans();
   ResultSet empty;
   switch (stmt.kind) {
     case sql::Stmt::Kind::kCreateTable:
@@ -510,7 +500,7 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt) {
       } else {
         MTB_RETURN_IF_ERROR(catalog_.DropView(stmt.drop->name));
       }
-      udf_plans_stale_ = true;
+      RefreshUdfPlans();
       return empty;
     case sql::Stmt::Kind::kSelect:
     case sql::Stmt::Kind::kInsert:
@@ -522,11 +512,7 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt) {
       "SELECT and DML statements execute through a PreparedPlan");
 }
 
-void Database::EnsureUdfPlansFresh() {
-  if (!udf_plans_stale_.load(std::memory_order_acquire)) return;
-  StatementGuard guard(this, /*exclusive=*/true);
-  if (udf_plans_stale_) RefreshUdfPlans();
-}
+void Database::EnsureUdfPlansFresh() {}
 
 void Database::set_planner_options(const PlannerOptions& o) {
   StatementGuard guard(this, /*exclusive=*/true);
@@ -536,7 +522,6 @@ void Database::set_planner_options(const PlannerOptions& o) {
 }
 
 void Database::RefreshUdfPlans() {
-  udf_plans_stale_ = false;
   for (Udf* udf : udfs_.All()) {
     udf->body_plan.reset();
     auto body = sql::ParseSelect(udf->body_sql);
@@ -552,9 +537,6 @@ void Database::RefreshUdfPlans() {
 Status Database::VerifyPlan(Plan* plan) {
   if (plan_mutation_hook_) plan_mutation_hook_(plan);
   if (!verify::VerificationEnabled()) return Status::OK();
-  // The verifier walks UDF body plans, which hold raw catalog pointers and
-  // are only safe to dereference once replanned against the current catalog.
-  if (udf_plans_stale_) RefreshUdfPlans();
   ExecStats* stats = CurStats();
   obs::SpanTimer span(active_trace_, "verify", stats);
   ++stats->plans_verified;
@@ -885,15 +867,27 @@ Status Database::ValidateTable(const Table& table) {
   // racing with it lands in a later version.
   const auto table_snap = table.Snapshot();
   const std::vector<Row>& table_rows = *table_snap.rows;
-  // Primary key uniqueness.
+  // The key of `row` over the columns `cols`, into `key`; whether any key
+  // column is NULL.
+  auto gather = [](const Row& row, const std::vector<int>& cols,
+                   std::vector<Value>* key) {
+    key->resize(cols.size());
+    bool any_null = false;
+    for (size_t k = 0; k < cols.size(); ++k) {
+      (*key)[k] = row[static_cast<size_t>(cols[k])];
+      any_null = any_null || (*key)[k].is_null();
+    }
+    return any_null;
+  };
+  std::vector<Value> key;
+  // Primary key uniqueness (NULL equals NULL here, as in every KeyIndex).
   if (!schema.primary_key.empty()) {
     std::vector<int> pk;
     for (const auto& c : schema.primary_key) pk.push_back(schema.FindColumn(c));
-    std::unordered_set<std::vector<Value>, ValueVectorHash, ValueVectorEq> seen;
+    KeyIndex seen(pk.size(), table_rows.size());
     for (const Row& r : table_rows) {
-      std::vector<Value> key;
-      for (int idx : pk) key.push_back(r[static_cast<size_t>(idx)]);
-      if (!seen.insert(std::move(key)).second) {
+      gather(r, pk, &key);
+      if (!seen.FindOrInsert(key.data(), HashRow(key)).inserted) {
         return Status::ConstraintViolation("duplicate primary key in " +
                                            schema.name);
       }
@@ -911,23 +905,16 @@ Status Database::ValidateTable(const Table& table) {
     for (const auto& c : fk.ref_columns) {
       remote.push_back(ref->schema().FindColumn(c));
     }
-    std::unordered_set<std::vector<Value>, ValueVectorHash, ValueVectorEq> keys;
     const auto ref_snap = ref->Snapshot();
+    KeyIndex keys(remote.size(), ref_snap.rows->size());
     for (const Row& r : *ref_snap.rows) {
-      std::vector<Value> key;
-      for (int idx : remote) key.push_back(r[static_cast<size_t>(idx)]);
-      keys.insert(std::move(key));
+      gather(r, remote, &key);
+      keys.FindOrInsert(key.data(), HashRow(key));
     }
     for (const Row& r : table_rows) {
-      std::vector<Value> key;
-      bool any_null = false;
-      for (int idx : local) {
-        const Value& v = r[static_cast<size_t>(idx)];
-        any_null = any_null || v.is_null();
-        key.push_back(v);
-      }
-      if (any_null) continue;
-      if (!keys.count(key)) {
+      if (gather(r, local, &key)) continue;
+      if (keys.width() != key.size() ||
+          keys.Find(key.data(), HashRow(key)) == KeyIndex::kNone) {
         return Status::ConstraintViolation(
             "FK violation in " + schema.name + " (" + fk.name + ")");
       }
@@ -950,7 +937,6 @@ Status Database::ValidateTable(const Table& table) {
 }
 
 Status Database::ValidateConstraints(const std::string& table) {
-  if (udf_plans_stale_) RefreshUdfPlans();  // check exprs may call UDFs
   if (!table.empty()) {
     const Table* t = catalog_.FindTable(table);
     if (t == nullptr) {

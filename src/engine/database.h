@@ -185,10 +185,10 @@ class Database {
   Catalog* catalog() { return &catalog_; }
   const Catalog* catalog() const { return &catalog_; }
   UdfRegistry* udfs() { return &udfs_; }
-  /// Replan any UDF bodies invalidated by DDL. Callers that hand the
-  /// registry to code dereferencing `Udf::body_plan` outside the execute
-  /// path (e.g. `ExplainSelect` with a verify context) must call this first.
-  /// Takes the exclusive statement lock when a refresh is actually needed.
+  /// Does nothing: every catalog DDL statement replans UDF bodies before it
+  /// releases the exclusive statement lock (see RefreshUdfPlans), so body
+  /// plans are never stale between statements. Kept for callers written when
+  /// DROP left the replan to the next statement.
   void EnsureUdfPlansFresh();
   /// Cumulative database-wide counters. Concurrent statements each count
   /// into a private per-statement frame (see StatsFrame / CurStats) and
@@ -346,13 +346,12 @@ class Database {
 
   /// Replan every UDF body: body plans hold raw Table pointers and embed
   /// planner options, so catalog DDL or an options change would otherwise
-  /// leave them dangling/stale. DDL statements refresh eagerly while still
-  /// holding the exclusive statement lock (concurrent statements under the
-  /// shared lock must never observe a body plan mid-replan); the lazy
-  /// `udf_plans_stale_` checks remain as a safety net for single-threaded
-  /// embedders that mutate the catalog directly. Bodies that no longer plan
-  /// (dropped objects) become null — executing them errors cleanly — until a
-  /// later DDL makes them valid again.
+  /// leave them dangling/stale. CREATE and DROP of tables, views and indexes,
+  /// and set_planner_options, call this while holding the exclusive
+  /// statement lock: statements under the shared lock execute and verify
+  /// body plans by reference, so a replan must never run beside them. Bodies
+  /// that no longer plan (dropped objects) become null — executing them
+  /// errors cleanly — until a later DDL makes them valid again.
   void RefreshUdfPlans();
 
   /// Recollect the set of tables any UDF body plan scans (the shared-cache
@@ -375,15 +374,13 @@ class Database {
   DbmsProfile profile_;
   PlannerOptions planner_options_;
   std::atomic<uint64_t> options_version_{0};
-  std::atomic<bool> udf_plans_stale_{false};
   SharedUdfCache shared_udf_cache_;
   bool shared_udf_cache_enabled_ = false;
   std::atomic<uint64_t> shared_udf_external_epoch_{0};
   /// Tables scanned by any UDF body plan (deduplicated). Raw pointers are
-  /// safe for the same reason body plans' are: catalog DDL marks
-  /// udf_plans_stale_, and the set is rebuilt with the plans before the
-  /// next execution (CurrentUdfCacheEpoch falls back to the whole-catalog
-  /// data version while stale).
+  /// safe for the same reason body plans' are: RefreshUdfPlans rebuilds the
+  /// set with the plans, under the exclusive statement lock of the DDL that
+  /// created or dropped a table, before any later statement reads it.
   std::vector<const Table*> udf_read_tables_;
   /// The verify context last set on this thread, tagged with the id of the
   /// database that set it (0 = none); see set_verify_context.

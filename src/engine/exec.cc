@@ -5,6 +5,7 @@
 
 #include "common/str_util.h"
 #include "engine/catalog.h"
+#include "engine/key_index.h"
 #include "engine/obs/profile.h"
 #include "engine/parallel/parallel.h"
 #include "engine/udf.h"
@@ -68,15 +69,14 @@ void RowBatch::Slice(size_t offset, size_t limit) {
   Truncate(limit);
 }
 
-Row RowBatch::TakeRow(size_t i) {
-  Value* v = row_data(i);
-  return Row(std::make_move_iterator(v), std::make_move_iterator(v + width_));
-}
-
 std::vector<Row> RowBatch::TakeRows() {
   std::vector<Row> rows;
   rows.reserve(rows_);
-  for (size_t i = 0; i < rows_; ++i) rows.push_back(TakeRow(i));
+  for (size_t i = 0; i < rows_; ++i) {
+    Value* v = row_data(i);
+    rows.emplace_back(std::make_move_iterator(v),
+                      std::make_move_iterator(v + width_));
+  }
   values_.clear();
   rows_ = 0;
   return rows;
@@ -417,13 +417,14 @@ Result<Value> EvalScalarSub(const BoundExpr& e, RowView row,
 /// has_null instead).
 ExecContext::InSetCache BuildInSet(RowBatch rows) {
   ExecContext::InSetCache built;
+  built.set = KeyIndex(rows.width(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    const RowView r = rows[i];
-    if (std::any_of(r.begin(), r.end(),
+    Value* r = rows.row_data(i);
+    if (std::any_of(r, r + rows.width(),
                     [](const Value& v) { return v.is_null(); })) {
       built.has_null = true;
     } else {
-      built.set.insert(rows.TakeRow(i));
+      built.set.FindOrInsert(r, HashRow(r, rows.width()));
     }
   }
   return built;
@@ -453,10 +454,16 @@ Result<Value> EvalInSet(const BoundExpr& e, RowView row, ExecContext* ctx) {
     local = BuildInSet(std::move(rows));
     cache = &local;
   }
+  // A sub-query whose width differs from the needle's holds no equal tuple.
+  const bool found =
+      needle.size() == cache->set.width() &&
+      cache->set.Find(needle.data(), HashRow(needle)) != KeyIndex::kNone;
   Value result;
-  if (needle_null) {
+  if (cache->set.size() == 0 && !cache->has_null) {
+    result = Value::Bool(false);  // nothing is IN an empty set, not even NULL
+  } else if (needle_null) {
     result = NullV();
-  } else if (cache->set.count(needle)) {
+  } else if (found) {
     result = Value::Bool(true);
   } else if (cache->has_null) {
     result = NullV();
@@ -587,6 +594,16 @@ Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx) {
     }
   }
   return Status::Internal("unhandled bound expression kind");
+}
+
+Result<bool> EvalKeys(const BoundExprPtr* keys, size_t n, RowView row,
+                      ExecContext* ctx, Value* out) {
+  bool any_null = false;
+  for (size_t k = 0; k < n; ++k) {
+    MTB_ASSIGN_OR_RETURN(out[k], EvalExpr(*keys[k], row, ctx));
+    any_null = any_null || out[k].is_null();
+  }
+  return any_null;
 }
 
 namespace {
@@ -854,66 +871,54 @@ Result<RowBatch> ExecNullAwareAntiJoin(const Plan& p, ExecContext* ctx,
                                        const RowBatch& left_rows,
                                        const RowBatch& right_rows) {
   const size_t n_in = p.naaj_in_keys;
-  struct Group {
-    std::unordered_set<std::vector<Value>, ValueVectorHash, ValueVectorEq>
-        tuples;
-    bool has_null = false;
-  };
-  std::unordered_map<std::vector<Value>, Group, ValueVectorHash, ValueVectorEq>
-      groups;
-  // Evaluate keys [begin, end) of `keys` over `row` into the reused `out`;
-  // returns whether any component was NULL.
-  auto eval_keys = [ctx](const std::vector<BoundExprPtr>& keys, size_t begin,
-                         size_t end, RowView row,
-                         std::vector<Value>* out) -> Result<bool> {
-    out->clear();
-    bool any_null = false;
-    for (size_t k = begin; k < end; ++k) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*keys[k], row, ctx));
-      any_null = any_null || v.is_null();
-      out->push_back(std::move(v));
-    }
-    return any_null;
-  };
-  std::vector<Value> corr;
-  std::vector<Value> tup;
+  const size_t n_corr = p.right_keys.size() - n_in;
+  // Correlation keys → group id; per group, whether it holds a NULL
+  // IN-tuple; and the (group id, IN-tuple) pairs it holds.
+  KeyIndex groups(n_corr);
+  std::vector<char> group_has_null;
+  KeyIndex tuples(1 + n_in, right_rows.size());
+  std::vector<Value> corr(n_corr);
+  std::vector<Value> tup(1 + n_in);  // (group id, IN-tuple)
   for (size_t i = 0; i < right_rows.size(); ++i) {
     const RowView r = right_rows[i];
     MTB_ASSIGN_OR_RETURN(bool corr_null,
-                         eval_keys(p.right_keys, n_in, p.right_keys.size(), r,
-                                   &corr));
+                         EvalKeys(p.right_keys.data() + n_in, n_corr, r, ctx,
+                                  corr.data()));
     // A NULL correlation key never equals any outer value, so the row
     // belongs to no group.
     if (corr_null) continue;
     MTB_ASSIGN_OR_RETURN(bool tup_null,
-                         eval_keys(p.right_keys, 0, n_in, r, &tup));
-    Group& g = groups[corr];
+                         EvalKeys(p.right_keys.data(), n_in, r, ctx,
+                                  tup.data() + 1));
+    const KeyIndex::Lookup g = groups.FindOrInsert(corr.data(), HashRow(corr));
+    if (g.inserted) group_has_null.push_back(0);
     if (tup_null) {
-      g.has_null = true;
+      group_has_null[g.id] = 1;
     } else {
-      g.tuples.insert(tup);
+      tup[0] = Value::Int(static_cast<int64_t>(g.id));
+      tuples.FindOrInsert(tup.data(), HashRow(tup));
     }
   }
   RowBatch out(JoinOutputWidth(p, left_rows.width(), right_rows.width()));
   for (size_t i = 0; i < left_rows.size(); ++i) {
     const RowView l = left_rows[i];
     MTB_ASSIGN_OR_RETURN(bool corr_null,
-                         eval_keys(p.left_keys, n_in, p.left_keys.size(), l,
-                                   &corr));
-    const Group* g = nullptr;
-    if (!corr_null) {
-      auto it = groups.find(corr);
-      if (it != groups.end()) g = &it->second;
-    }
-    if (g == nullptr) {
+                         EvalKeys(p.left_keys.data() + n_in, n_corr, l, ctx,
+                                  corr.data()));
+    const size_t g = corr_null ? KeyIndex::kNone
+                               : groups.Find(corr.data(), HashRow(corr));
+    if (g == KeyIndex::kNone) {
       // Empty set: NOT IN () is TRUE for any needle, even NULL.
       JoinFinishLeft(p, l, /*matched=*/false, &out);
       continue;
     }
     MTB_ASSIGN_OR_RETURN(bool needle_null,
-                         eval_keys(p.left_keys, 0, n_in, l, &tup));
+                         EvalKeys(p.left_keys.data(), n_in, l, ctx,
+                                  tup.data() + 1));
     ctx->stats->rows_joined++;
-    if (needle_null || g->has_null || g->tuples.count(tup)) continue;
+    if (needle_null || group_has_null[g]) continue;
+    tup[0] = Value::Int(static_cast<int64_t>(g));
+    if (tuples.Find(tup.data(), HashRow(tup)) != KeyIndex::kNone) continue;
     JoinFinishLeft(p, l, /*matched=*/false, &out);
   }
   return out;
@@ -962,30 +967,17 @@ Result<RowBatch> ExecJoin(const Plan& p, ExecContext* ctx) {
 }
 
 /// DISTINCT: the first occurrence of each row (NULL equals NULL), in input
-/// order.
+/// order — the index's keys in id order.
 RowBatch DistinctRows(RowBatch rows) {
-  std::vector<size_t> hashes(rows.size());
+  const size_t width = rows.width();
+  KeyIndex seen(width, rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    hashes[i] = HashRow(rows[i].begin(), rows.width());
+    Value* r = rows.row_data(i);
+    seen.FindOrInsert(r, HashRow(r, width));
   }
-  auto hash = [&hashes](size_t i) { return hashes[i]; };
-  auto eq = [&rows](size_t a, size_t b) {
-    const RowView x = rows[a];
-    const RowView y = rows[b];
-    for (size_t k = 0; k < x.size(); ++k) {
-      if (!x[k].StructuralEquals(y[k])) return false;
-    }
-    return true;
-  };
-  std::unordered_set<size_t, decltype(hash), decltype(eq)> seen(rows.size(),
-                                                                hash, eq);
-  std::vector<size_t> kept;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (seen.insert(i).second) kept.push_back(i);
-  }
-  RowBatch out(rows.width());
-  out.Reserve(kept.size());
-  for (size_t i : kept) out.AppendMoved(rows.row_data(i));
+  RowBatch out(width);
+  out.Reserve(seen.size());
+  for (size_t id = 0; id < seen.size(); ++id) out.AppendMoved(seen.key(id));
   return out;
 }
 

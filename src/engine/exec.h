@@ -8,13 +8,13 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/value.h"
 #include "engine/bound.h"
+#include "engine/key_index.h"
 #include "engine/stats.h"
 #include "engine/udf_cache.h"
 
@@ -92,8 +92,6 @@ class RowBatch {
   void Truncate(size_t rows);
   /// Keep rows [offset, offset + limit) — LIMIT/OFFSET, clamped to size().
   void Slice(size_t offset, size_t limit);
-  /// Row `i` as a table Row, its values moved out of the batch.
-  Row TakeRow(size_t i);
   /// Every row as a table Row (the statement root, INSERT ... SELECT).
   std::vector<Row> TakeRows();
 
@@ -182,8 +180,11 @@ struct ExecContext {
   /// $n parameters of the UDF body currently being executed.
   const std::vector<Value>* params = nullptr;
 
+  /// An IN sub-query's result: its tuples without a NULL component in a
+  /// KeyIndex of the sub-query's width, and whether a tuple with a NULL
+  /// component was left out (which turns a miss into NULL).
   struct InSetCache {
-    std::unordered_set<std::vector<Value>, ValueVectorHash, ValueVectorEq> set;
+    KeyIndex set;
     bool has_null = false;
   };
   std::unordered_map<const Plan*, Value> scalar_cache;   // InitPlan results
@@ -207,6 +208,11 @@ const std::vector<Row>& PinnedRows(ExecContext* ctx, const Table& t,
 
 /// Evaluate a bound expression against `row` (layout as bound).
 Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx);
+
+/// Evaluate the `n` key expressions at `keys` over `row` into `out`; returns
+/// whether any key is NULL.
+Result<bool> EvalKeys(const BoundExprPtr* keys, size_t n, RowView row,
+                      ExecContext* ctx, Value* out);
 
 /// Width of a join's output rows given its inputs' widths: the emitted slots
 /// (Plan::emit), else concat(left, right) for inner/left joins and the left

@@ -10,15 +10,16 @@
 // moving each value once, and folds worker counters back, so the observable
 // behavior — row order, error choice, statistics totals — is byte-identical
 // to the serial executor. Filters compact their input in place instead.
-// Hash joins build one flat index (per-worker key and hash evaluation over
-// contiguous chunks, then one serial pass linking each bucket's rows in
-// ascending order) and probe in morsels; aggregation accumulates into
-// per-chunk hash tables merged in chunk order, preserving first-appearance
-// group order. Chunk-ordered merging is exact for INT/DECIMAL arithmetic;
-// only SUM/AVG over DOUBLE re-associates floating-point addition and may
-// differ from the serial left-fold in the last bits (deterministic for a
-// fixed thread count). Sort and top-N (sort.cc) order row indices, not rows,
-// and gather once: per-worker stable-sorted runs merge pairwise with
+// Every hashed operator keys on one KeyIndex (key_index.h). Hash joins
+// evaluate and hash build keys per worker over contiguous chunks, index them
+// in one serial pass that chains each key's rows in build order, and probe
+// in morsels; aggregation indexes each chunk's groups next to a flat
+// accumulator array and folds the chunks in chunk order, so group ids stay
+// in first-appearance order. Chunk-ordered merging is exact for INT/DECIMAL
+// arithmetic; only SUM/AVG over DOUBLE re-associates floating-point addition
+// and may differ from the serial left-fold in the last bits (deterministic
+// for a fixed thread count). Sort and top-N (sort.cc) order row indices, not
+// rows, and gather once: per-worker stable-sorted runs merge pairwise with
 // earlier-run-wins ties, and top-N's bounded heaps order by (sort keys,
 // input index), so both reproduce the serial stable sort byte-for-byte.
 //

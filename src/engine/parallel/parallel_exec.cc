@@ -4,14 +4,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "engine/catalog.h"
 #include "engine/exec.h"
+#include "engine/key_index.h"
 #include "engine/obs/profile.h"
 #include "engine/parallel/task_pool.h"
 #include "engine/udf.h"
@@ -316,19 +316,6 @@ Result<RowBatch> RunMorsels(ExecContext* ctx, size_t n_rows, size_t width,
   return out;
 }
 
-/// Evaluate a key tuple into `out`; returns whether any component was NULL.
-Result<bool> ComputeKey(const std::vector<BoundExprPtr>& keys, RowView r,
-                        ExecContext* ctx, std::vector<Value>* out) {
-  out->clear();
-  bool null_key = false;
-  for (const auto& k : keys) {
-    MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, r, ctx));
-    null_key = null_key || v.is_null();
-    out->push_back(std::move(v));
-  }
-  return null_key;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -478,112 +465,60 @@ Result<RowBatch> ProjectExec(const Plan& p, ExecContext* ctx, RowBatch input,
 
 namespace {
 
-/// StructuralEquals (INT 5 equals DECIMAL 5.00) with a fast path for the
-/// common INT = INT key.
-bool KeyEquals(const Value& a, const Value& b) {
-  if (a.type() == TypeId::kInt && b.type() == TypeId::kInt) {
-    return a.int_value() == b.int_value();
-  }
-  return a.StructuralEquals(b);
-}
-
-/// Flat index over the build (right) input. Each build row's key tuple is
-/// evaluated once into one contiguous array, next to its HashRow hash; a
-/// power-of-two bucket directory heads chains that link each bucket's rows
-/// in ascending build-row order, leaving out rows with a NULL key component
-/// (NULL equals nothing). A probe walks its bucket's chain and takes the
-/// rows whose hash and key values equal its own, so it meets its matches in
-/// build-row order and counts only key-equal candidates — the same rows,
-/// order and rows_joined in serial and parallel execution, whatever the
-/// bucket layout.
-class JoinTable {
- public:
-  static constexpr size_t kEnd = SIZE_MAX;
-
-  JoinTable(size_t rows, size_t width)
-      : width_(width), keys_(rows * width), hashes_(rows) {}
-
-  /// Evaluate and hash the keys of build rows [begin, end). Disjoint ranges
-  /// may be filled concurrently.
-  Status Fill(const Plan& p, const RowBatch& rows, size_t begin, size_t end,
-              ExecContext* ctx) {
-    for (size_t i = begin; i < end; ++i) {
-      Value* key = &keys_[i * width_];
-      for (size_t k = 0; k < width_; ++k) {
-        MTB_ASSIGN_OR_RETURN(key[k], EvalExpr(*p.right_keys[k], rows[i], ctx));
-      }
-      hashes_[i] = HashRow(key, width_);
-    }
-    return Status::OK();
-  }
-
-  /// Link the chains once every row is filled. Pushing rows onto their
-  /// bucket's head from the last row down leaves each chain ascending.
-  void Link() {
-    const size_t n = hashes_.size();
-    int bits = 1;
-    while ((size_t{1} << bits) < n) ++bits;
-    shift_ = 64 - bits;
-    heads_.assign(size_t{1} << bits, kEnd);
-    next_.assign(n, kEnd);
-    for (size_t i = n; i-- > 0;) {
-      const Value* key = &keys_[i * width_];
-      if (std::any_of(key, key + width_,
-                      [](const Value& v) { return v.is_null(); })) {
-        continue;
-      }
-      size_t& head = heads_[Bucket(hashes_[i])];
-      next_[i] = head;
-      head = i;
-    }
-  }
-
-  /// First build row of `hash`'s chain (kEnd when empty); Next() walks on.
-  size_t First(size_t hash) const { return heads_[Bucket(hash)]; }
-  size_t Next(size_t row) const { return next_[row]; }
-
-  bool Matches(size_t row, size_t hash, const std::vector<Value>& key) const {
-    if (hashes_[row] != hash) return false;
-    const Value* stored = &keys_[row * width_];
-    for (size_t k = 0; k < width_; ++k) {
-      if (!KeyEquals(stored[k], key[k])) return false;
-    }
-    return true;
-  }
-
- private:
-  /// Fibonacci hashing: the top bits of a multiplicative mix, so keys that
-  /// differ only in their hash's high bits still spread.
-  size_t Bucket(size_t hash) const {
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(hash) * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  size_t width_;
-  std::vector<Value> keys_;     // rows * width_, row-major
-  std::vector<size_t> hashes_;  // HashRow of each row's key tuple
-  std::vector<size_t> heads_;
-  std::vector<size_t> next_;
-  int shift_ = 63;
+/// The build (right) side of a hash join: the distinct key tuples of the
+/// build rows in a KeyIndex, and per key id a chain of its rows in ascending
+/// build-row order. Rows with a NULL key component join no chain (NULL
+/// equals nothing). A probe finds its key's id and walks that chain, so it
+/// meets exactly its key-equal rows in build-row order — the same rows,
+/// order and rows_joined in serial and parallel execution. Chains end in
+/// KeyIndex::kNone.
+struct HashBuild {
+  KeyIndex index;
+  std::vector<size_t> first;  // per key id: its first build row
+  std::vector<size_t> next;   // per build row: the next row of its key
 };
 
+/// The serial, linear step of the build: index every filled key, from the
+/// last row down, pushing each row onto its key's chain — which leaves every
+/// chain ascending.
+HashBuild LinkBuild(size_t width, std::vector<Value>* keys,
+                    const std::vector<size_t>& hashes) {
+  const size_t n = hashes.size();
+  HashBuild build{KeyIndex(width, n), {},
+                  std::vector<size_t>(n, KeyIndex::kNone)};
+  for (size_t i = n; i-- > 0;) {
+    Value* key = keys->data() + i * width;
+    if (std::any_of(key, key + width,
+                    [](const Value& v) { return v.is_null(); })) {
+      continue;
+    }
+    const KeyIndex::Lookup slot = build.index.FindOrInsert(key, hashes[i]);
+    if (slot.inserted) build.first.push_back(KeyIndex::kNone);
+    build.next[i] = build.first[slot.id];
+    build.first[slot.id] = i;
+  }
+  return build;
+}
+
 Status ProbeRange(const Plan& p, const RowBatch& left_rows, size_t begin,
-                  size_t end, const JoinTable& table,
+                  size_t end, const HashBuild& build,
                   const RowBatch& right_rows, ExecContext* ctx,
                   RowBatch* out) {
   const bool existence_only =
       p.join_kind == JoinKind::kSemi || p.join_kind == JoinKind::kAnti;
-  std::vector<Value> key;
+  std::vector<Value> key(p.left_keys.size());
   Row scratch;  // the residual's concat row, reused across pairs
   for (size_t i = begin; i < end; ++i) {
     const RowView l = left_rows[i];
-    MTB_ASSIGN_OR_RETURN(bool null_key, ComputeKey(p.left_keys, l, ctx, &key));
+    MTB_ASSIGN_OR_RETURN(
+        bool null_key,
+        EvalKeys(p.left_keys.data(), key.size(), l, ctx, key.data()));
     bool matched = false;
-    if (!null_key) {
-      const size_t hash = HashRow(key);
-      for (size_t ri = table.First(hash); ri != JoinTable::kEnd;
-           ri = table.Next(ri)) {
-        if (!table.Matches(ri, hash, key)) continue;
+    const size_t id =
+        null_key ? KeyIndex::kNone : build.index.Find(key.data(), HashRow(key));
+    if (id != KeyIndex::kNone) {
+      for (size_t ri = build.first[id]; ri != KeyIndex::kNone;
+           ri = build.next[ri]) {
         MTB_ASSIGN_OR_RETURN(
             bool m, JoinPair(p, l, right_rows[ri], ctx, &scratch, out));
         matched = matched || m;
@@ -603,86 +538,114 @@ Result<RowBatch> HashJoinExec(const Plan& p, ExecContext* ctx,
   const size_t n = right_rows.size();
   const size_t width =
       JoinOutputWidth(p, left_rows.width(), right_rows.width());
-  JoinTable table(n, p.right_keys.size());
+  const size_t key_width = p.right_keys.size();
+  std::vector<Value> keys(n * key_width);
+  std::vector<size_t> hashes(n);
+  // Evaluate and hash the keys of build rows [begin, end); disjoint ranges
+  // may be filled concurrently.
+  auto fill = [&](size_t begin, size_t end, ExecContext* c) -> Status {
+    for (size_t i = begin; i < end; ++i) {
+      Value* key = keys.data() + i * key_width;
+      MTB_RETURN_IF_ERROR(
+          EvalKeys(p.right_keys.data(), key_width, right_rows[i], c, key)
+              .status());
+      hashes[i] = HashRow(key, key_width);
+    }
+    return Status::OK();
+  };
   if (workers <= 1) {
-    MTB_RETURN_IF_ERROR(table.Fill(p, right_rows, 0, n, ctx));
-    table.Link();
+    MTB_RETURN_IF_ERROR(fill(0, n, ctx));
+  } else {
+    // Each worker evaluates the keys of one contiguous chunk; the lowest
+    // failing chunk's error wins, as the serial build's first error would.
+    MTB_RETURN_IF_ERROR(RunRegion(
+        ctx, workers, [&](int w, ExecContext* wctx, RegionError* err) {
+          const size_t uw = static_cast<size_t>(w);
+          const size_t begin = n * uw / static_cast<size_t>(workers);
+          const size_t end = n * (uw + 1) / static_cast<size_t>(workers);
+          Status s = fill(begin, end, wctx);
+          if (!s.ok()) err->Record(uw, std::move(s));
+        }));
+  }
+  const HashBuild build = LinkBuild(key_width, &keys, hashes);
+  if (workers <= 1) {
     RowBatch out(width);
-    MTB_RETURN_IF_ERROR(ProbeRange(p, left_rows, 0, left_rows.size(), table,
+    MTB_RETURN_IF_ERROR(ProbeRange(p, left_rows, 0, left_rows.size(), build,
                                    right_rows, ctx, &out));
     return out;
   }
-
-  // Parallel build: each worker fills one contiguous chunk (the lowest
-  // failing chunk's error wins, as the serial build's first error would),
-  // then one serial pass links the chains.
-  MTB_RETURN_IF_ERROR(
-      RunRegion(ctx, workers, [&](int w, ExecContext* wctx, RegionError* err) {
-        const size_t uw = static_cast<size_t>(w);
-        const size_t begin = n * uw / static_cast<size_t>(workers);
-        const size_t end = n * (uw + 1) / static_cast<size_t>(workers);
-        Status s = table.Fill(p, right_rows, begin, end, wctx);
-        if (!s.ok()) err->Record(uw, std::move(s));
-      }));
-  table.Link();
   ctx->stats->parallel_joins++;
 
   // Parallel probe in morsels, order-preserving.
   return RunMorsels(
       ctx, left_rows.size(), width, workers,
       [&](size_t b, size_t e, ExecContext* wctx, RowBatch* o) {
-        return ProbeRange(p, left_rows, b, e, table, right_rows, wctx, o);
+        return ProbeRange(p, left_rows, b, e, build, right_rows, wctx, o);
       });
 }
 
 // ---------------------------------------------------------------------------
-// Parallel aggregation (thread-local hash tables, ordered merge)
+// Aggregation (per-chunk group indexes, ordered merge)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return a.StructuralEquals(b);
-  }
-};
-
+/// One (group, aggregate) accumulator: the non-NULL inputs counted, and the
+/// running SUM (SUM/AVG), MIN or MAX — NULL until the first input. COUNT
+/// uses only the count.
 struct AggAccum {
   int64_t count = 0;
-  Value sum;
-  Value min;
-  Value max;
-  std::unordered_set<Value, ValueHash, ValueEq> distinct;
+  Value value;
 };
 
+/// The groups of one input range: group keys in a KeyIndex, so group ids
+/// run in first-appearance order, and the accumulators of group g at
+/// accs[g * aggs, (g + 1) * aggs). Without GROUP BY the one width-0 group
+/// exists from the start, so even an empty input yields its row.
 struct LocalAgg {
-  std::unordered_map<std::vector<Value>, std::vector<AggAccum>, ValueVectorHash,
-                     ValueVectorEq>
-      groups;
-  std::vector<const std::vector<Value>*> order;  // first-appearance order
+  explicit LocalAgg(const Plan& p)
+      : groups(p.exprs.size()), distinct(p.aggs.size(), KeyIndex(2)) {
+    if (!p.exprs.empty()) return;
+    groups.FindOrInsert(nullptr, HashRow(nullptr, 0));
+    accs.resize(p.aggs.size());
+  }
+
+  KeyIndex groups;
+  std::vector<AggAccum> accs;
+  /// Per DISTINCT aggregate: the (group id, value) pairs already counted.
+  std::vector<KeyIndex> distinct;
 };
+
+/// Fold a non-NULL input (or a later range's partial) `v` into the running
+/// value of `func`; COUNT keeps no value.
+Status Accumulate(AggFunc func, Value&& v, Value* acc) {
+  if (func == AggFunc::kCount || func == AggFunc::kCountStar) {
+    return Status::OK();
+  }
+  if (acc->is_null()) {
+    *acc = std::move(v);
+  } else if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+    MTB_ASSIGN_OR_RETURN(*acc, NumericAdd(*acc, v));
+  } else {  // MIN / MAX
+    MTB_ASSIGN_OR_RETURN(int c, v.Compare(*acc));
+    if (func == AggFunc::kMin ? c < 0 : c > 0) *acc = std::move(v);
+  }
+  return Status::OK();
+}
 
 Status AccumulateRange(const Plan& p, const RowBatch& rows, size_t begin,
                        size_t end, ExecContext* ctx, LocalAgg* agg) {
-  std::vector<Value> key;  // group key, reused across rows
+  const size_t n_aggs = p.aggs.size();
+  std::vector<Value> key(p.exprs.size());  // group key, reused across rows
   for (size_t ri = begin; ri < end; ++ri) {
     const RowView r = rows[ri];
-    key.clear();
-    for (const auto& g : p.exprs) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, r, ctx));
-      key.push_back(std::move(v));
-    }
-    auto it = agg->groups.find(key);
-    if (it == agg->groups.end()) {
-      it = agg->groups.emplace(key, std::vector<AggAccum>(p.aggs.size()))
-               .first;
-      agg->order.push_back(&it->first);
-    }
-    auto& accs = it->second;
-    for (size_t i = 0; i < p.aggs.size(); ++i) {
+    MTB_RETURN_IF_ERROR(
+        EvalKeys(p.exprs.data(), key.size(), r, ctx, key.data()).status());
+    const KeyIndex::Lookup group =
+        agg->groups.FindOrInsert(key.data(), HashRow(key));
+    if (group.inserted) agg->accs.resize(agg->accs.size() + n_aggs);
+    AggAccum* accs = agg->accs.data() + group.id * n_aggs;
+    for (size_t i = 0; i < n_aggs; ++i) {
       const AggSpec& spec = p.aggs[i];
       AggAccum& acc = accs[i];
       if (spec.func == AggFunc::kCountStar) {
@@ -691,130 +654,46 @@ Status AccumulateRange(const Plan& p, const RowBatch& rows, size_t begin,
       }
       MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*spec.arg, r, ctx));
       if (v.is_null()) continue;
-      if (spec.distinct && !acc.distinct.insert(v).second) continue;
+      if (spec.distinct) {
+        Value seen[2] = {Value::Int(static_cast<int64_t>(group.id)), v};
+        if (!agg->distinct[i].FindOrInsert(seen, HashRow(seen, 2)).inserted) {
+          continue;
+        }
+      }
       acc.count++;
-      switch (spec.func) {
-        case AggFunc::kSum:
-        case AggFunc::kAvg: {
-          if (!v.is_numeric()) {
-            return Status::InvalidArgument(
-                "SUM and AVG require a numeric argument");
-          }
-          if (acc.sum.is_null()) {
-            acc.sum = v;
-          } else {
-            MTB_ASSIGN_OR_RETURN(acc.sum, NumericAdd(acc.sum, v));
-          }
-          break;
-        }
-        case AggFunc::kMin: {
-          if (acc.min.is_null()) {
-            acc.min = v;
-          } else {
-            MTB_ASSIGN_OR_RETURN(int c, v.Compare(acc.min));
-            if (c < 0) acc.min = v;
-          }
-          break;
-        }
-        case AggFunc::kMax: {
-          if (acc.max.is_null()) {
-            acc.max = v;
-          } else {
-            MTB_ASSIGN_OR_RETURN(int c, v.Compare(acc.max));
-            if (c > 0) acc.max = v;
-          }
-          break;
-        }
-        default:
-          break;  // kCount just counts
+      if ((spec.func == AggFunc::kSum || spec.func == AggFunc::kAvg) &&
+          !v.is_numeric()) {
+        return Status::InvalidArgument(
+            "SUM and AVG require a numeric argument");
       }
+      MTB_RETURN_IF_ERROR(Accumulate(spec.func, std::move(v), &acc.value));
     }
   }
   return Status::OK();
 }
 
-/// Merge a later chunk's accumulators into an earlier chunk's. Chunks cover
-/// contiguous input ranges and merge in chunk order, so partial sums combine
-/// in input order — exact for INT/DECIMAL arithmetic. DISTINCT aggregates
-/// never reach this (the planner keeps them serial).
-Status MergeAccums(const Plan& p, std::vector<AggAccum>* into,
-                   std::vector<AggAccum>&& from) {
-  for (size_t i = 0; i < p.aggs.size(); ++i) {
-    AggAccum& a = (*into)[i];
-    AggAccum& f = from[i];
-    a.count += f.count;
-    if (!f.sum.is_null()) {
-      if (a.sum.is_null()) {
-        a.sum = std::move(f.sum);
+/// The output rows, one per group in id (= first-appearance) order: the
+/// group key, then each aggregate. Moves the keys and values out of `agg`.
+Result<RowBatch> FinalizeAgg(const Plan& p, LocalAgg* agg) {
+  const size_t n_keys = p.exprs.size();
+  const size_t n_aggs = p.aggs.size();
+  RowBatch out(n_keys + n_aggs);
+  out.Reserve(agg->groups.size());
+  for (size_t g = 0; g < agg->groups.size(); ++g) {
+    Value* key = agg->groups.key(g);
+    for (size_t k = 0; k < n_keys; ++k) out.Push(std::move(key[k]));
+    AggAccum* accs = agg->accs.data() + g * n_aggs;
+    for (size_t i = 0; i < n_aggs; ++i) {
+      AggAccum& acc = accs[i];
+      const AggFunc func = p.aggs[i].func;
+      if (func == AggFunc::kCount || func == AggFunc::kCountStar) {
+        out.Push(Value::Int(acc.count));
+      } else if (func == AggFunc::kAvg && acc.count > 0) {
+        MTB_ASSIGN_OR_RETURN(Value avg,
+                             NumericDiv(acc.value, Value::Int(acc.count)));
+        out.Push(std::move(avg));
       } else {
-        MTB_ASSIGN_OR_RETURN(a.sum, NumericAdd(a.sum, f.sum));
-      }
-    }
-    if (!f.min.is_null()) {
-      if (a.min.is_null()) {
-        a.min = std::move(f.min);
-      } else {
-        MTB_ASSIGN_OR_RETURN(int c, f.min.Compare(a.min));
-        if (c < 0) a.min = std::move(f.min);
-      }
-    }
-    if (!f.max.is_null()) {
-      if (a.max.is_null()) {
-        a.max = std::move(f.max);
-      } else {
-        MTB_ASSIGN_OR_RETURN(int c, f.max.Compare(a.max));
-        if (c > 0) a.max = std::move(f.max);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Result<RowBatch> FinalizeAgg(const Plan& p, const LocalAgg& agg) {
-  RowBatch out(p.exprs.size() + p.aggs.size());
-  // Aggregation over an empty input without GROUP BY yields one row.
-  if (agg.groups.empty() && p.exprs.empty()) {
-    for (const AggSpec& spec : p.aggs) {
-      if (spec.func == AggFunc::kCount || spec.func == AggFunc::kCountStar) {
-        out.Push(Value::Int(0));
-      } else {
-        out.Push(Value::Null());
-      }
-    }
-    out.EndRow();
-    return out;
-  }
-  out.Reserve(agg.groups.size());
-  for (const auto* key : agg.order) {
-    const auto& accs = agg.groups.find(*key)->second;
-    for (const Value& v : *key) out.Push(v);
-    for (size_t i = 0; i < p.aggs.size(); ++i) {
-      const AggSpec& spec = p.aggs[i];
-      const AggAccum& acc = accs[i];
-      switch (spec.func) {
-        case AggFunc::kCountStar:
-        case AggFunc::kCount:
-          out.Push(Value::Int(acc.count));
-          break;
-        case AggFunc::kSum:
-          out.Push(acc.sum);
-          break;
-        case AggFunc::kAvg: {
-          if (acc.count == 0) {
-            out.Push(Value::Null());
-          } else {
-            MTB_ASSIGN_OR_RETURN(Value avg,
-                                 NumericDiv(acc.sum, Value::Int(acc.count)));
-            out.Push(std::move(avg));
-          }
-          break;
-        }
-        case AggFunc::kMin:
-          out.Push(acc.min);
-          break;
-        case AggFunc::kMax:
-          out.Push(acc.max);
-          break;
+        out.Push(std::move(acc.value));  // SUM, MIN, MAX; NULL without input
       }
     }
     out.EndRow();
@@ -826,17 +705,17 @@ Result<RowBatch> FinalizeAgg(const Plan& p, const LocalAgg& agg) {
 
 Result<RowBatch> AggregateExec(const Plan& p, ExecContext* ctx,
                                RowBatch input, int workers) {
-  LocalAgg total;
   if (workers <= 1) {
+    LocalAgg total(p);
     MTB_RETURN_IF_ERROR(
         AccumulateRange(p, input, 0, input.size(), ctx, &total));
-    return FinalizeAgg(p, total);
+    return FinalizeAgg(p, &total);
   }
   // One contiguous chunk per worker: partials combine in chunk (= input)
   // order, and group output order is global first appearance, independent of
   // scheduling.
   const size_t n = input.size();
-  std::vector<LocalAgg> locals(static_cast<size_t>(workers));
+  std::vector<LocalAgg> locals(static_cast<size_t>(workers), LocalAgg(p));
   MTB_RETURN_IF_ERROR(
       RunRegion(ctx, workers, [&](int w, ExecContext* wctx, RegionError* err) {
         const size_t uw = static_cast<size_t>(w);
@@ -847,22 +726,33 @@ Result<RowBatch> AggregateExec(const Plan& p, ExecContext* ctx,
       }));
   ctx->stats->parallel_morsels += static_cast<uint64_t>(workers);
 
-  total = std::move(locals[0]);
-  for (int w = 1; w < workers; ++w) {
-    LocalAgg& local = locals[static_cast<size_t>(w)];
-    for (const std::vector<Value>* key : local.order) {
-      // Move the node over; a failed insert (key already merged) hands the
-      // node back for accumulator merging — one lookup per side either way.
-      auto ins = total.groups.insert(local.groups.extract(*key));
-      if (ins.inserted) {
-        total.order.push_back(&ins.position->first);
-      } else {
-        MTB_RETURN_IF_ERROR(MergeAccums(p, &ins.position->second,
-                                        std::move(ins.node.mapped())));
+  // Fold chunks 1.. into chunk 0 in chunk order: a chunk's groups arrive in
+  // its own first-appearance order, so new ids extend the global order, and
+  // partial sums combine in input order — exact for INT/DECIMAL arithmetic.
+  // (DISTINCT aggregates never get here: the planner keeps them serial.)
+  const size_t n_aggs = p.aggs.size();
+  LocalAgg& total = locals[0];
+  for (size_t w = 1; w < locals.size(); ++w) {
+    LocalAgg& local = locals[w];
+    for (size_t g = 0; g < local.groups.size(); ++g) {
+      AggAccum* from = local.accs.data() + g * n_aggs;
+      const KeyIndex::Lookup into =
+          total.groups.FindOrInsert(local.groups.key(g), local.groups.hash(g));
+      if (into.inserted) {
+        total.accs.insert(total.accs.end(), std::make_move_iterator(from),
+                          std::make_move_iterator(from + n_aggs));
+        continue;
+      }
+      AggAccum* to = total.accs.data() + into.id * n_aggs;
+      for (size_t i = 0; i < n_aggs; ++i) {
+        to[i].count += from[i].count;
+        if (from[i].value.is_null()) continue;
+        MTB_RETURN_IF_ERROR(Accumulate(p.aggs[i].func,
+                                       std::move(from[i].value), &to[i].value));
       }
     }
   }
-  return FinalizeAgg(p, total);
+  return FinalizeAgg(p, &total);
 }
 
 }  // namespace parallel

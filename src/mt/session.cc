@@ -753,11 +753,7 @@ Result<std::string> Session::Explain(const std::string& mtsql,
       auto stmts,
       RewriteWithDataset(stmt, dataset, options.audit ? &report : nullptr));
   engine::verify::VerifyContext vctx;
-  if (options.verify || options.analyze) {
-    vctx = MakeVerifyContext(dataset);
-    // The verifier follows UDF body plans; replan any staled by DDL first.
-    mw_->db()->EnsureUdfPlansFresh();
-  }
+  if (options.verify || options.analyze) vctx = MakeVerifyContext(dataset);
   if (options.analyze) {
     // ANALYZE executes the plans, so install this session's verify context
     // first — enforcement (debug builds / MTBASE_VERIFY_PLANS=1) proves the

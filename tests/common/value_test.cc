@@ -53,9 +53,6 @@ TEST(ValueTest, RowHashingDistinguishesRows) {
   Row c{Value::Int(1), Value::Str("x")};
   EXPECT_NE(HashRow(a), HashRow(b));
   EXPECT_EQ(HashRow(a), HashRow(c));
-  ValueVectorEq eq;
-  EXPECT_TRUE(eq(a, c));
-  EXPECT_FALSE(eq(a, b));
 }
 
 TEST(ValueTest, AsDouble) {

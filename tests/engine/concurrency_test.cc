@@ -464,6 +464,57 @@ TEST(ConversionEpochTest, StressOneRateVersionPerStatement) {
   EXPECT_GE(statements.load(), static_cast<uint64_t>(kReaders));
 }
 
+// Time-boxed (ctest label `stress`). DROP replans UDF bodies under its
+// exclusive statement lock, as CREATE does: statements execute and verify
+// body plans by reference under the shared lock, so a replan must never run
+// beside them. Three threads call a UDF whose body reads t while a fourth
+// creates and drops an unrelated table.
+TEST(UdfReplanTest, StressDropBesideUdfCalls) {
+  const uint64_t budget_s = EnvU64("MTBASE_STRESS_SECONDS", 1);
+  constexpr int kCallers = 3;
+  Database db;
+  ASSERT_OK(db.ExecuteScript(R"(
+    CREATE TABLE t (k INTEGER NOT NULL, v INTEGER NOT NULL);
+    INSERT INTO t VALUES (1, 10), (2, 20), (3, 30);
+    CREATE FUNCTION f (INTEGER) RETURNS INTEGER
+      AS 'SELECT v FROM t WHERE k = $1' LANGUAGE SQL IMMUTABLE;
+  )"));
+  const std::string expected = CanonRows(
+      {{Value::Int(20)}, {Value::Int(20)}, {Value::Int(20)}});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(budget_s);
+  FailureLog failures;
+  std::atomic<int> callers_left{kCallers};
+  std::atomic<uint64_t> drops{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    while (callers_left.load() > 0) {
+      for (const char* ddl :
+           {"CREATE TABLE tmp (x INTEGER)", "DROP TABLE tmp"}) {
+        auto st = db.Execute(ddl);
+        if (!st.ok()) failures.Record(st.status().ToString());
+      }
+      ++drops;
+    }
+  });
+  for (int t = 0; t < kCallers; ++t) {
+    threads.emplace_back([&] {
+      do {
+        auto rs = db.Execute("SELECT f(2) FROM t");
+        if (!rs.ok()) {
+          failures.Record(rs.status().ToString());
+        } else if (CanonRows(rs.value().rows) != expected) {
+          failures.Record("f(2) returned " + CanonRows(rs.value().rows));
+        }
+      } while (std::chrono::steady_clock::now() < deadline);
+      --callers_left;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.count(), 0) << failures.first();
+  EXPECT_GT(drops.load(), 0u);
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace mtbase

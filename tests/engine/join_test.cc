@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+
 #include "engine/database.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace mtbase {
@@ -178,58 +182,85 @@ TEST_F(JoinTest, TupleInSubquery) {
   EXPECT_EQ(rows[0][0].string_value(), "ann");
 }
 
-// -- Hash-join kernel -------------------------------------------------------
+// -- Hashed operators, serial and parallel -----------------------------------
 
 /// Every case runs twice: serially, and with 4 threads under a 2-row
-/// parallel gate, so even these few-row tables take the parallel build and
-/// probe. Both runs must agree byte for byte, rows_joined included.
-class HashJoinKernelTest : public ::testing::Test {
+/// parallel gate, so even these few-row tables split into worker chunks.
+/// Both runs must agree byte for byte, rows_joined included. An EXPLAIN
+/// (ANALYZE) of the parallel setting then shows whether the operator under
+/// test got workers: hash joins, and aggregates without DISTINCT over two or
+/// more rows, do; SELECT DISTINCT, the null-aware anti join and DISTINCT
+/// aggregates stay serial by design.
+class HashedOperatorTest : public ::testing::Test {
  protected:
+  /// The operator a case is about: a pattern for its EXPLAIN line (see
+  /// PlanLineMatches) and whether the parallel run gives it workers.
+  struct Operator {
+    const char* line;
+    bool parallel;
+  };
+  static constexpr Operator kJoin{"*HashJoin*", true};
+  static constexpr Operator kNullAwareAnti{"*HashJoin ANTI*null-aware*", false};
+  /// An uncorrelated IN set is probed inside prb's scan filter, which stays
+  /// serial because its predicate holds a sub-plan.
+  static constexpr Operator kInSet{"*Scan prb (filtered)*", false};
+  static constexpr Operator kAggregate{"*Aggregate*", true};
+  static constexpr Operator kSerialAggregate{"*Aggregate*", false};
+  static constexpr Operator kDistinctAggregate{"*Aggregate*DISTINCT*", false};
+  static constexpr Operator kDistinct{"*Distinct*", false};
+
+  /// Rows of grp, generated: 160 rows whose g runs through the 45 values
+  /// 7i mod 45 — nine of them first appear after the first of four worker
+  /// chunks — plus NULL on every tenth row; v is NULL on every 13th row and
+  /// h on every seventh.
+  static constexpr int kGrpRows = 160;
+  static Value GrpG(int i) {
+    return i % 10 == 4 ? Value::Null() : Value::Int((i * 7) % 45);
+  }
+  static Value GrpV(int i) {
+    return i % 13 == 0 ? Value::Null() : Value::Int(i);
+  }
+  static Value GrpH(int i) {
+    return i % 7 == 0 ? Value::Null() : Value::Str("h" + std::to_string(i % 3));
+  }
+
   void SetUp() override {
     ASSERT_OK(db_.ExecuteScript(R"(
       CREATE TABLE prb (k INTEGER, j INTEGER, tag VARCHAR(4));
       CREATE TABLE bld (k INTEGER, j INTEGER, seq INTEGER);
       CREATE TABLE dbld (k DECIMAL(10,2), seq INTEGER);
       CREATE TABLE ebld (k INTEGER, seq INTEGER);
+      CREATE TABLE dst (g INTEGER, v INTEGER);
+      CREATE TABLE grp (g INTEGER, v INTEGER, h VARCHAR(4));
       INSERT INTO prb VALUES (1, 1, 'p1'), (NULL, 1, 'pn'), (2, 2, 'p2'),
                              (3, 3, 'p3');
       INSERT INTO bld VALUES (1, 1, 10), (2, 9, 20), (1, 2, 30), (NULL, 1, 40),
                              (1, 1, 50), (2, 2, 60), (5, 1, 70);
       INSERT INTO dbld VALUES (1.00, 1), (2.50, 2), (2.00, 3);
+      INSERT INTO dst VALUES (2, 5), (1, 5), (1, 5), (1, NULL), (2, NULL),
+                             (NULL, 7), (1, 7), (NULL, 7), (2, 5), (3, NULL);
     )"));
+    std::string grp = "INSERT INTO grp VALUES ";
+    for (int i = 0; i < kGrpRows; ++i) {
+      if (i > 0) grp += ", ";
+      grp += "(" + GrpG(i).ToString() + ", " + GrpV(i).ToString() + ", " +
+             (GrpH(i).is_null() ? "NULL" : "'" + GrpH(i).ToString() + "'") +
+             ")";
+    }
+    ASSERT_OK(db_.Execute(grp));
   }
 
-  void SetThreads(int threads, size_t min_rows) {
+  void SetOptions(int threads, size_t min_rows, bool decorrelate = true) {
     PlannerOptions opts = db_.planner_options();
     opts.max_threads = threads;
     opts.min_parallel_rows = min_rows;
+    opts.decorrelate_subqueries = decorrelate;
     db_.set_planner_options(opts);
   }
 
-  /// Result rows as comma-joined cells, in result order; `rows_joined`
-  /// (optional) receives the join pairs the serial run evaluated.
-  std::vector<std::string> Rows(const std::string& sql,
-                                uint64_t* rows_joined = nullptr) {
-    SCOPED_TRACE(sql);
-    SetThreads(1, 4096);
-    StatsScope serial_scope(db_.stats());
-    auto serial = db_.Execute(sql);
-    const ExecStats serial_stats = serial_scope.Delta();
-    SetThreads(4, 2);
-    StatsScope par_scope(db_.stats());
-    auto par = db_.Execute(sql);
-    const ExecStats par_stats = par_scope.Delta();
-    SetThreads(1, 4096);
-    EXPECT_OK(serial.status());
-    EXPECT_OK(par.status());
-    if (!serial.ok() || !par.ok()) return {};
-    EXPECT_EQ(CanonRows(serial.value().rows), CanonRows(par.value().rows));
-    EXPECT_EQ(serial_stats.rows_joined, par_stats.rows_joined);
-    EXPECT_EQ(serial_stats.parallel_joins, 0u);
-    EXPECT_GT(par_stats.parallel_joins, 0u);
-    if (rows_joined != nullptr) *rows_joined = serial_stats.rows_joined;
+  static std::vector<std::string> Lines(const std::vector<Row>& rows) {
     std::vector<std::string> out;
-    for (const Row& row : serial.value().rows) {
+    for (const Row& row : rows) {
       std::string line;
       for (size_t i = 0; i < row.size(); ++i) {
         if (i > 0) line += ",";
@@ -240,57 +271,263 @@ class HashJoinKernelTest : public ::testing::Test {
     return out;
   }
 
+  /// Result rows as comma-joined cells, in result order; `rows_joined`
+  /// (optional) receives the join pairs the serial run evaluated.
+  std::vector<std::string> Rows(const std::string& sql, Operator op,
+                                uint64_t* rows_joined = nullptr) {
+    SCOPED_TRACE(sql);
+    SetOptions(1, 4096);
+    StatsScope serial_scope(db_.stats());
+    auto serial = db_.Execute(sql);
+    const ExecStats serial_stats = serial_scope.Delta();
+    SetOptions(4, 2);
+    StatsScope par_scope(db_.stats());
+    auto par = db_.Execute(sql);
+    const ExecStats par_stats = par_scope.Delta();
+    auto sel = sql::ParseSelect(sql);
+    EXPECT_OK(sel.status());
+    auto analyze = sel.ok() ? db_.ExplainAnalyzeSelect(*sel.value())
+                            : Result<std::string>(sel.status());
+    SetOptions(1, 4096);
+    EXPECT_OK(serial.status());
+    EXPECT_OK(par.status());
+    EXPECT_OK(analyze.status());
+    if (!serial.ok() || !par.ok() || !analyze.ok()) return {};
+    EXPECT_EQ(CanonRows(serial.value().rows), CanonRows(par.value().rows));
+    EXPECT_EQ(serial_stats.rows_joined, par_stats.rows_joined);
+    if (rows_joined != nullptr) *rows_joined = serial_stats.rows_joined;
+    const std::string line = OperatorLine(analyze.value(), op.line);
+    EXPECT_FALSE(line.empty()) << "no " << op.line << " in\n"
+                               << analyze.value();
+    EXPECT_EQ(line.find(" workers=") != std::string::npos, op.parallel)
+        << line;
+    return Lines(serial.value().rows);
+  }
+
+  /// The rows of `sql` planned without sub-query decorrelation: the
+  /// reference an IN / NOT IN case's decorrelated plan must reproduce.
+  std::vector<std::string> Undecorrelated(const std::string& sql) {
+    SetOptions(1, 4096, /*decorrelate=*/false);
+    auto rs = db_.Execute(sql);
+    SetOptions(1, 4096);
+    EXPECT_OK(rs.status());
+    return rs.ok() ? Lines(rs.value().rows) : std::vector<std::string>{};
+  }
+
+  /// The first line of an EXPLAIN rendering that matches `pattern`.
+  static std::string OperatorLine(const std::string& explain,
+                                  const std::string& pattern) {
+    size_t start = 0;
+    while (start < explain.size()) {
+      size_t end = explain.find('\n', start);
+      if (end == std::string::npos) end = explain.size();
+      std::string line = explain.substr(start, end - start);
+      if (PlanLineMatches(pattern, line)) return line;
+      start = end + 1;
+    }
+    return "";
+  }
+
   using Strings = std::vector<std::string>;
   Database db_;
 };
 
-TEST_F(HashJoinKernelTest, MatchesComeInBuildRowOrder) {
+TEST_F(HashedOperatorTest, MatchesComeInBuildRowOrder) {
   uint64_t joined = 0;
   EXPECT_EQ(Rows("SELECT p.tag, b.seq FROM prb p JOIN bld b ON p.k = b.k",
-                 &joined),
+                 kJoin, &joined),
             (Strings{"p1,10", "p1,30", "p1,50", "p2,20", "p2,60"}));
   EXPECT_EQ(joined, 5u);  // key-equal candidates only
 }
 
-TEST_F(HashJoinKernelTest, NullKeysOnEitherSide) {
+TEST_F(HashedOperatorTest, NullKeysOnEitherSide) {
   // pn's NULL key and bld's (NULL, 1, 40) row never match anything.
   EXPECT_EQ(
-      Rows("SELECT p.tag, b.seq FROM prb p LEFT JOIN bld b ON p.k = b.k"),
+      Rows("SELECT p.tag, b.seq FROM prb p LEFT JOIN bld b ON p.k = b.k",
+           kJoin),
       (Strings{"p1,10", "p1,30", "p1,50", "pn,NULL", "p2,20", "p2,60",
                "p3,NULL"}));
   EXPECT_EQ(Rows("SELECT p.tag FROM prb p WHERE EXISTS "
-                 "(SELECT * FROM bld b WHERE b.k = p.k)"),
+                 "(SELECT * FROM bld b WHERE b.k = p.k)",
+                 kJoin),
             (Strings{"p1", "p2"}));
   EXPECT_EQ(Rows("SELECT p.tag FROM prb p WHERE NOT EXISTS "
-                 "(SELECT * FROM bld b WHERE b.k = p.k)"),
+                 "(SELECT * FROM bld b WHERE b.k = p.k)",
+                 kJoin),
             (Strings{"pn", "p3"}));
 }
 
-TEST_F(HashJoinKernelTest, IntKeyMatchesEqualDecimal) {
-  EXPECT_EQ(Rows("SELECT p.tag, d.seq FROM prb p JOIN dbld d ON p.k = d.k"),
+TEST_F(HashedOperatorTest, IntKeyMatchesEqualDecimal) {
+  EXPECT_EQ(Rows("SELECT p.tag, d.seq FROM prb p JOIN dbld d ON p.k = d.k",
+                 kJoin),
             (Strings{"p1,1", "p2,3"}));
 }
 
-TEST_F(HashJoinKernelTest, TwoColumnKeyNeedsBothToAgree) {
+TEST_F(HashedOperatorTest, TwoColumnKeyNeedsBothToAgree) {
   // (1, 2, 30) and (2, 9, 20) agree with a probe row on k only, (5, 1, 70)
   // and (NULL, 1, 40) on j only.
   uint64_t joined = 0;
   EXPECT_EQ(Rows("SELECT p.tag, b.seq FROM prb p JOIN bld b "
                  "ON p.k = b.k AND p.j = b.j",
-                 &joined),
+                 kJoin, &joined),
             (Strings{"p1,10", "p1,50", "p2,60"}));
   EXPECT_EQ(joined, 3u);
 }
 
-TEST_F(HashJoinKernelTest, EmptyBuildInput) {
-  EXPECT_EQ(Rows("SELECT p.tag, e.seq FROM prb p JOIN ebld e ON p.k = e.k"),
+TEST_F(HashedOperatorTest, EmptyBuildInput) {
+  EXPECT_EQ(Rows("SELECT p.tag, e.seq FROM prb p JOIN ebld e ON p.k = e.k",
+                 kJoin),
             Strings{});
   EXPECT_EQ(
-      Rows("SELECT p.tag, e.seq FROM prb p LEFT JOIN ebld e ON p.k = e.k"),
+      Rows("SELECT p.tag, e.seq FROM prb p LEFT JOIN ebld e ON p.k = e.k",
+           kJoin),
       (Strings{"p1,NULL", "pn,NULL", "p2,NULL", "p3,NULL"}));
   EXPECT_EQ(Rows("SELECT p.tag FROM prb p WHERE NOT EXISTS "
-                 "(SELECT * FROM ebld e WHERE e.k = p.k)"),
+                 "(SELECT * FROM ebld e WHERE e.k = p.k)",
+                 kJoin),
             (Strings{"p1", "pn", "p2", "p3"}));
+}
+
+/// Reference for grp grouped by `key` (a row number's rendered key): the
+/// groups in first-appearance order with COUNT(*), COUNT(v), SUM(v), MIN(v)
+/// and MAX(v).
+std::vector<std::string> GrpReference(
+    int rows, const std::function<std::string(int)>& key,
+    const std::function<Value(int)>& value) {
+  struct Group {
+    int64_t rows = 0, count = 0, sum = 0, min = 0, max = 0;
+  };
+  std::vector<std::string> order;
+  std::map<std::string, Group> groups;
+  for (int i = 0; i < rows; ++i) {
+    const std::string k = key(i);
+    if (groups.find(k) == groups.end()) order.push_back(k);
+    Group& acc = groups[k];
+    acc.rows++;
+    if (value(i).is_null()) continue;
+    const int64_t v = value(i).int_value();
+    acc.min = acc.count == 0 ? v : std::min(acc.min, v);
+    acc.max = acc.count == 0 ? v : std::max(acc.max, v);
+    acc.count++;
+    acc.sum += v;
+  }
+  std::vector<std::string> out;
+  for (const std::string& k : order) {
+    const Group& acc = groups[k];
+    const auto agg = [&acc](int64_t v) {
+      return acc.count > 0 ? std::to_string(v) : std::string("NULL");
+    };
+    out.push_back(k + "," + std::to_string(acc.rows) + "," +
+                  std::to_string(acc.count) + "," + agg(acc.sum) + "," +
+                  agg(acc.min) + "," + agg(acc.max));
+  }
+  return out;
+}
+
+TEST_F(HashedOperatorTest, GroupsMergeAcrossChunksInFirstAppearanceOrder) {
+  const Strings by_g = GrpReference(
+      kGrpRows, [](int i) { return GrpG(i).ToString(); }, GrpV);
+  ASSERT_EQ(by_g.size(), 46u);  // more groups than a fresh directory holds
+  EXPECT_EQ(Rows("SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) "
+                 "FROM grp GROUP BY g",
+                 kAggregate),
+            by_g);
+  // A two-column key with a string component.
+  EXPECT_EQ(
+      Rows("SELECT h, g, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) "
+           "FROM grp GROUP BY h, g",
+           kAggregate),
+      GrpReference(
+          kGrpRows,
+          [](int i) { return GrpH(i).ToString() + "," + GrpG(i).ToString(); },
+          GrpV));
+  // AVG divides partial sums merged in chunk order.
+  EXPECT_EQ(Rows("SELECT g, AVG(v) FROM grp GROUP BY g", kAggregate).size(),
+            46u);
+}
+
+TEST_F(HashedOperatorTest, AggregateWithoutGroupBy) {
+  EXPECT_EQ(Rows("SELECT COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v) "
+                 "FROM grp WHERE g > 1000",
+                 kSerialAggregate),
+            (Strings{"0,0,NULL,NULL,NULL,NULL"}));
+  EXPECT_EQ(Rows("SELECT COUNT(*), SUM(seq) FROM ebld", kSerialAggregate),
+            (Strings{"0,NULL"}));
+  // grp's v: 0..159 without the multiples of 13 (0, 13, ..., 156).
+  EXPECT_EQ(Rows("SELECT COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) FROM grp",
+                 kAggregate),
+            (Strings{"160,147,11706,1,159"}));
+}
+
+TEST_F(HashedOperatorTest, DistinctAggregatesSkipNullsAndDuplicates) {
+  // Per group, first-appearance order: g = 2 sees 5, NULL, 5; g = 1 sees 5,
+  // 5, NULL, 7; NULL sees 7, 7; g = 3 sees only NULL.
+  EXPECT_EQ(Rows("SELECT g, COUNT(DISTINCT v), SUM(DISTINCT v), COUNT(v), "
+                 "SUM(v) FROM dst GROUP BY g",
+                 kDistinctAggregate),
+            (Strings{"2,1,5,2,10", "1,2,12,3,17", "NULL,1,7,2,14",
+                     "3,0,NULL,0,NULL"}));
+  EXPECT_EQ(Rows("SELECT COUNT(DISTINCT v), SUM(DISTINCT v), COUNT(*) FROM dst",
+                 kDistinctAggregate),
+            (Strings{"2,12,10"}));
+  EXPECT_EQ(Rows("SELECT COUNT(DISTINCT v) FROM dst WHERE v IS NULL",
+                 kDistinctAggregate),
+            (Strings{"0"}));
+}
+
+TEST_F(HashedOperatorTest, SelectDistinctKeepsFirstAppearances) {
+  EXPECT_EQ(Rows("SELECT DISTINCT k FROM bld", kDistinct),
+            (Strings{"1", "2", "NULL", "5"}));
+  EXPECT_EQ(Rows("SELECT DISTINCT k, j FROM bld", kDistinct),
+            (Strings{"1,1", "2,9", "1,2", "NULL,1", "2,2", "5,1"}));
+  EXPECT_EQ(Rows("SELECT DISTINCT g FROM dst WHERE g > 5", kDistinct),
+            Strings{});
+}
+
+TEST_F(HashedOperatorTest, NotInMatchesThePerRowPlan) {
+  struct Case {
+    const char* sql;
+    Operator op;
+    Strings rows;
+  };
+  const Case cases[] = {
+      // No correlation key: the sub-query runs once into an IN set.
+      {"SELECT tag FROM prb WHERE j NOT IN (SELECT j FROM bld WHERE j > 1)",
+       kInSet,
+       {"p1", "pn", "p3"}},
+      // A NULL needle is never NOT IN a non-empty set.
+      {"SELECT tag FROM prb WHERE k NOT IN "
+       "(SELECT k FROM bld WHERE k IS NOT NULL)",
+       kInSet,
+       {"p3"}},
+      // A NULL in the sub-query makes every miss NULL.
+      {"SELECT tag FROM prb WHERE k NOT IN (SELECT k FROM bld)", kInSet, {}},
+      // NOT IN an empty set is TRUE, even for a NULL needle.
+      {"SELECT tag FROM prb WHERE k NOT IN (SELECT k FROM ebld)",
+       kInSet,
+       {"p1", "pn", "p2", "p3"}},
+      // Correlated, so decorrelated into the null-aware anti join: p1's
+      // group holds a NULL; pn's needle is NULL; p2's group holds its
+      // needle; p3's group is empty.
+      {"SELECT p.tag FROM prb p WHERE p.k NOT IN "
+       "(SELECT b.k FROM bld b WHERE b.j = p.j)",
+       kNullAwareAnti,
+       {"p3"}},
+      // pn's NULL correlation key finds no group; p2's needle 3 is absent
+      // from its group {9, 2}.
+      {"SELECT p.tag FROM prb p WHERE p.j + 1 NOT IN "
+       "(SELECT b.j FROM bld b WHERE b.k = p.k)",
+       kNullAwareAnti,
+       {"pn", "p2", "p3"}},
+      {"SELECT p.tag FROM prb p WHERE p.k NOT IN "
+       "(SELECT e.k FROM ebld e WHERE e.seq = p.j)",
+       kNullAwareAnti,
+       {"p1", "pn", "p2", "p3"}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(Rows(c.sql, c.op), c.rows);
+    EXPECT_EQ(Undecorrelated(c.sql), c.rows) << c.sql;
+  }
 }
 
 }  // namespace

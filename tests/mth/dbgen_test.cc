@@ -38,8 +38,11 @@ TEST(DbgenTest, Deterministic) {
   ASSERT_OK_AND_ASSIGN(MthData b, GenerateData(SmallConfig()));
   ASSERT_EQ(a.lineitem.size(), b.lineitem.size());
   for (size_t i = 0; i < a.lineitem.size(); i += 97) {
-    ValueVectorEq eq;
-    EXPECT_TRUE(eq(a.lineitem[i], b.lineitem[i]));
+    ASSERT_EQ(a.lineitem[i].size(), b.lineitem[i].size());
+    for (size_t c = 0; c < a.lineitem[i].size(); ++c) {
+      EXPECT_TRUE(a.lineitem[i][c].StructuralEquals(b.lineitem[i][c]))
+          << "row " << i << ", column " << c;
+    }
   }
 }
 
