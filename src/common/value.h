@@ -3,8 +3,9 @@
 #define MTBASE_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <new>
 #include <string>
-#include <variant>
+#include <utility>
 #include <vector>
 
 #include "common/date.h"
@@ -26,17 +27,87 @@ enum class TypeId : uint8_t {
 const char* TypeIdName(TypeId t);
 
 /// \brief A dynamically typed SQL value. NULL is represented by type kNull.
+///
+/// A tagged union: the TypeId tag plus either a 16-byte scalar payload (BOOL,
+/// INT, DOUBLE, DECIMAL, DATE) or a std::string. Copies, moves, assignments
+/// and the destructor test the tag once; a scalar copies as its 16 bytes and
+/// only a STRING runs std::string's members. A moved-from STRING keeps its
+/// tag and holds a valid (empty) string. An accessor of the wrong type throws
+/// std::bad_variant_access.
 class Value {
  public:
-  Value() : type_(TypeId::kNull) {}
+  Value() noexcept : scalar_(), type_(TypeId::kNull) {}
+  Value(const Value& other) : type_(other.type_) {
+    if (type_ == TypeId::kString) {
+      new (&str_) std::string(other.str_);
+    } else {
+      new (&scalar_) Scalar(other.scalar_);
+    }
+  }
+  Value(Value&& other) noexcept : type_(other.type_) {
+    if (type_ == TypeId::kString) {
+      new (&str_) std::string(std::move(other.str_));
+    } else {
+      new (&scalar_) Scalar(other.scalar_);
+    }
+  }
+  Value& operator=(const Value& other) {
+    if (other.type_ == TypeId::kString) {
+      if (type_ == TypeId::kString) {
+        str_ = other.str_;
+      } else {
+        new (&str_) std::string(other.str_);
+        type_ = TypeId::kString;
+      }
+    } else {
+      AssignScalar(other);
+    }
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (other.type_ == TypeId::kString) {
+      if (type_ == TypeId::kString) {
+        str_ = std::move(other.str_);
+      } else {
+        new (&str_) std::string(std::move(other.str_));
+        type_ = TypeId::kString;
+      }
+    } else {
+      AssignScalar(other);
+    }
+    return *this;
+  }
+  ~Value() {
+    if (type_ == TypeId::kString) str_.~basic_string();
+  }
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(TypeId::kBool, v); }
-  static Value Int(int64_t v) { return Value(TypeId::kInt, v); }
-  static Value Double(double v) { return Value(TypeId::kDouble, v); }
-  static Value Dec(Decimal v) { return Value(TypeId::kDecimal, v); }
-  static Value Str(std::string v) { return Value(TypeId::kString, std::move(v)); }
-  static Value Dat(Date v) { return Value(TypeId::kDate, v); }
+  static Value Bool(bool v) {
+    Value r(TypeId::kBool);
+    r.scalar_.b = v;
+    return r;
+  }
+  static Value Int(int64_t v) {
+    Value r(TypeId::kInt);
+    r.scalar_.i = v;
+    return r;
+  }
+  static Value Double(double v) {
+    Value r(TypeId::kDouble);
+    r.scalar_.d = v;
+    return r;
+  }
+  static Value Dec(Decimal v) {
+    Value r(TypeId::kDecimal);
+    new (&r.scalar_.dec) Decimal(v);
+    return r;
+  }
+  static Value Str(std::string v) { return Value(std::move(v)); }
+  static Value Dat(Date v) {
+    Value r(TypeId::kDate);
+    new (&r.scalar_.date) Date(v);
+    return r;
+  }
 
   TypeId type() const { return type_; }
   bool is_null() const { return type_ == TypeId::kNull; }
@@ -45,12 +116,30 @@ class Value {
            type_ == TypeId::kDecimal;
   }
 
-  bool bool_value() const { return std::get<bool>(v_); }
-  int64_t int_value() const { return std::get<int64_t>(v_); }
-  double double_value() const { return std::get<double>(v_); }
-  const Decimal& decimal_value() const { return std::get<Decimal>(v_); }
-  const std::string& string_value() const { return std::get<std::string>(v_); }
-  const Date& date_value() const { return std::get<Date>(v_); }
+  bool bool_value() const {
+    Expect(TypeId::kBool);
+    return scalar_.b;
+  }
+  int64_t int_value() const {
+    Expect(TypeId::kInt);
+    return scalar_.i;
+  }
+  double double_value() const {
+    Expect(TypeId::kDouble);
+    return scalar_.d;
+  }
+  const Decimal& decimal_value() const {
+    Expect(TypeId::kDecimal);
+    return scalar_.dec;
+  }
+  const std::string& string_value() const {
+    Expect(TypeId::kString);
+    return str_;
+  }
+  const Date& date_value() const {
+    Expect(TypeId::kDate);
+    return scalar_.date;
+  }
 
   /// Numeric value as double (int/double/decimal); 0 otherwise.
   double AsDouble() const;
@@ -70,12 +159,41 @@ class Value {
   std::string ToString() const;
 
  private:
-  template <typename T>
-  Value(TypeId t, T v) : type_(t), v_(std::move(v)) {}
+  /// The non-string payloads. Every member is trivially copyable, so a copy
+  /// of the union copies its 16 bytes whichever member is active. All 16
+  /// start zeroed, so no copy reads an indeterminate byte.
+  union Scalar {
+    Scalar() : words{} {}
+    uint64_t words[2];
+    bool b;
+    int64_t i;
+    double d;
+    Decimal dec;
+    Date date;
+  };
 
+  explicit Value(TypeId t) noexcept : scalar_(), type_(t) {}
+  explicit Value(std::string&& s) noexcept
+      : str_(std::move(s)), type_(TypeId::kString) {}
+
+  /// Become a copy of the non-string `other` (which may be *this).
+  void AssignScalar(const Value& other) noexcept {
+    const Scalar s = other.scalar_;
+    if (type_ == TypeId::kString) str_.~basic_string();
+    new (&scalar_) Scalar(s);
+    type_ = other.type_;
+  }
+
+  void Expect(TypeId t) const {
+    if (type_ != t) ThrowBadAccess();
+  }
+  [[noreturn]] static void ThrowBadAccess();
+
+  union {
+    Scalar scalar_;
+    std::string str_;
+  };
   TypeId type_;
-  std::variant<std::monostate, bool, int64_t, double, Decimal, std::string, Date>
-      v_;
 };
 
 using Row = std::vector<Value>;

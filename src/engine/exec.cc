@@ -96,6 +96,28 @@ bool IsTrue(const Value& v) {
 
 namespace {
 
+/// n values on the stack, or on the heap past kInline: a call site's
+/// arguments or an IN needle, evaluated without an allocation per row.
+class InlineValues {
+ public:
+  explicit InlineValues(size_t n) {
+    if (n > kInline) {
+      heap_.resize(n);
+      data_ = heap_.data();
+    }
+  }
+  InlineValues(const InlineValues&) = delete;
+  InlineValues& operator=(const InlineValues&) = delete;
+
+  Value* data() { return data_; }
+
+ private:
+  static constexpr size_t kInline = 4;
+  Value inline_[kInline];
+  std::vector<Value> heap_;
+  Value* data_ = inline_;
+};
+
 Status IntOutOfRange() {
   return Status::InvalidArgument("integer out of range");
 }
@@ -169,21 +191,62 @@ Result<Value> NumericDiv(const Value& a, const Value& b) {
   return Value::Dec(ToDecimal(a).Div(y));
 }
 
+Result<const Value*> EvalOperand(const BoundExpr& e, RowView row,
+                                 ExecContext* ctx, Value* tmp) {
+  switch (e.kind) {
+    case BoundExpr::Kind::kLiteral:
+      return &e.literal;
+    case BoundExpr::Kind::kSlot:
+      return &row[static_cast<size_t>(e.slot)];
+    case BoundExpr::Kind::kOuterSlot: {
+      const size_t n = ctx->outer_stack.size();
+      if (static_cast<size_t>(e.depth) > n) {
+        return Status::Internal("outer reference beyond execution stack");
+      }
+      return &ctx->outer_stack[n - static_cast<size_t>(e.depth)]
+                              [static_cast<size_t>(e.slot)];
+    }
+    case BoundExpr::Kind::kParam:
+      if (ctx->params == nullptr ||
+          static_cast<size_t>(e.param_index) > ctx->params->size()) {
+        return Status::Internal("parameter $" + std::to_string(e.param_index) +
+                                " not bound");
+      }
+      return &(*ctx->params)[static_cast<size_t>(e.param_index - 1)];
+    default: {
+      MTB_ASSIGN_OR_RETURN(*tmp, EvalExpr(e, row, ctx));
+      return tmp;
+    }
+  }
+}
+
+Status EvalInto(const BoundExpr& e, RowView row, ExecContext* ctx,
+                Value* out) {
+  MTB_ASSIGN_OR_RETURN(const Value* v, EvalOperand(e, row, ctx, out));
+  if (v != out) *out = *v;
+  return Status::OK();
+}
+
 namespace {
 
 Result<Value> EvalBinary(const BoundExpr& e, RowView row, ExecContext* ctx) {
+  Value ta, tb;
   // AND / OR use Kleene logic with short circuit.
   if (e.bin_op == BinOp::kAnd || e.bin_op == BinOp::kOr) {
-    MTB_ASSIGN_OR_RETURN(Value a, EvalExpr(*e.args[0], row, ctx));
+    MTB_ASSIGN_OR_RETURN(const Value* a,
+                         EvalOperand(*e.args[0], row, ctx, &ta));
     bool is_and = e.bin_op == BinOp::kAnd;
-    if (!a.is_null() && IsTrue(a) != is_and) return Value::Bool(!is_and);
-    MTB_ASSIGN_OR_RETURN(Value b, EvalExpr(*e.args[1], row, ctx));
-    if (!b.is_null() && IsTrue(b) != is_and) return Value::Bool(!is_and);
-    if (a.is_null() || b.is_null()) return NullV();
+    if (!a->is_null() && IsTrue(*a) != is_and) return Value::Bool(!is_and);
+    MTB_ASSIGN_OR_RETURN(const Value* b,
+                         EvalOperand(*e.args[1], row, ctx, &tb));
+    if (!b->is_null() && IsTrue(*b) != is_and) return Value::Bool(!is_and);
+    if (a->is_null() || b->is_null()) return NullV();
     return Value::Bool(is_and);
   }
-  MTB_ASSIGN_OR_RETURN(Value a, EvalExpr(*e.args[0], row, ctx));
-  MTB_ASSIGN_OR_RETURN(Value b, EvalExpr(*e.args[1], row, ctx));
+  MTB_ASSIGN_OR_RETURN(const Value* pa, EvalOperand(*e.args[0], row, ctx, &ta));
+  MTB_ASSIGN_OR_RETURN(const Value* pb, EvalOperand(*e.args[1], row, ctx, &tb));
+  const Value& a = *pa;
+  const Value& b = *pb;
   switch (e.bin_op) {
     case BinOp::kEq:
     case BinOp::kNe:
@@ -262,45 +325,48 @@ Result<Value> EvalBuiltin(const BoundExpr& e, RowView row, ExecContext* ctx) {
   // them, in order, so the first evaluation error still wins).
   if (e.builtin == BuiltinFunc::kConcat) {
     std::string out;
+    Value tmp;
     for (const auto& a : e.args) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, row, ctx));
-      if (!v.is_null()) out += v.ToString();
+      MTB_ASSIGN_OR_RETURN(const Value* v, EvalOperand(*a, row, ctx, &tmp));
+      if (!v->is_null()) out += v->ToString();
     }
     return Value::Str(std::move(out));
   }
   if (e.builtin == BuiltinFunc::kCoalesce) {
     Value first;
+    Value tmp;
     for (const auto& a : e.args) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, row, ctx));
-      if (first.is_null()) first = std::move(v);
+      MTB_ASSIGN_OR_RETURN(const Value* v, EvalOperand(*a, row, ctx, &tmp));
+      if (first.is_null()) first = *v;
     }
     return first;
   }
-  // The rest take at most kMaxBuiltinArgs arguments, evaluated into a stack
-  // array.
+  // The rest take at most kMaxBuiltinArgs arguments, read in place or
+  // evaluated into a stack array.
   const auto [min_args, max_args] = BuiltinArity(e.builtin);
   const size_t n = e.args.size();
   if (n < min_args || n > max_args) {
     return Status::InvalidArgument("wrong argument count for a builtin "
                                    "function");
   }
-  Value args[kMaxBuiltinArgs];
+  Value tmps[kMaxBuiltinArgs];
+  const Value* args[kMaxBuiltinArgs] = {};
   for (size_t i = 0; i < n; ++i) {
-    MTB_ASSIGN_OR_RETURN(args[i], EvalExpr(*e.args[i], row, ctx));
+    MTB_ASSIGN_OR_RETURN(args[i], EvalOperand(*e.args[i], row, ctx, &tmps[i]));
   }
   switch (e.builtin) {
     case BuiltinFunc::kSubstring: {
-      if (args[0].is_null() || args[1].is_null()) return NullV();
-      if (args[0].type() != TypeId::kString ||
-          args[1].type() != TypeId::kInt ||
-          (n > 2 && !args[2].is_null() && args[2].type() != TypeId::kInt)) {
+      if (args[0]->is_null() || args[1]->is_null()) return NullV();
+      if (args[0]->type() != TypeId::kString ||
+          args[1]->type() != TypeId::kInt ||
+          (n > 2 && !args[2]->is_null() && args[2]->type() != TypeId::kInt)) {
         return Status::InvalidArgument(
             "SUBSTRING requires a string and integer positions");
       }
-      const std::string& s = args[0].string_value();
-      int64_t from = args[1].int_value();
-      int64_t len = n > 2 && !args[2].is_null()
-                        ? args[2].int_value()
+      const std::string& s = args[0]->string_value();
+      int64_t from = args[1]->int_value();
+      int64_t len = n > 2 && !args[2]->is_null()
+                        ? args[2]->int_value()
                         : static_cast<int64_t>(s.size());
       int64_t start = from > 1 ? from - 1 : 0;
       if (start >= static_cast<int64_t>(s.size()) || len <= 0) {
@@ -312,12 +378,12 @@ Result<Value> EvalBuiltin(const BoundExpr& e, RowView row, ExecContext* ctx) {
     case BuiltinFunc::kCharLength:
     case BuiltinFunc::kUpper:
     case BuiltinFunc::kLower: {
-      if (args[0].is_null()) return NullV();
-      if (args[0].type() != TypeId::kString) {
+      if (args[0]->is_null()) return NullV();
+      if (args[0]->type() != TypeId::kString) {
         return Status::InvalidArgument(
             "CHAR_LENGTH, UPPER and LOWER require a string argument");
       }
-      const std::string& s = args[0].string_value();
+      const std::string& s = args[0]->string_value();
       if (e.builtin == BuiltinFunc::kCharLength) {
         return Value::Int(static_cast<int64_t>(s.size()));
       }
@@ -325,8 +391,8 @@ Result<Value> EvalBuiltin(const BoundExpr& e, RowView row, ExecContext* ctx) {
                                                          : ToLowerCopy(s));
     }
     case BuiltinFunc::kAbs: {
-      if (args[0].is_null()) return NullV();
-      const Value& v = args[0];
+      if (args[0]->is_null()) return NullV();
+      const Value& v = *args[0];
       if (v.type() == TypeId::kInt) {
         int64_t r = 0;
         if (v.int_value() >= 0) return v;
@@ -347,12 +413,12 @@ Result<Value> EvalBuiltin(const BoundExpr& e, RowView row, ExecContext* ctx) {
     case BuiltinFunc::kDateAddDays:
     case BuiltinFunc::kDateAddMonths:
     case BuiltinFunc::kDateAddYears: {
-      if (args[0].is_null() || args[1].is_null()) return NullV();
-      if (args[0].type() != TypeId::kDate || args[1].type() != TypeId::kInt) {
+      if (args[0]->is_null() || args[1]->is_null()) return NullV();
+      if (args[0]->type() != TypeId::kDate || args[1]->type() != TypeId::kInt) {
         return Status::InvalidArgument("interval arithmetic requires a date");
       }
-      int n_units = static_cast<int>(args[1].int_value());
-      Date d = args[0].date_value();
+      int n_units = static_cast<int>(args[1]->int_value());
+      Date d = args[0]->date_value();
       if (e.builtin == BuiltinFunc::kDateAddDays) {
         return Value::Dat(d.AddDays(n_units));
       }
@@ -364,11 +430,11 @@ Result<Value> EvalBuiltin(const BoundExpr& e, RowView row, ExecContext* ctx) {
     case BuiltinFunc::kExtractYear:
     case BuiltinFunc::kExtractMonth:
     case BuiltinFunc::kExtractDay: {
-      if (args[0].is_null()) return NullV();
-      if (args[0].type() != TypeId::kDate) {
+      if (args[0]->is_null()) return NullV();
+      if (args[0]->type() != TypeId::kDate) {
         return Status::InvalidArgument("EXTRACT requires a date");
       }
-      const Date& d = args[0].date_value();
+      const Date& d = args[0]->date_value();
       if (e.builtin == BuiltinFunc::kExtractYear) return Value::Int(d.year());
       if (e.builtin == BuiltinFunc::kExtractMonth) return Value::Int(d.month());
       return Value::Int(d.day());
@@ -414,30 +480,51 @@ Result<Value> EvalScalarSub(const BoundExpr& e, RowView row,
 }
 
 /// An IN sub-query's result as a lookup set (rows with a NULL go to
-/// has_null instead).
+/// null_tuples instead).
 ExecContext::InSetCache BuildInSet(RowBatch rows) {
   ExecContext::InSetCache built;
-  built.set = KeyIndex(rows.width(), rows.size());
+  const size_t width = rows.width();
+  built.set = KeyIndex(width, rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     Value* r = rows.row_data(i);
-    if (std::any_of(r, r + rows.width(),
-                    [](const Value& v) { return v.is_null(); })) {
-      built.has_null = true;
+    if (std::any_of(r, r + width, [](const Value& v) { return v.is_null(); })) {
+      built.null_tuples.insert(built.null_tuples.end(),
+                               std::make_move_iterator(r),
+                               std::make_move_iterator(r + width));
     } else {
-      built.set.FindOrInsert(r, HashRow(r, rows.width()));
+      built.set.FindOrInsert(r, HashRow(r, width));
     }
   }
   return built;
 }
 
-Result<Value> EvalInSet(const BoundExpr& e, RowView row, ExecContext* ctx) {
-  std::vector<Value> needle;
-  bool needle_null = false;
-  for (const auto& a : e.args) {
-    MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, row, ctx));
-    if (v.is_null()) needle_null = true;
-    needle.push_back(std::move(v));
+/// Whether the row comparison needle = tuple (n components each) is TRUE or
+/// NULL rather than FALSE: no pair of non-NULL components differs.
+bool RowMayEqual(const Value* needle, const Value* tuple, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!needle[i].is_null() && !tuple[i].is_null() &&
+        !needle[i].StructuralEquals(tuple[i])) {
+      return false;
+    }
   }
+  return true;
+}
+
+/// Whether some tuple of the `n`-wide flat array `tuples` may equal `needle`.
+bool AnyRowMayEqual(const Value* needle, const std::vector<Value>& tuples,
+                    size_t n) {
+  for (size_t i = 0; i < tuples.size(); i += n) {
+    if (RowMayEqual(needle, tuples.data() + i, n)) return true;
+  }
+  return false;
+}
+
+Result<Value> EvalInSet(const BoundExpr& e, RowView row, ExecContext* ctx) {
+  const size_t n = e.args.size();
+  InlineValues needle_buf(n);
+  Value* needle = needle_buf.data();
+  MTB_ASSIGN_OR_RETURN(bool needle_null,
+                       EvalKeys(e.args.data(), n, row, ctx, needle));
   const ExecContext::InSetCache* cache = nullptr;
   ExecContext::InSetCache local;
   if (!e.correlated) {
@@ -454,27 +541,24 @@ Result<Value> EvalInSet(const BoundExpr& e, RowView row, ExecContext* ctx) {
     local = BuildInSet(std::move(rows));
     cache = &local;
   }
-  // A sub-query whose width differs from the needle's holds no equal tuple.
+  const KeyIndex& set = cache->set;
+  if (set.width() != n) {
+    return Status::Internal("IN sub-query width differs from its needle");
+  }
+  // SQL's row comparison: TRUE when some tuple equals the needle; else NULL
+  // when some tuple may (no non-NULL pair differs); else FALSE. Only a needle
+  // with a NULL, or a miss beside NULL-holding tuples, scans linearly.
   const bool found =
-      needle.size() == cache->set.width() &&
-      cache->set.Find(needle.data(), HashRow(needle)) != KeyIndex::kNone;
-  Value result;
-  if (cache->set.size() == 0 && !cache->has_null) {
-    result = Value::Bool(false);  // nothing is IN an empty set, not even NULL
-  } else if (needle_null) {
-    result = NullV();
-  } else if (found) {
-    result = Value::Bool(true);
-  } else if (cache->has_null) {
-    result = NullV();
-  } else {
-    result = Value::Bool(false);
+      !needle_null && set.Find(needle, HashRow(needle, n)) != KeyIndex::kNone;
+  bool unknown = false;
+  if (!found) {
+    unknown = AnyRowMayEqual(needle, cache->null_tuples, n);
+    for (size_t id = 0; needle_null && !unknown && id < set.size(); ++id) {
+      unknown = RowMayEqual(needle, set.key(id), n);
+    }
   }
-  if (e.negated) {
-    if (result.is_null()) return result;
-    return Value::Bool(!result.bool_value());
-  }
-  return result;
+  if (unknown) return NullV();
+  return Value::Bool(found != e.negated);
 }
 
 }  // namespace
@@ -482,32 +566,26 @@ Result<Value> EvalInSet(const BoundExpr& e, RowView row, ExecContext* ctx) {
 Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx) {
   switch (e.kind) {
     case BoundExpr::Kind::kLiteral:
-      return e.literal;
     case BoundExpr::Kind::kSlot:
-      return row[static_cast<size_t>(e.slot)];
-    case BoundExpr::Kind::kOuterSlot: {
-      size_t n = ctx->outer_stack.size();
-      if (static_cast<size_t>(e.depth) > n) {
-        return Status::Internal("outer reference beyond execution stack");
-      }
-      return ctx->outer_stack[n - static_cast<size_t>(e.depth)]
-                             [static_cast<size_t>(e.slot)];
+    case BoundExpr::Kind::kOuterSlot:
+    case BoundExpr::Kind::kParam: {
+      // A leaf is read in place and never evaluated into a temporary.
+      MTB_ASSIGN_OR_RETURN(const Value* v, EvalOperand(e, row, ctx, nullptr));
+      return *v;
     }
-    case BoundExpr::Kind::kParam:
-      if (ctx->params == nullptr ||
-          static_cast<size_t>(e.param_index) > ctx->params->size()) {
-        return Status::Internal("parameter $" + std::to_string(e.param_index) +
-                                " not bound");
-      }
-      return (*ctx->params)[static_cast<size_t>(e.param_index - 1)];
     case BoundExpr::Kind::kNot: {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.args[0], row, ctx));
-      if (v.is_null()) return v;
-      return Value::Bool(!IsTrue(v));
+      Value tmp;
+      MTB_ASSIGN_OR_RETURN(const Value* v,
+                           EvalOperand(*e.args[0], row, ctx, &tmp));
+      if (v->is_null()) return NullV();
+      return Value::Bool(!IsTrue(*v));
     }
     case BoundExpr::Kind::kNeg: {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.args[0], row, ctx));
-      if (v.is_null()) return v;
+      Value tmp;
+      MTB_ASSIGN_OR_RETURN(const Value* pv,
+                           EvalOperand(*e.args[0], row, ctx, &tmp));
+      const Value& v = *pv;
+      if (v.is_null()) return NullV();
       if (v.type() == TypeId::kInt) {
         int64_t r = 0;
         if (__builtin_sub_overflow(int64_t{0}, v.int_value(), &r)) {
@@ -526,25 +604,31 @@ Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx) {
     case BoundExpr::Kind::kUdfCall:
       return EvalUdfCall(e, row, ctx);
     case BoundExpr::Kind::kCase: {
+      Value tmp;
       for (size_t i = 0; i + 1 < e.args.size(); i += 2) {
-        MTB_ASSIGN_OR_RETURN(Value c, EvalExpr(*e.args[i], row, ctx));
-        if (IsTrue(c)) return EvalExpr(*e.args[i + 1], row, ctx);
+        MTB_ASSIGN_OR_RETURN(const Value* c,
+                             EvalOperand(*e.args[i], row, ctx, &tmp));
+        if (IsTrue(*c)) return EvalExpr(*e.args[i + 1], row, ctx);
       }
       if (e.else_expr) return EvalExpr(*e.else_expr, row, ctx);
       return NullV();
     }
     case BoundExpr::Kind::kInList: {
-      MTB_ASSIGN_OR_RETURN(Value needle, EvalExpr(*e.args[0], row, ctx));
-      if (needle.is_null()) return NullV();
+      Value tmp;
+      MTB_ASSIGN_OR_RETURN(const Value* needle,
+                           EvalOperand(*e.args[0], row, ctx, &tmp));
+      if (needle->is_null()) return NullV();
       bool saw_null = false;
       bool found = false;
+      Value item_tmp;
       for (size_t i = 1; i < e.args.size() && !found; ++i) {
-        MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.args[i], row, ctx));
-        if (v.is_null()) {
+        MTB_ASSIGN_OR_RETURN(const Value* v,
+                             EvalOperand(*e.args[i], row, ctx, &item_tmp));
+        if (v->is_null()) {
           saw_null = true;
           continue;
         }
-        auto c = needle.Compare(v);
+        auto c = needle->Compare(*v);
         if (c.ok() && c.value() == 0) found = true;
       }
       Value result = found ? Value::Bool(true)
@@ -578,18 +662,24 @@ Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx) {
     case BoundExpr::Kind::kScalarSub:
       return EvalScalarSub(e, row, ctx);
     case BoundExpr::Kind::kBetween: {
-      MTB_ASSIGN_OR_RETURN(Value x, EvalExpr(*e.args[0], row, ctx));
-      MTB_ASSIGN_OR_RETURN(Value lo, EvalExpr(*e.args[1], row, ctx));
-      MTB_ASSIGN_OR_RETURN(Value hi, EvalExpr(*e.args[2], row, ctx));
-      if (x.is_null() || lo.is_null() || hi.is_null()) return NullV();
-      MTB_ASSIGN_OR_RETURN(int c1, x.Compare(lo));
-      MTB_ASSIGN_OR_RETURN(int c2, x.Compare(hi));
+      Value tmp, lo_tmp, hi_tmp;
+      MTB_ASSIGN_OR_RETURN(const Value* x,
+                           EvalOperand(*e.args[0], row, ctx, &tmp));
+      MTB_ASSIGN_OR_RETURN(const Value* lo,
+                           EvalOperand(*e.args[1], row, ctx, &lo_tmp));
+      MTB_ASSIGN_OR_RETURN(const Value* hi,
+                           EvalOperand(*e.args[2], row, ctx, &hi_tmp));
+      if (x->is_null() || lo->is_null() || hi->is_null()) return NullV();
+      MTB_ASSIGN_OR_RETURN(int c1, x->Compare(*lo));
+      MTB_ASSIGN_OR_RETURN(int c2, x->Compare(*hi));
       bool in = c1 >= 0 && c2 <= 0;
       return Value::Bool(e.negated ? !in : in);
     }
     case BoundExpr::Kind::kIsNull: {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.args[0], row, ctx));
-      bool isn = v.is_null();
+      Value tmp;
+      MTB_ASSIGN_OR_RETURN(const Value* v,
+                           EvalOperand(*e.args[0], row, ctx, &tmp));
+      bool isn = v->is_null();
       return Value::Bool(e.negated ? !isn : isn);
     }
   }
@@ -600,7 +690,7 @@ Result<bool> EvalKeys(const BoundExprPtr* keys, size_t n, RowView row,
                       ExecContext* ctx, Value* out) {
   bool any_null = false;
   for (size_t k = 0; k < n; ++k) {
-    MTB_ASSIGN_OR_RETURN(out[k], EvalExpr(*keys[k], row, ctx));
+    MTB_RETURN_IF_ERROR(EvalInto(*keys[k], row, ctx, &out[k]));
     any_null = any_null || out[k].is_null();
   }
   return any_null;
@@ -761,23 +851,16 @@ Result<Value> EvalUdf(const Udf& udf, Value* args, size_t n, ExecContext* ctx) {
   return result;
 }
 
-/// A UDF call site: arguments are evaluated into an inline array (the heap
-/// only past kInlineArgs), so a cache hit allocates nothing. Kept out of
-/// EvalExpr so the array does not widen every recursive EvalExpr frame.
+/// A UDF call site: arguments are evaluated into InlineValues, so a cache
+/// hit allocates nothing. Kept out of EvalExpr so the array does not widen
+/// every recursive EvalExpr frame.
 Result<Value> EvalUdfCall(const BoundExpr& e, RowView row, ExecContext* ctx) {
-  constexpr size_t kInlineArgs = 4;
   const size_t n = e.args.size();
-  Value inline_args[kInlineArgs];
-  std::vector<Value> spilled;
-  Value* args = inline_args;
-  if (n > kInlineArgs) {
-    spilled.resize(n);
-    args = spilled.data();
-  }
+  InlineValues args(n);
   for (size_t i = 0; i < n; ++i) {
-    MTB_ASSIGN_OR_RETURN(args[i], EvalExpr(*e.args[i], row, ctx));
+    MTB_RETURN_IF_ERROR(EvalInto(*e.args[i], row, ctx, &args.data()[i]));
   }
-  return EvalUdf(*e.udf, args, n, ctx);
+  return EvalUdf(*e.udf, args.data(), n, ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -865,18 +948,24 @@ Result<RowBatch> ExecIndexScan(const Plan& p, ExecContext* ctx) {
 
 /// Null-aware anti join (decorrelated NOT IN). Keys are split: the first
 /// `naaj_in_keys` pairs form the IN tuple, the rest are correlation keys.
-/// A left row survives iff its correlation group is empty, or the group has
-/// no NULL IN-tuple, the needle has no NULL, and the needle is absent.
+/// A left row survives iff its correlation group is empty, or the needle
+/// IN the group's tuples is FALSE under SQL's row comparison (see
+/// EvalInSet): no tuple equals it and none may.
 Result<RowBatch> ExecNullAwareAntiJoin(const Plan& p, ExecContext* ctx,
                                        const RowBatch& left_rows,
                                        const RowBatch& right_rows) {
   const size_t n_in = p.naaj_in_keys;
   const size_t n_corr = p.right_keys.size() - n_in;
-  // Correlation keys → group id; per group, whether it holds a NULL
-  // IN-tuple; and the (group id, IN-tuple) pairs it holds.
+  // Correlation keys → group id; the (group id, IN-tuple) pairs without a
+  // NULL component; and, per group, chains through its distinct such tuples
+  // (by tuple id) and through its NULL-holding tuples (n_in values each in
+  // null_tuples), which only a NULL needle or a miss has to scan.
   KeyIndex groups(n_corr);
-  std::vector<char> group_has_null;
   KeyIndex tuples(1 + n_in, right_rows.size());
+  std::vector<size_t> first_tuple, first_null;  // per group
+  std::vector<size_t> next_tuple;               // per tuple id
+  std::vector<Value> null_tuples;
+  std::vector<size_t> next_null;                // per NULL-holding tuple
   std::vector<Value> corr(n_corr);
   std::vector<Value> tup(1 + n_in);  // (group id, IN-tuple)
   for (size_t i = 0; i < right_rows.size(); ++i) {
@@ -891,12 +980,21 @@ Result<RowBatch> ExecNullAwareAntiJoin(const Plan& p, ExecContext* ctx,
                          EvalKeys(p.right_keys.data(), n_in, r, ctx,
                                   tup.data() + 1));
     const KeyIndex::Lookup g = groups.FindOrInsert(corr.data(), HashRow(corr));
-    if (g.inserted) group_has_null.push_back(0);
+    if (g.inserted) {
+      first_tuple.push_back(KeyIndex::kNone);
+      first_null.push_back(KeyIndex::kNone);
+    }
     if (tup_null) {
-      group_has_null[g.id] = 1;
-    } else {
-      tup[0] = Value::Int(static_cast<int64_t>(g.id));
-      tuples.FindOrInsert(tup.data(), HashRow(tup));
+      next_null.push_back(first_null[g.id]);
+      first_null[g.id] = next_null.size() - 1;
+      null_tuples.insert(null_tuples.end(), tup.begin() + 1, tup.end());
+      continue;
+    }
+    tup[0] = Value::Int(static_cast<int64_t>(g.id));
+    const KeyIndex::Lookup t = tuples.FindOrInsert(tup.data(), HashRow(tup));
+    if (t.inserted) {
+      next_tuple.push_back(first_tuple[g.id]);
+      first_tuple[g.id] = t.id;
     }
   }
   RowBatch out(JoinOutputWidth(p, left_rows.width(), right_rows.width()));
@@ -916,10 +1014,22 @@ Result<RowBatch> ExecNullAwareAntiJoin(const Plan& p, ExecContext* ctx,
                          EvalKeys(p.left_keys.data(), n_in, l, ctx,
                                   tup.data() + 1));
     ctx->stats->rows_joined++;
-    if (needle_null || group_has_null[g]) continue;
+    const Value* needle = tup.data() + 1;
     tup[0] = Value::Int(static_cast<int64_t>(g));
-    if (tuples.Find(tup.data(), HashRow(tup)) != KeyIndex::kNone) continue;
-    JoinFinishLeft(p, l, /*matched=*/false, &out);
+    if (!needle_null &&
+        tuples.Find(tup.data(), HashRow(tup)) != KeyIndex::kNone) {
+      continue;  // IN is TRUE
+    }
+    bool unknown = false;
+    for (size_t t = first_null[g]; !unknown && t != KeyIndex::kNone;
+         t = next_null[t]) {
+      unknown = RowMayEqual(needle, null_tuples.data() + t * n_in, n_in);
+    }
+    for (size_t t = first_tuple[g];
+         needle_null && !unknown && t != KeyIndex::kNone; t = next_tuple[t]) {
+      unknown = RowMayEqual(needle, tuples.key(t) + 1, n_in);
+    }
+    if (!unknown) JoinFinishLeft(p, l, /*matched=*/false, &out);
   }
   return out;
 }

@@ -181,11 +181,11 @@ struct ExecContext {
   const std::vector<Value>* params = nullptr;
 
   /// An IN sub-query's result: its tuples without a NULL component in a
-  /// KeyIndex of the sub-query's width, and whether a tuple with a NULL
-  /// component was left out (which turns a miss into NULL).
+  /// KeyIndex of the sub-query's width, and those with one back to back
+  /// beside it (a miss is NULL only if one of them could equal the needle).
   struct InSetCache {
     KeyIndex set;
-    bool has_null = false;
+    std::vector<Value> null_tuples;
   };
   std::unordered_map<const Plan*, Value> scalar_cache;   // InitPlan results
   std::unordered_map<const Plan*, InSetCache> inset_cache;
@@ -208,6 +208,17 @@ const std::vector<Row>& PinnedRows(ExecContext* ctx, const Table& t,
 
 /// Evaluate a bound expression against `row` (layout as bound).
 Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx);
+
+/// The value of operand `e` over `row`, read where it lives for a slot,
+/// literal, $n or outer slot; any other expression is evaluated into `*tmp`.
+/// The pointer is valid while `row`, the plan, `ctx`'s parameters and outer
+/// rows, and `*tmp` are.
+Result<const Value*> EvalOperand(const BoundExpr& e, RowView row,
+                                 ExecContext* ctx, Value* tmp);
+
+/// Evaluate `e` over `row` into `*out`; a slot, literal, $n or outer slot is
+/// copied straight from where it lives.
+Status EvalInto(const BoundExpr& e, RowView row, ExecContext* ctx, Value* out);
 
 /// Evaluate the `n` key expressions at `keys` over `row` into `out`; returns
 /// whether any key is NULL.

@@ -395,11 +395,17 @@ Result<size_t> FilterRange(const Plan& p, RowBatch* rows, size_t begin,
 
 Status ProjectRange(const Plan& p, const RowBatch& rows, size_t begin,
                     size_t end, ExecContext* ctx, RowBatch* out) {
+  Value tmp;
   for (size_t i = begin; i < end; ++i) {
     const RowView r = rows[i];
     for (const auto& e : p.exprs) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, r, ctx));
-      out->Push(std::move(v));
+      // A slot or literal is copied straight into the output row.
+      MTB_ASSIGN_OR_RETURN(const Value* v, EvalOperand(*e, r, ctx, &tmp));
+      if (v == &tmp) {
+        out->Push(std::move(tmp));
+      } else {
+        out->Push(*v);
+      }
     }
     out->EndRow();
   }
@@ -618,17 +624,17 @@ struct LocalAgg {
 
 /// Fold a non-NULL input (or a later range's partial) `v` into the running
 /// value of `func`; COUNT keeps no value.
-Status Accumulate(AggFunc func, Value&& v, Value* acc) {
+Status Accumulate(AggFunc func, const Value& v, Value* acc) {
   if (func == AggFunc::kCount || func == AggFunc::kCountStar) {
     return Status::OK();
   }
   if (acc->is_null()) {
-    *acc = std::move(v);
+    *acc = v;
   } else if (func == AggFunc::kSum || func == AggFunc::kAvg) {
     MTB_ASSIGN_OR_RETURN(*acc, NumericAdd(*acc, v));
   } else {  // MIN / MAX
     MTB_ASSIGN_OR_RETURN(int c, v.Compare(*acc));
-    if (func == AggFunc::kMin ? c < 0 : c > 0) *acc = std::move(v);
+    if (func == AggFunc::kMin ? c < 0 : c > 0) *acc = v;
   }
   return Status::OK();
 }
@@ -637,6 +643,7 @@ Status AccumulateRange(const Plan& p, const RowBatch& rows, size_t begin,
                        size_t end, ExecContext* ctx, LocalAgg* agg) {
   const size_t n_aggs = p.aggs.size();
   std::vector<Value> key(p.exprs.size());  // group key, reused across rows
+  Value tmp;
   for (size_t ri = begin; ri < end; ++ri) {
     const RowView r = rows[ri];
     MTB_RETURN_IF_ERROR(
@@ -652,21 +659,22 @@ Status AccumulateRange(const Plan& p, const RowBatch& rows, size_t begin,
         acc.count++;
         continue;
       }
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*spec.arg, r, ctx));
-      if (v.is_null()) continue;
+      MTB_ASSIGN_OR_RETURN(const Value* v,
+                           EvalOperand(*spec.arg, r, ctx, &tmp));
+      if (v->is_null()) continue;
       if (spec.distinct) {
-        Value seen[2] = {Value::Int(static_cast<int64_t>(group.id)), v};
+        Value seen[2] = {Value::Int(static_cast<int64_t>(group.id)), *v};
         if (!agg->distinct[i].FindOrInsert(seen, HashRow(seen, 2)).inserted) {
           continue;
         }
       }
       acc.count++;
       if ((spec.func == AggFunc::kSum || spec.func == AggFunc::kAvg) &&
-          !v.is_numeric()) {
+          !v->is_numeric()) {
         return Status::InvalidArgument(
             "SUM and AVG require a numeric argument");
       }
-      MTB_RETURN_IF_ERROR(Accumulate(spec.func, std::move(v), &acc.value));
+      MTB_RETURN_IF_ERROR(Accumulate(spec.func, *v, &acc.value));
     }
   }
   return Status::OK();
@@ -747,8 +755,8 @@ Result<RowBatch> AggregateExec(const Plan& p, ExecContext* ctx,
       for (size_t i = 0; i < n_aggs; ++i) {
         to[i].count += from[i].count;
         if (from[i].value.is_null()) continue;
-        MTB_RETURN_IF_ERROR(Accumulate(p.aggs[i].func,
-                                       std::move(from[i].value), &to[i].value));
+        MTB_RETURN_IF_ERROR(
+            Accumulate(p.aggs[i].func, from[i].value, &to[i].value));
       }
     }
   }

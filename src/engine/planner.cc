@@ -1095,6 +1095,12 @@ Result<BoundExprPtr> PlannerImpl::Bind(const sql::Expr& e,
         b->args.push_back(std::move(ba));
       }
       MTB_ASSIGN_OR_RETURN(PlanPtr sub, PlanSelect(*e.subquery, scope));
+      if (sub->columns.size() != b->args.size()) {
+        return Status::InvalidArgument(
+            sub->columns.size() > b->args.size()
+                ? "subquery has too many columns"
+                : "subquery has too few columns");
+      }
       b->correlated = PlanHasOuterRefs(*sub);
       b->subplan = std::shared_ptr<const Plan>(std::move(sub));
       return b;

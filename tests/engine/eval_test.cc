@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "engine/database.h"
 #include "tests/test_util.h"
@@ -193,6 +194,175 @@ TEST_F(EvalTest, IntegerOverflowIsAnError) {
     auto r = db_.Execute(sql);
     ASSERT_FALSE(r.ok()) << sql;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+}
+
+/// One operand value: the ops column that holds it, its type, and the
+/// literal that spells it.
+struct OperandValue {
+  const char* column;
+  const char* type;
+  const char* literal;
+};
+
+const OperandValue kOperandValues[] = {
+    {"i0", "INTEGER", "0"},
+    {"i3", "INTEGER", "3"},
+    {"i5", "INTEGER", "5"},
+    {"imax", "INTEGER", "9223372036854775807"},
+    {"dx", "DECIMAL(10,2)", "2.25"},
+    {"sa", "VARCHAR(10)", "'abc'"},
+    {"sp", "VARCHAR(10)", "'a%'"},
+    {"dt", "DATE", "DATE '1995-03-15'"},
+    {"nl", "INTEGER", "NULL"},
+    {"bt", "BOOLEAN", "TRUE"},
+};
+
+const OperandValue& FindOperand(const std::string& column) {
+  for (const OperandValue& v : kOperandValues) {
+    if (column == v.column) return v;
+  }
+  ADD_FAILURE() << "no operand " << column;
+  return kOperandValues[0];
+}
+
+/// `pattern` with each {i} replaced by spell(i).
+template <typename Spell>
+std::string Fill(const std::string& pattern, size_t n, Spell spell) {
+  std::string out = pattern;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string hole = "{" + std::to_string(i) + "}";
+    for (size_t at = out.find(hole); at != std::string::npos;
+         at = out.find(hole, at)) {
+      const std::string with = spell(i);
+      out.replace(at, hole.size(), with);
+      at += with.size();
+    }
+  }
+  return out;
+}
+
+/// "TYPE:value" of a one-row, one-column result, or "Code: message".
+template <typename R>
+std::string Outcome(const R& r) {
+  if (!r.ok()) return r.status().ToString();
+  if (r.value().rows.size() != 1 || r.value().rows[0].size() != 1) {
+    return "not one value";
+  }
+  const Value& v = r.value().rows[0][0];
+  return std::string(TypeIdName(v.type())) + ":" + v.ToString();
+}
+
+TEST_F(EvalTest, EveryOperandKindGivesTheSameOutcome) {
+  // Each operator reads its operands as a literal, a slot, a UDF body's $n,
+  // an outer slot of a correlated sub-query, or a computed expression
+  // (COALESCE of the literal); every form must give the same value or the
+  // same status.
+  ASSERT_OK(db_.ExecuteScript(R"(
+    CREATE TABLE ops (i0 INTEGER, i3 INTEGER, i5 INTEGER, imax INTEGER,
+                      dx DECIMAL(10,2), sa VARCHAR(10), sp VARCHAR(10),
+                      dt DATE, nl INTEGER, bt BOOLEAN);
+    INSERT INTO ops VALUES (0, 3, 5, 9223372036854775807, 2.25, 'abc', 'a%',
+                            DATE '1995-03-15', NULL, TRUE);
+    CREATE TABLE one (z INTEGER);
+    INSERT INTO one VALUES (1);
+  )"));
+  struct Case {
+    const char* pattern;
+    std::vector<std::string> operands;
+    const char* outcome;
+  };
+  const Case cases[] = {
+      {"{0} = {1}", {"i3", "i5"}, "BOOL:false"},
+      {"{0} < {1}", {"i3", "dx"}, "BOOL:false"},
+      {"{0} <> {1}", {"sa", "sa"}, "BOOL:false"},
+      {"{0} >= {1}", {"dt", "dt"}, "BOOL:true"},
+      {"{0} = {1}", {"nl", "i3"}, "NULL:NULL"},
+      {"{0} < {1}", {"sa", "i3"}, "Internal: cannot compare STRING with INT"},
+      {"{0} + {1}", {"i3", "i5"}, "INT:8"},
+      {"{0} + {1}", {"imax", "i3"}, "InvalidArgument: integer out of range"},
+      {"{0} + {1}", {"dt", "i5"}, "DATE:1995-03-20"},
+      {"{0} - {1}", {"dt", "dt"}, "INT:0"},
+      {"{0} * {1}", {"dx", "i5"}, "DECIMAL:11.25"},
+      {"{0} / {1}", {"i5", "i0"}, "InvalidArgument: division by zero"},
+      {"{0} / {1}", {"i3", "dx"}, "DECIMAL:1.333333"},
+      {"{0} + {1}", {"sa", "i3"},
+       "InvalidArgument: cannot add non-numeric values"},
+      {"{0} || {1}", {"sa", "i3"}, "STRING:abc3"},
+      {"{0} || {1}", {"sa", "nl"}, "NULL:NULL"},
+      {"{0} LIKE {1}", {"sa", "sp"}, "BOOL:true"},
+      {"{0} NOT LIKE {1}", {"sa", "sp"}, "BOOL:false"},
+      {"{0} LIKE {1}", {"i3", "sp"},
+       "InvalidArgument: LIKE requires string operands"},
+      {"{0} BETWEEN {1} AND {2}", {"i3", "i3", "i5"}, "BOOL:true"},
+      {"{0} NOT BETWEEN {1} AND {2}", {"dx", "i3", "i5"}, "BOOL:true"},
+      {"{0} BETWEEN {1} AND {2}", {"i3", "nl", "i5"}, "NULL:NULL"},
+      {"{0} IN ({1}, {2})", {"i3", "nl", "i5"}, "NULL:NULL"},
+      {"{0} IN ({1}, {2})", {"i5", "nl", "i5"}, "BOOL:true"},
+      {"{0} NOT IN ({1}, {2})", {"i0", "i3", "i5"}, "BOOL:true"},
+      {"{0} IS NULL", {"nl"}, "BOOL:true"},
+      {"{0} IS NOT NULL", {"sa"}, "BOOL:true"},
+      {"NOT {0}", {"bt"}, "BOOL:false"},
+      {"NOT {0}", {"nl"}, "NULL:NULL"},
+      {"-{0}", {"dx"}, "DECIMAL:-2.25"},
+      {"-{0}", {"sa"}, "InvalidArgument: cannot negate non-numeric value"},
+      {"{0} AND {1}", {"bt", "nl"}, "NULL:NULL"},
+      {"{0} OR {1}", {"bt", "nl"}, "BOOL:true"},
+      {"CASE WHEN {0} THEN {1} ELSE {2} END", {"bt", "i3", "i5"}, "INT:3"},
+      {"CASE WHEN {0} THEN {1} ELSE {2} END", {"nl", "i3", "i5"}, "INT:5"},
+      {"SUBSTRING({0} FROM {1} FOR {2})", {"sa", "i3", "i5"}, "STRING:c"},
+      {"UPPER({0})", {"sa"}, "STRING:ABC"},
+      {"CHAR_LENGTH({0})", {"sa"}, "INT:3"},
+      {"ABS({0})", {"dx"}, "DECIMAL:2.25"},
+      {"ABS({0})", {"sa"}, "InvalidArgument: ABS requires a numeric argument"},
+      {"EXTRACT(MONTH FROM {0})", {"dt"}, "INT:3"},
+      {"{0} + INTERVAL '3' MONTH", {"dt"}, "DATE:1995-06-15"},
+      {"COALESCE({0}, {1})", {"nl", "i3"}, "INT:3"},
+      {"CONCAT({0}, {1})", {"sa", "nl"}, "STRING:abc"},
+  };
+  int fn = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.pattern);
+    const size_t n = c.operands.size();
+    auto literal = [&](size_t i) {
+      return std::string(FindOperand(c.operands[i]).literal);
+    };
+    // $n: a UDF whose body applies the operator to its parameters.
+    const std::string name = "f" + std::to_string(fn++);
+    std::string body = Fill(c.pattern, n, [](size_t i) {
+      return "$" + std::to_string(i + 1);
+    });
+    std::string quoted;
+    for (char ch : body) {
+      quoted += ch == '\'' ? std::string("''") : std::string(1, ch);
+    }
+    std::string create = "CREATE FUNCTION " + name + " (";
+    std::string call = name + "(";
+    for (size_t i = 0; i < n; ++i) {
+      create += std::string(i > 0 ? ", " : "") +
+                FindOperand(c.operands[i]).type;
+      call += (i > 0 ? ", " : "") + literal(i);
+    }
+    create += ") RETURNS INTEGER AS 'SELECT " + quoted + "' LANGUAGE SQL";
+    call += ")";
+    ASSERT_OK(db_.Execute(create));
+
+    const std::string forms[] = {
+        "SELECT " + Fill(c.pattern, n, literal),
+        "SELECT " +
+            Fill(c.pattern, n, [&](size_t i) { return c.operands[i]; }) +
+            " FROM ops",
+        "SELECT " + call,
+        "SELECT (SELECT " +
+            Fill(c.pattern, n, [&](size_t i) { return "o." + c.operands[i]; }) +
+            " FROM one) FROM ops o",
+        "SELECT " + Fill(c.pattern, n, [&](size_t i) {
+          return "COALESCE(" + literal(i) + ")";
+        }),
+    };
+    for (const std::string& sql : forms) {
+      EXPECT_EQ(Outcome(db_.Execute(sql)), c.outcome) << sql;
+    }
   }
 }
 

@@ -530,6 +530,69 @@ TEST_F(HashedOperatorTest, NotInMatchesThePerRowPlan) {
   }
 }
 
+TEST_F(HashedOperatorTest, RowValuedNotInFollowsRowComparison) {
+  // Needle row k of ndl meets the tuples of tpl with c = k:
+  // (NULL, 1) vs {(7, 7)} kept, as 1 <> 7 makes the rows differ;
+  // (1, 2) vs {(NULL, 3)} kept, as 2 <> 3; (1, 2) vs {(NULL, 2)} dropped,
+  // as the rows may be equal; (NULL, 2) vs {(7, 2)} dropped, likewise.
+  ASSERT_OK(db_.ExecuteScript(R"(
+    CREATE TABLE ndl (a INTEGER, b INTEGER, c INTEGER, tag VARCHAR(4));
+    CREATE TABLE tpl (c INTEGER, a INTEGER, b INTEGER);
+    INSERT INTO ndl VALUES (NULL, 1, 1, 'n1'), (1, 2, 2, 'n2'),
+                           (1, 2, 3, 'n3'), (NULL, 2, 4, 'n4');
+    INSERT INTO tpl VALUES (1, 7, 7), (2, NULL, 3), (3, NULL, 2), (4, 7, 2);
+  )"));
+  // Correlated: decorrelated into the null-aware anti join, else an IN set
+  // per row.
+  const std::string correlated =
+      "SELECT n.tag FROM ndl n WHERE (n.a, n.b) NOT IN "
+      "(SELECT t.a, t.b FROM tpl t WHERE t.c = n.c)";
+  EXPECT_EQ(Rows(correlated, kNullAwareAnti), (Strings{"n1", "n2"}));
+  EXPECT_EQ(Undecorrelated(correlated), (Strings{"n1", "n2"}));
+  // Uncorrelated: one IN set, whichever way the planner runs.
+  const Operator in_set{"*Scan ndl (filtered)*", false};
+  const Strings kept[] = {{"n1"}, {"n2"}, {}, {}};
+  for (int k = 1; k <= 4; ++k) {
+    const std::string c = std::to_string(k);
+    const std::string sql = "SELECT tag FROM ndl WHERE c = " + c +
+                            " AND (a, b) NOT IN (SELECT a, b FROM tpl "
+                            "WHERE c = " + c + ")";
+    EXPECT_EQ(Rows(sql, in_set), kept[k - 1]);
+    EXPECT_EQ(Undecorrelated(sql), kept[k - 1]) << sql;
+  }
+}
+
+TEST_F(HashedOperatorTest, InSubqueryWidthMustMatchItsNeedle) {
+  struct Case {
+    const char* sql;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"SELECT tag FROM prb WHERE k IN (SELECT k, j FROM bld)",
+       "subquery has too many columns"},
+      {"SELECT tag FROM prb WHERE k NOT IN (SELECT k, j FROM bld)",
+       "subquery has too many columns"},
+      {"SELECT tag FROM prb WHERE (k, j) IN (SELECT k FROM bld)",
+       "subquery has too few columns"},
+      {"SELECT p.tag FROM prb p WHERE p.k NOT IN "
+       "(SELECT b.k, b.seq FROM bld b WHERE b.j = p.j)",
+       "subquery has too many columns"},
+      {"SELECT p.tag FROM prb p WHERE (p.k, p.j) IN "
+       "(SELECT b.k FROM bld b WHERE b.j = p.j)",
+       "subquery has too few columns"},
+  };
+  for (bool decorrelate : {true, false}) {
+    SetOptions(1, 4096, decorrelate);
+    for (const Case& c : cases) {
+      auto rs = db_.Execute(c.sql);
+      ASSERT_FALSE(rs.ok()) << c.sql;
+      EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument) << c.sql;
+      EXPECT_EQ(rs.status().message(), c.message) << c.sql;
+    }
+  }
+  SetOptions(1, 4096);
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace mtbase

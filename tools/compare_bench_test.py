@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Checks tools/compare_bench.py's verdicts on the recorded pairs in
+tools/testdata/: a claim that is met, a claim won in only 8 of 10 pairs,
+and a throughput regression; and that `record` appends run.py's result.
+
+Usage: python3 tools/compare_bench_test.py
+"""
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TOOL = os.path.join(HERE, "compare_bench.py")
+DATA = os.path.join(HERE, "testdata")
+
+
+def run(*args, stdin=None):
+    proc = subprocess.run([sys.executable, TOOL] + list(args), input=stdin,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def verdicts(stdout):
+    """metric -> (pairs won, verdict) from the comparison table."""
+    out = {}
+    for line in stdout.splitlines():
+        fields = line.split()
+        if len(fields) >= 6 and "/" in fields[5]:
+            out[fields[0]] = (fields[5], " ".join(fields[6:]))
+    return out
+
+
+class CompareBenchTest(unittest.TestCase):
+    def compare(self, fixture, *claims):
+        args = ["compare", os.path.join(DATA, fixture)]
+        for claim in claims:
+            args += ["--claim", claim]
+        return run(*args)
+
+    def test_met_claim(self):
+        code, out = self.compare("compare_bench_met.jsonl",
+                                 "mth-adhoc:suite_s")
+        self.assertEqual(code, 0, out)
+        v = verdicts(out)
+        self.assertEqual(v["suite_s"], ("10/10", "claim met"))
+        self.assertEqual(v["stmts_per_s"][1], "better")
+        self.assertEqual(v["setup_s"][1], "within bound")
+
+    def test_claim_won_in_eight_of_ten_pairs_is_not_met(self):
+        code, out = self.compare("compare_bench_8of10.jsonl",
+                                 "mth-adhoc:suite_s")
+        self.assertEqual(code, 1, out)
+        self.assertEqual(verdicts(out)["suite_s"], ("8/10", "claim not met"))
+        # Unclaimed, the same runs read better and fail nothing.
+        code, out = self.compare("compare_bench_8of10.jsonl")
+        self.assertEqual(code, 0, out)
+        self.assertEqual(verdicts(out)["suite_s"][1], "better")
+
+    def test_regression_fails(self):
+        code, out = self.compare("compare_bench_regression.jsonl")
+        self.assertEqual(code, 1, out)
+        v = verdicts(out)
+        self.assertEqual(v["stmts_per_s"], ("0/10", "worse"))
+        self.assertEqual(v["suite_s"][1], "within bound")
+
+    def test_record_appends_the_result_line(self):
+        result = {"correct": True, "attempted": 5, "failed": 0,
+                  "metrics": {"suite_s": {"value": 0.2, "unit": "s"}}}
+        stdout = "config git_sha abc\nmetric suite_s 0.2 s x\n" + \
+            json.dumps(result) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            pairs = os.path.join(tmp, "pairs.jsonl")
+            for pair in (1, 2):
+                code, _ = run("record", pairs, "--side", "parent", "--pair",
+                              str(pair), "--workload", "mth-adhoc",
+                              stdin=stdout)
+                self.assertEqual(code, 0)
+            with open(pairs) as f:
+                lines = [json.loads(l) for l in f]
+        self.assertEqual([l["pair"] for l in lines], [1, 2])
+        self.assertEqual(lines[0]["result"], result)
+        self.assertEqual(lines[0]["workload"], "mth-adhoc")
+        code, _ = run("record", os.devnull, "--side", "change", "--pair", "1",
+                      "--workload", "mth-adhoc", stdin="build failed\n")
+        self.assertEqual(code, 2)
+
+
+if __name__ == "__main__":
+    unittest.main()
