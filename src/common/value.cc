@@ -45,31 +45,13 @@ void Value::ThrowBadAccess() { throw std::bad_variant_access(); }
 
 namespace {
 int Sign(double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); }
-
-template <typename T>
-int ThreeWay(T a, T b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
 }  // namespace
 
 Result<int> Value::Compare(const Value& other) const {
-  // Same-type INT, DATE and equal-scale DECIMAL compare their payloads
-  // directly; the general path below would widen both sides to Decimal.
-  if (type_ == other.type_) {
-    switch (type_) {
-      case TypeId::kInt:
-        return ThreeWay(scalar_.i, other.scalar_.i);
-      case TypeId::kDate:
-        return ThreeWay(scalar_.date.days(), other.scalar_.date.days());
-      case TypeId::kDecimal:
-        if (scalar_.dec.scale() == other.scalar_.dec.scale()) {
-          return ThreeWay(scalar_.dec.units(), other.scalar_.dec.units());
-        }
-        break;
-      default:
-        break;
-    }
-  }
+  // Same-type payloads compare directly; the general path below would widen
+  // numeric sides to Decimal.
+  int same = 0;
+  if (CompareSameType(other, &same)) return same;
   if (is_null() || other.is_null()) {
     return Status::Internal("Compare called on NULL value");
   }
@@ -93,10 +75,6 @@ Result<int> Value::Compare(const Value& other) const {
   switch (type_) {
     case TypeId::kBool:
       return (bool_value() ? 1 : 0) - (other.bool_value() ? 1 : 0);
-    case TypeId::kString: {
-      int c = string_value().compare(other.string_value());
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
     default:
       return Status::Internal("unsupported comparison type");
   }

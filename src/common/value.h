@@ -149,6 +149,31 @@ class Value {
   /// is an error.
   Result<int> Compare(const Value& other) const;
 
+  /// Compare() of the pairs it orders without widening either side:
+  /// same-type INT, DATE, equal-scale DECIMAL and STRING. Sets *out and
+  /// returns true for those; returns false for every other pair, NULL
+  /// included.
+  bool CompareSameType(const Value& other, int* out) const {
+    if (type_ != other.type_) return false;
+    switch (type_) {
+      case TypeId::kInt:
+        *out = ThreeWay(scalar_.i, other.scalar_.i);
+        return true;
+      case TypeId::kDate:
+        *out = ThreeWay(scalar_.date.days(), other.scalar_.date.days());
+        return true;
+      case TypeId::kDecimal:
+        if (scalar_.dec.scale() != other.scalar_.dec.scale()) return false;
+        *out = ThreeWay(scalar_.dec.units(), other.scalar_.dec.units());
+        return true;
+      case TypeId::kString:
+        *out = ThreeWay(str_.compare(other.str_), 0);
+        return true;
+      default:
+        return false;
+    }
+  }
+
   /// Structural equality (used for result validation and hashing); NULL equals
   /// NULL, numerics compare by value across numeric types.
   bool StructuralEquals(const Value& other) const;
@@ -171,6 +196,11 @@ class Value {
     Decimal dec;
     Date date;
   };
+
+  template <typename T>
+  static int ThreeWay(T a, T b) {
+    return a < b ? -1 : (a > b ? 1 : 0);
+  }
 
   explicit Value(TypeId t) noexcept : scalar_(), type_(t) {}
   explicit Value(std::string&& s) noexcept

@@ -212,6 +212,19 @@ void ForEachExprChild(const BoundExpr& e, Fn&& fn) {
   if (e.else_expr) fn(static_cast<const BoundExpr&>(*e.else_expr));
 }
 
+/// Append the AND-conjuncts of `e` to `out` in evaluation (left-to-right)
+/// order: `e` itself unless it is an AND. Shared by the planner's access
+/// paths and the executor's RowFilter.
+inline void CollectConjuncts(const BoundExpr& e,
+                             std::vector<const BoundExpr*>* out) {
+  if (e.kind == BoundExpr::Kind::kBinary && e.bin_op == BinOp::kAnd) {
+    CollectConjuncts(*e.args[0], out);
+    CollectConjuncts(*e.args[1], out);
+    return;
+  }
+  out->push_back(&e);
+}
+
 /// Invoke fn(const BoundExpr&) on every expression hanging off this plan
 /// node — scan filter, predicate, residual, projection/group exprs, join
 /// keys and aggregate arguments — but not on children's. The single walker

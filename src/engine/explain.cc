@@ -71,7 +71,8 @@ std::vector<const Plan*> ImmediateChildren(const Plan& p) {
 /// cpu are inclusive of the subtree; morsels and udf/hit are exclusive (the
 /// immediate children's inclusive deltas are subtracted) so per-operator
 /// attribution reads directly. loops appears when the node executed more
-/// than once (per-row sub-plans); workers when a parallel region engaged.
+/// than once (per-row sub-plans); workers when a parallel region engaged;
+/// removed (the node's own) on filtered scans and Filters.
 void AppendActual(const Plan& p, const ExplainCtx* ctx, std::string* out) {
   if (ctx == nullptr || ctx->profiles == nullptr) return;
   const obs::OpProfile* prof = ctx->profiles->Find(&p);
@@ -108,6 +109,11 @@ void AppendActual(const Plan& p, const ExplainCtx* ctx, std::string* out) {
   if (morsels > 0) *out += " morsels=" + std::to_string(morsels);
   if (udf > 0 || hits > 0) {
     *out += " udf=" + std::to_string(udf) + " hit=" + std::to_string(hits);
+  }
+  // Rows removed by a predicate, last in the bracket: a filtered scan or
+  // index scan, and every Filter.
+  if (p.scan_filter || p.kind == Plan::Kind::kFilter) {
+    *out += " removed=" + std::to_string(prof->rows_removed);
   }
   *out += "]";
 }

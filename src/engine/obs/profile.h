@@ -33,6 +33,9 @@ struct OpProfile {
   uint64_t morsels = 0;         // ExecStats::parallel_morsels delta
   uint64_t udf_calls = 0;       // ExecStats::udf_calls delta
   uint64_t udf_cache_hits = 0;  // ExecStats::udf_cache_hits delta
+  // Scan, index scan and Filter nodes: candidate rows their predicate did
+  // not keep (exclusive; recorded by the operator on the statement thread).
+  uint64_t rows_removed = 0;
   // Max workers observed by any parallel region run while this node was the
   // current operator (1 = serial).
   int workers = 1;

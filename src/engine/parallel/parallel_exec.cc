@@ -6,11 +6,13 @@
 #include <cstdlib>
 #include <iterator>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
 #include "engine/catalog.h"
 #include "engine/exec.h"
+#include "engine/filter.h"
 #include "engine/key_index.h"
 #include "engine/obs/profile.h"
 #include "engine/parallel/task_pool.h"
@@ -324,24 +326,43 @@ Result<RowBatch> RunMorsels(ExecContext* ctx, size_t n_rows, size_t width,
 
 namespace {
 
-Status ScanRange(const Plan& p, const std::vector<Row>& rows,
+/// Scan candidates [begin, end): rows[cand[i]] when `cand` is given, else
+/// rows[i]. The filter (if any) first selects the rows it keeps; then
+/// exactly those rows are reserved and their emitted slots copied.
+Status ScanRange(const Plan& p, const RowFilter* filter,
+                 const std::vector<Row>& rows,
                  const std::vector<uint32_t>* cand, size_t begin, size_t end,
                  ExecContext* ctx, RowBatch* out) {
-  for (size_t i = begin; i < end; ++i) {
-    const Row& r = cand != nullptr ? rows[(*cand)[i]] : rows[i];
-    if (p.scan_filter) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.scan_filter, r, ctx));
-      if (!IsTrue(v)) continue;
-    }
+  auto emit = [&p, out](const Row& r) {
     if (!p.emit) {
       out->Append(r);
-      continue;
+      return;
     }
     // Column pruning: copy only the slots the plan above reads.
     for (int slot : *p.emit) out->Push(r[static_cast<size_t>(slot)]);
     out->EndRow();
+  };
+  if (filter == nullptr) {
+    out->Reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      emit(cand != nullptr ? rows[(*cand)[i]] : rows[i]);
+    }
+    return Status::OK();
   }
+  std::vector<uint32_t> kept;
+  MTB_RETURN_IF_ERROR(filter->Select(rows, cand, begin, end, ctx, &kept));
+  out->Reserve(kept.size());
+  for (uint32_t id : kept) emit(rows[id]);
   return Status::OK();
+}
+
+/// Record on the executing operator's profile (EXPLAIN (ANALYZE)) the rows
+/// its predicate removed. Statement thread only, after the operator's
+/// parallel region (if any) has finished.
+void CountRemoved(ExecContext* ctx, size_t candidates, size_t kept) {
+  if (ctx->current_op != nullptr) {
+    ctx->current_op->rows_removed += candidates - kept;
+  }
 }
 
 }  // namespace
@@ -358,17 +379,25 @@ Result<RowBatch> ScanExec(const Plan& p, ExecContext* ctx, int workers,
   const auto& rows = PinnedRows(ctx, *p.table);
   const size_t n = candidates != nullptr ? candidates->size() : rows.size();
   ctx->stats->rows_scanned += n;
+  // Built from the verified plan's own filter at every execution.
+  std::optional<RowFilter> filter;
+  if (p.scan_filter) filter.emplace(*p.scan_filter);
+  const RowFilter* f = filter ? &*filter : nullptr;
+  RowBatch out(width);
   if (workers <= 1) {
-    RowBatch out(width);
-    out.Reserve(p.scan_filter ? n / 4 : n);
-    MTB_RETURN_IF_ERROR(ScanRange(p, rows, candidates, 0, n, ctx, &out));
-    return out;
+    MTB_RETURN_IF_ERROR(ScanRange(p, f, rows, candidates, 0, n, ctx, &out));
+  } else {
+    MTB_ASSIGN_OR_RETURN(
+        out, RunMorsels(ctx, n, width, workers,
+                        [&p, f, &rows, candidates](size_t b, size_t e,
+                                                   ExecContext* wctx,
+                                                   RowBatch* o) {
+                          return ScanRange(p, f, rows, candidates, b, e, wctx,
+                                           o);
+                        }));
   }
-  return RunMorsels(ctx, n, width, workers,
-                    [&p, &rows, candidates](size_t b, size_t e,
-                                            ExecContext* wctx, RowBatch* o) {
-                      return ScanRange(p, rows, candidates, b, e, wctx, o);
-                    });
+  if (f != nullptr) CountRemoved(ctx, n, out.size());
+  return out;
 }
 
 namespace {
@@ -379,18 +408,18 @@ void MoveRow(RowBatch* rows, size_t from, size_t to) {
   std::move(src, src + rows->width(), rows->row_data(to));
 }
 
-/// Evaluate the predicate over rows [begin, end) and compact the survivors
-/// to the front of the range; returns how many survived.
-Result<size_t> FilterRange(const Plan& p, RowBatch* rows, size_t begin,
-                           size_t end, ExecContext* ctx) {
-  size_t kept = begin;
-  for (size_t i = begin; i < end; ++i) {
-    MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p.predicate, (*rows)[i], ctx));
-    if (!IsTrue(v)) continue;
-    if (kept != i) MoveRow(rows, i, kept);
-    ++kept;
+/// Select the rows of [begin, end) the predicate keeps and compact them to
+/// the front of the range; returns how many were kept.
+Result<size_t> FilterRange(const RowFilter& filter, RowBatch* rows,
+                           size_t begin, size_t end, ExecContext* ctx) {
+  std::vector<uint32_t> kept;
+  MTB_RETURN_IF_ERROR(filter.Select(*rows, begin, end, ctx, &kept));
+  size_t to = begin;
+  for (uint32_t i : kept) {
+    if (to != i) MoveRow(rows, i, to);
+    ++to;
   }
-  return kept - begin;
+  return kept.size();
 }
 
 Status ProjectRange(const Plan& p, const RowBatch& rows, size_t begin,
@@ -417,9 +446,12 @@ Status ProjectRange(const Plan& p, const RowBatch& rows, size_t begin,
 Result<RowBatch> FilterExec(const Plan& p, ExecContext* ctx, RowBatch input,
                             int workers) {
   const size_t n = input.size();
+  // Built from the verified plan's own predicate at every execution.
+  const RowFilter filter(*p.predicate);
   if (workers <= 1) {
-    MTB_ASSIGN_OR_RETURN(size_t kept, FilterRange(p, &input, 0, n, ctx));
+    MTB_ASSIGN_OR_RETURN(size_t kept, FilterRange(filter, &input, 0, n, ctx));
     input.Truncate(kept);
+    CountRemoved(ctx, n, kept);
     return input;
   }
   // Workers compact disjoint morsels of the shared input in place; one
@@ -428,7 +460,7 @@ Result<RowBatch> FilterExec(const Plan& p, ExecContext* ctx, RowBatch input,
   MTB_RETURN_IF_ERROR(ForEachMorsel(
       ctx, n, workers,
       [&](size_t m, size_t b, size_t e, ExecContext* wctx) -> Status {
-        MTB_ASSIGN_OR_RETURN(kept[m], FilterRange(p, &input, b, e, wctx));
+        MTB_ASSIGN_OR_RETURN(kept[m], FilterRange(filter, &input, b, e, wctx));
         return Status::OK();
       }));
   const size_t msize = MorselSize(*ctx);
@@ -439,6 +471,7 @@ Result<RowBatch> FilterExec(const Plan& p, ExecContext* ctx, RowBatch input,
     }
   }
   input.Truncate(out);
+  CountRemoved(ctx, n, out);
   return input;
 }
 
@@ -574,8 +607,10 @@ Result<RowBatch> HashJoinExec(const Plan& p, ExecContext* ctx,
         }));
   }
   const HashBuild build = LinkBuild(key_width, &keys, hashes);
+  // A probe's output is sized from its input: one row per probe row.
   if (workers <= 1) {
     RowBatch out(width);
+    out.Reserve(left_rows.size());
     MTB_RETURN_IF_ERROR(ProbeRange(p, left_rows, 0, left_rows.size(), build,
                                    right_rows, ctx, &out));
     return out;
@@ -586,6 +621,7 @@ Result<RowBatch> HashJoinExec(const Plan& p, ExecContext* ctx,
   return RunMorsels(
       ctx, left_rows.size(), width, workers,
       [&](size_t b, size_t e, ExecContext* wctx, RowBatch* o) {
+        o->Reserve(e - b);
         return ProbeRange(p, left_rows, b, e, build, right_rows, wctx, o);
       });
 }

@@ -140,6 +140,41 @@ BoundExprPtr AndBound(BoundExprPtr a, BoundExprPtr b) {
   return e;
 }
 
+// Replace `*e` by the literal it evaluates to when it is an operator,
+// builtin, CASE, IN list, BETWEEN or IS NULL over literals only: children
+// are bound (and so folded) first, so `DATE '1994-01-01' + INTERVAL '1'
+// YEAR` and `-(2 * 3)` become one literal each, evaluated once at plan time
+// instead of once per row. Leaves, UDF calls and sub-queries never fold. A
+// node whose evaluation fails (`1 / 0`, INT overflow) stays as it is, so its
+// error surfaces only when a row evaluates it, exactly as before.
+void FoldConstant(BoundExprPtr* e) {
+  using K = BoundExpr::Kind;
+  const BoundExpr& x = **e;
+  switch (x.kind) {
+    case K::kNot:
+    case K::kNeg:
+    case K::kBinary:
+    case K::kBuiltin:
+    case K::kCase:
+    case K::kInList:
+    case K::kBetween:
+    case K::kIsNull:
+      break;
+    default:
+      return;
+  }
+  bool literals = true;
+  ForEachExprChild(x, [&literals](const BoundExpr& c) {
+    literals = literals && c.kind == K::kLiteral;
+  });
+  if (!literals) return;
+  ExecStats stats;
+  ExecContext ctx;
+  ctx.stats = &stats;
+  Result<Value> v = EvalExpr(x, RowView(nullptr, 0), &ctx);
+  if (v.ok()) *e = MakeBoundLit(std::move(v).value());
+}
+
 // Attach a predicate that only reads one join input directly to that input:
 // onto a base-table scan's filter (where partition pruning and index
 // selection can see it), as a Filter node otherwise.
@@ -193,6 +228,8 @@ class PlannerImpl {
 
   Result<PlanPtr> PlanSelect(const sql::SelectStmt& sel,
                              const BindScope* parent);
+  /// Bind `e`, folding every bound node that computes only from literals
+  /// (see FoldConstant).
   Result<BoundExprPtr> Bind(const sql::Expr& e, const BindScope* scope,
                             const AggEnv* agg);
 
@@ -209,6 +246,8 @@ class PlannerImpl {
   };
 
   Result<RelInfo> PlanFromItem(const sql::TableRef& t, const BindScope* parent);
+  Result<BoundExprPtr> BindNode(const sql::Expr& e, const BindScope* scope,
+                                const AggEnv* agg);
 
   Result<std::vector<ColumnMeta>> OutputColsOfTref(const sql::TableRef& t);
   Result<std::vector<ColumnMeta>> OutputColsOfSelect(const sql::SelectStmt& s);
@@ -924,6 +963,14 @@ Result<bool> PlannerImpl::TryUnnestScalarAgg(
 Result<BoundExprPtr> PlannerImpl::Bind(const sql::Expr& e,
                                        const BindScope* scope,
                                        const AggEnv* agg) {
+  MTB_ASSIGN_OR_RETURN(BoundExprPtr b, BindNode(e, scope, agg));
+  FoldConstant(&b);
+  return b;
+}
+
+Result<BoundExprPtr> PlannerImpl::BindNode(const sql::Expr& e,
+                                           const BindScope* scope,
+                                           const AggEnv* agg) {
   using K = sql::ExprKind;
   if (agg) {
     auto it = agg->slots.find(sql::PrintExpr(e));
@@ -1593,15 +1640,6 @@ Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
 // ---------------------------------------------------------------------------
 // Physical access paths (partition pruning + index-scan selection)
 // ---------------------------------------------------------------------------
-
-void CollectConjuncts(const BoundExpr& e, std::vector<const BoundExpr*>* out) {
-  if (e.kind == BoundExpr::Kind::kBinary && e.bin_op == BinOp::kAnd) {
-    CollectConjuncts(*e.args[0], out);
-    CollectConjuncts(*e.args[1], out);
-    return;
-  }
-  out->push_back(&e);
-}
 
 /// Integer-literal image of an equality/IN conjunct over a scan filter slot:
 /// `slot = 7` or `slot IN (3, 5)`. Fills `keys` and returns the slot, or -1

@@ -16,6 +16,13 @@
 // whose output order is the hash join's (each outer row's matches in inner
 // row order), so its rows must match byte for byte too.
 //
+// Scan filters and Filter nodes run their AND-conjuncts as direct compares
+// (engine::RowFilter), so every query with a generated predicate also runs
+// serially with that predicate written as NOT NOT (...): RowFilter runs no
+// NOT form itself, so the whole predicate goes through the generic
+// evaluator, EvalExpr, which is the oracle there. The rows must match byte
+// for byte and rows_scanned must be equal.
+//
 // Reproduction: every failure message carries the generator seed and the
 // offending SQL. Re-run with MTBASE_DIFF_SEED=<seed> (and optionally
 // MTBASE_DIFF_QUERIES=<n>) to replay the exact sequence. The SeedSweep test
@@ -90,7 +97,12 @@ class QueryGen {
     }
   }
 
+  /// The generated predicate of the last query (its WHERE without the join
+  /// key), or "" when it has none.
+  const std::string& last_predicate() const { return pred_; }
+
   std::string Generate() {
+    pred_.clear();
     const bool aggregate = rng_.Chance(0.35);
     std::string select_list;
     std::vector<std::string> aliases;
@@ -126,8 +138,8 @@ class QueryGen {
     std::string where;
     if (join_) where = "r.a = s.a";  // hash-join key
     if (rng_.Chance(0.75)) {
-      std::string pred = Predicate();
-      where = where.empty() ? pred : where + " AND " + pred;
+      pred_ = Predicate();
+      where = where.empty() ? pred_ : where + " AND " + pred_;
     }
     if (!where.empty()) sql += " WHERE " + where;
 
@@ -255,6 +267,7 @@ class QueryGen {
   Rng rng_;
   bool join_;
   std::vector<Column> cols_;
+  std::string pred_;
 };
 
 // ---------------------------------------------------------------------------
@@ -336,6 +349,25 @@ class DifferentialTest : public ::testing::Test {
     ASSERT_EQ(expect, Canon(rs.value()));
   }
 
+  /// Run `sql` serially with its generated predicate `pred` written as
+  /// NOT NOT (pred), so EvalExpr evaluates all of it, and require the rows
+  /// `expect` holds and the serial run's rows_scanned. A join's key stays as
+  /// it is: it is the hash join's key, not a filter.
+  void CheckGenericOracle(const std::string& sql, const std::string& pred,
+                          const std::string& expect, uint64_t rows_scanned) {
+    const size_t at = sql.find(pred, sql.find(" WHERE "));
+    ASSERT_NE(at, std::string::npos);
+    const std::string generic = sql.substr(0, at) + "NOT NOT (" + pred + ")" +
+                                sql.substr(at + pred.size());
+    SCOPED_TRACE("generic-path oracle: " + generic);
+    SetParallelism(1, 4096);
+    StatsScope scope(db_.stats());
+    auto rs = db_.Execute(generic);
+    ASSERT_OK(rs);
+    ASSERT_EQ(expect, Canon(rs.value()));
+    ASSERT_EQ(rows_scanned, scope.Delta().rows_scanned);
+  }
+
   /// Run `count` generated queries for `seed`; every query executes serial
   /// then parallel and must agree byte-for-byte with matching row counters,
   /// and the first kNestedLoopOracles joins match their nested-loop oracle.
@@ -345,10 +377,12 @@ class DifferentialTest : public ::testing::Test {
     Rng pick(seed + 1);
     uint64_t parallel_queries = 0;
     uint64_t oracles = 0;
+    uint64_t generic_oracles = 0;
     StatsScope batch(db_.stats());
     for (uint64_t i = 0; i < count; ++i) {
       const bool join = pick.Chance(0.4);
-      const std::string sql = (join ? joined : single).Generate();
+      QueryGen& gen = join ? joined : single;
+      const std::string sql = gen.Generate();
       SCOPED_TRACE("seed=" + std::to_string(seed) + " query#" +
                    std::to_string(i) + ": " + sql);
       SetParallelism(1, 4096);
@@ -356,6 +390,12 @@ class DifferentialTest : public ::testing::Test {
       auto serial = db_.Execute(sql);
       ASSERT_OK(serial);
       ExecStats serial_stats = serial_scope.Delta();
+      if (!gen.last_predicate().empty()) {
+        ++generic_oracles;
+        CheckGenericOracle(sql, gen.last_predicate(), Canon(serial.value()),
+                           serial_stats.rows_scanned);
+        if (HasFatalFailure()) return;
+      }
       if (join && oracles < kNestedLoopOracles) {
         ++oracles;
         CheckNestedLoopOracle(sql, Canon(serial.value()));
@@ -385,6 +425,7 @@ class DifferentialTest : public ::testing::Test {
     EXPECT_GT(totals.parallel_sorts, 0u) << "seed=" << seed;
     EXPECT_GT(totals.topn_pushdowns, 0u) << "seed=" << seed;
     EXPECT_GT(oracles, 0u) << "seed=" << seed;
+    EXPECT_GT(generic_oracles, count / 2) << "seed=" << seed;
   }
 
   /// Same-schema sibling database whose tables carry a randomized physical

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "engine/planner.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace mtbase {
@@ -253,11 +255,19 @@ std::string Outcome(const R& r) {
   return std::string(TypeIdName(v.type())) + ":" + v.ToString();
 }
 
+/// The expression `text` bound over no columns.
+Result<BoundExprPtr> BindOverNothing(Database& db, const std::string& text) {
+  MTB_ASSIGN_OR_RETURN(sql::ExprPtr ast, sql::ParseExpression(text));
+  return Planner(db.catalog(), db.udfs()).BindExpr(*ast, {});
+}
+
 TEST_F(EvalTest, EveryOperandKindGivesTheSameOutcome) {
-  // Each operator reads its operands as a literal, a slot, a UDF body's $n,
-  // an outer slot of a correlated sub-query, or a computed expression
-  // (COALESCE of the literal); every form must give the same value or the
-  // same status.
+  // Each operator reads its operands as a literal (folded at plan time), a
+  // slot, a UDF body's $n, an outer slot of a correlated sub-query, or a
+  // computed expression (COALESCE of the column); every form must give the
+  // same value or the same status. As a WHERE over the one ops row, through
+  // the scan's compiled filter, the case keeps the row exactly when it is
+  // TRUE and fails with the same status.
   ASSERT_OK(db_.ExecuteScript(R"(
     CREATE TABLE ops (i0 INTEGER, i3 INTEGER, i5 INTEGER, imax INTEGER,
                       dx DECIMAL(10,2), sa VARCHAR(10), sp VARCHAR(10),
@@ -356,14 +366,107 @@ TEST_F(EvalTest, EveryOperandKindGivesTheSameOutcome) {
         "SELECT (SELECT " +
             Fill(c.pattern, n, [&](size_t i) { return "o." + c.operands[i]; }) +
             " FROM one) FROM ops o",
-        "SELECT " + Fill(c.pattern, n, [&](size_t i) {
-          return "COALESCE(" + literal(i) + ")";
-        }),
+        "SELECT " +
+            Fill(c.pattern, n,
+                 [&](size_t i) { return "COALESCE(" + c.operands[i] + ")"; }) +
+            " FROM ops",
     };
     for (const std::string& sql : forms) {
       EXPECT_EQ(Outcome(db_.Execute(sql)), c.outcome) << sql;
     }
+
+    // The literal form folds to exactly its outcome, unless it fails: then
+    // it stays an expression and fails per row.
+    const std::string folded = Fill(c.pattern, n, literal);
+    auto bound = BindOverNothing(db_, folded);
+    ASSERT_OK(bound);
+    const BoundExpr& b = *bound.value();
+    const bool fails = std::string(c.outcome).find(": ") != std::string::npos;
+    if (fails) {
+      EXPECT_NE(b.kind, BoundExpr::Kind::kLiteral) << folded;
+    } else {
+      ASSERT_EQ(b.kind, BoundExpr::Kind::kLiteral) << folded;
+      EXPECT_EQ(std::string(TypeIdName(b.literal.type())) + ":" +
+                    b.literal.ToString(),
+                c.outcome)
+          << folded;
+    }
+
+    const std::string count = fails ? c.outcome
+                              : std::string(c.outcome) == "BOOL:true"
+                                  ? "INT:1"
+                                  : "INT:0";
+    for (const std::string& where :
+         {Fill(c.pattern, n, [&](size_t i) { return c.operands[i]; }),
+          folded}) {
+      const std::string sql = "SELECT COUNT(*) FROM ops WHERE " + where;
+      EXPECT_EQ(Outcome(db_.Execute(sql)), count) << sql;
+    }
   }
+}
+
+TEST_F(EvalTest, ConstantsFoldOnlyWhereEvaluationSucceeds) {
+  ASSERT_OK(db_.ExecuteScript(R"(
+    CREATE TABLE one (z INTEGER);
+    INSERT INTO one VALUES (1);
+    CREATE TABLE three (z INTEGER);
+    INSERT INTO three VALUES (1), (2), (3);
+  )"));
+  // DATE - INTERVAL folds to one DATE literal.
+  ASSERT_OK_AND_ASSIGN(
+      BoundExprPtr date,
+      BindOverNothing(db_, "DATE '1998-12-01' - INTERVAL '90' DAY"));
+  ASSERT_EQ(date->kind, BoundExpr::Kind::kLiteral);
+  EXPECT_EQ(date->literal.type(), TypeId::kDate);
+  EXPECT_EQ(date->literal.ToString(), "1998-09-02");
+
+  // A failing literal expression stays unfolded: over no row it never
+  // fails, over a row it fails exactly as without folding.
+  for (const char* expr : {"1 / 0", "9223372036854775807 + 1"}) {
+    ASSERT_OK_AND_ASSIGN(BoundExprPtr b, BindOverNothing(db_, expr));
+    EXPECT_EQ(b->kind, BoundExpr::Kind::kBinary) << expr;
+    ASSERT_OK_AND_ASSIGN(
+        ResultSet none,
+        db_.Execute(std::string("SELECT ") + expr + " FROM one WHERE z = 2"));
+    EXPECT_TRUE(none.rows.empty()) << expr;
+    auto r =
+        db_.Execute(std::string("SELECT ") + expr + " FROM one WHERE z = 1");
+    ASSERT_FALSE(r.ok()) << expr;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << expr;
+    EXPECT_EQ(r.status().message(), std::string(expr) == "1 / 0"
+                                        ? "division by zero"
+                                        : "integer out of range");
+  }
+
+  // $n never folds, even beside literals.
+  ASSERT_OK_AND_ASSIGN(BoundExprPtr param, BindOverNothing(db_, "$1 + 1"));
+  EXPECT_EQ(param->kind, BoundExpr::Kind::kBinary);
+  ASSERT_OK(db_.Execute(
+      "CREATE FUNCTION twice (INTEGER) RETURNS INTEGER AS 'SELECT $1 * 2' "
+      "LANGUAGE SQL IMMUTABLE"));
+  ASSERT_OK_AND_ASSIGN(ResultSet twice,
+                       db_.Execute("SELECT twice(z) FROM three"));
+  EXPECT_EQ(CanonRows(twice.rows), CanonRows({{Value::Int(2)},
+                                              {Value::Int(4)},
+                                              {Value::Int(6)}}));
+
+  // A UDF call with literal arguments never folds: it counts one call per
+  // row, a body run (volatile) or a cache hit (immutable, after the first).
+  ASSERT_OK(db_.Execute(
+      "CREATE FUNCTION bump (INTEGER) RETURNS INTEGER AS 'SELECT $1 + 1' "
+      "LANGUAGE SQL VOLATILE"));
+  ASSERT_OK_AND_ASSIGN(BoundExprPtr call, BindOverNothing(db_, "bump(1)"));
+  EXPECT_EQ(call->kind, BoundExpr::Kind::kUdfCall);
+  StatsScope volatile_calls(db_.stats());
+  ASSERT_OK_AND_ASSIGN(ResultSet bumped,
+                       db_.Execute("SELECT bump(1) FROM three"));
+  EXPECT_EQ(bumped.rows.size(), 3u);
+  EXPECT_EQ(volatile_calls.Delta().udf_calls, 3u);
+  StatsScope immutable_calls(db_.stats());
+  ASSERT_OK(db_.Execute("SELECT twice(1) FROM three"));
+  const ExecStats d = immutable_calls.Delta();
+  EXPECT_EQ(d.udf_calls + d.udf_cache_hits, 3u);
+  EXPECT_EQ(d.udf_calls, 1u);
 }
 
 }  // namespace

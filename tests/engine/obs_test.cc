@@ -317,6 +317,68 @@ TEST_F(ObsAnalyzeTest, AnnotatesEveryOperatorAndAppendsFooter) {
   EXPECT_NE(text.find("time="), std::string::npos) << text;
 }
 
+/// The number after " removed=" on the first line of `text` that contains
+/// `op`, or -1.
+int64_t RemovedOn(const std::string& text, const std::string& op) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find(op) == std::string::npos) continue;
+    const size_t at = line.find(" removed=");
+    if (at == std::string::npos) return -1;
+    // Last in the [actual: ...] bracket.
+    EXPECT_EQ(line.find(']', at), line.size() - 1) << line;
+    return std::stoll(line.substr(at + 9));
+  }
+  return -1;
+}
+
+// Filtered scans (full, partition-pruned and index) and Filters report the
+// candidate rows their predicate removed, the rest of the bracket intact.
+TEST_F(ObsAnalyzeTest, PredicatesReportRowsRemoved) {
+  ASSERT_OK(db_.ExecuteScript(R"(
+    CREATE TABLE p (k INTEGER NOT NULL, v INTEGER)
+      PARTITION BY HASH (k) PARTITIONS 4;
+    INSERT INTO p VALUES (1, 10), (2, 20), (3, 30), (3, -1), (4, 40), (5, 20),
+                         (3, 31), (6, 20), (7, 70), (8, 80);
+    CREATE INDEX p_v ON p (v);
+  )"));
+  struct Case {
+    const char* sql;
+    const char* op;    // the operator line to read
+    size_t rows;       // result rows
+    int64_t removed;   // -1: candidates (rows_scanned) minus result rows
+  };
+  const Case cases[] = {
+      {"SELECT a FROM t WHERE a >= 2", "Scan t (filtered)", 3, 1},
+      {"SELECT b FROM t", "Scan t", 4, -2},  // no filter: no removed=
+      {"SELECT v FROM p WHERE k = 3 AND v > 0", "[partitions: ", 2, -1},
+      {"SELECT k FROM p WHERE v = 20 AND k > 2", "IndexScan p", 2, -1},
+      {"SELECT a, COUNT(*) FROM t GROUP BY a HAVING a > 2", "Filter", 2, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    ASSERT_OK_AND_ASSIGN(auto sel, sql::ParseSelect(c.sql));
+    ResultSet rs;
+    StatsScope scope(db_.stats());
+    ASSERT_OK_AND_ASSIGN(std::string text,
+                         db_.ExplainAnalyzeSelect(*sel, nullptr, &rs));
+    ASSERT_EQ(rs.rows.size(), c.rows) << text;
+    ASSERT_NE(text.find(c.op), std::string::npos) << text;
+    const int64_t removed = RemovedOn(text, c.op);
+    if (c.removed == -2) {
+      EXPECT_EQ(removed, -1) << text;
+      continue;
+    }
+    const int64_t want =
+        c.removed >= 0 ? c.removed
+                       : static_cast<int64_t>(scope.Delta().rows_scanned) -
+                             static_cast<int64_t>(c.rows);
+    EXPECT_EQ(removed, want) << text;
+    EXPECT_GT(removed, 0) << text;
+  }
+}
+
 TEST_F(ObsAnalyzeTest, VerifyFooterPrecedesAnalyzeFooter) {
   ASSERT_OK_AND_ASSIGN(auto sel, sql::ParseSelect("SELECT a FROM t"));
   verify::VerifyContext vctx;  // engine-level checks only

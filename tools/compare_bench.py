@@ -12,10 +12,17 @@ Record a run (run.py's stdout on stdin; the last line must be its result):
         | python3 tools/compare_bench.py record pairs.jsonl \\
               --side change --pair 1 --workload mth-adhoc
 
-Compare the recorded pairs:
+Compare the recorded pairs, and optionally write each workload's
+comparison as BENCH_<workload>.json into DIR:
 
     python3 tools/compare_bench.py compare pairs.jsonl \\
-        [--claim mth-adhoc:suite_s] [--benchmark BENCHMARK.json]
+        [--claim mth-adhoc:suite_s] [--benchmark BENCHMARK.json] [--json DIR]
+
+Check committed BENCH files (default: every BENCH_*.json at the repo root),
+or print one as a markdown table:
+
+    python3 tools/compare_bench.py check [BENCH_mth-adhoc.json ...]
+    python3 tools/compare_bench.py table BENCH_mth-adhoc.json
 
 For each workload and each end-to-end metric of BENCHMARK.json, it prints
 each side's median and quartiles, the pairs the change won (ties count for
@@ -31,11 +38,20 @@ whose checks failed are printed per side.
   wider than the metric's bound), `worse` (the change's median is worse by
   more than the bound, relative to the parent's median) or `within bound`.
 
+`record` keeps run.py's `config` lines (git sha, nproc, build type, sf,
+tenants, threads, seed, ...) with each run. A BENCH file holds, per side,
+the configuration its runs share (and their seeds), each side's median and
+quartiles per end-to-end metric, the pairs won and the verdict. `check`
+fails a BENCH file that has no configuration for either side or names a
+metric BENCHMARK.json does not list.
+
 The exit status is 1 when a claim is not met or anything regressed: a
 `worse` metric, a larger share of failed operations, or a change run whose
-checks failed. It is 2 on unusable input.
+checks failed; and when `check` finds a bad file. It is 2 on unusable
+input.
 """
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -62,9 +78,44 @@ def record(args):
     if not isinstance(result, dict) or "metrics" not in result:
         die("the last input line is not run.py's JSON result")
     entry = {"side": args.side, "pair": args.pair,
-             "workload": args.workload, "result": result}
+             "workload": args.workload, "config": run_config(lines),
+             "result": result}
     with open(args.pairs, "a") as f:
         f.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
+def run_config(lines):
+    """run.py's `config` lines as one dict: `config KEY VALUE` lines and
+    the `config {...}` object mtbench prints."""
+    config = {}
+    for line in lines:
+        if not line.startswith("config "):
+            continue
+        rest = line[len("config "):].strip()
+        if rest.startswith("{"):
+            try:
+                config.update(json.loads(rest))
+            except ValueError:
+                die("unreadable config line: " + line)
+        else:
+            key, _, value = rest.partition(" ")
+            config[key] = value
+    return config
+
+
+def shared_config(configs):
+    """The configuration every run of a side shares, plus their seeds."""
+    configs = [c for c in configs if c]
+    if not configs:
+        return {}
+    shared = {k: v for k, v in configs[0].items()
+              if all(c.get(k) == v for c in configs)}
+    shared.pop("seed", None)
+    seeds = sorted({str(c["seed"]) for c in configs if "seed" in c},
+                   key=lambda seed: (len(seed), seed))  # numeric order
+    if seeds:
+        shared["seeds"] = seeds
+    return shared
 
 
 def quartiles(values):
@@ -76,7 +127,8 @@ def quartiles(values):
 
 
 def load_pairs(path):
-    runs = {}  # workload -> pair -> side -> result
+    runs = {}  # workload -> pair -> side -> result (its config under
+    # "_config")
     with open(path) as f:
         for number, line in enumerate(f, 1):
             if not line.strip():
@@ -93,7 +145,7 @@ def load_pairs(path):
             if side in sides:
                 die("%s:%d: pair %s of %s has two %s runs" %
                     (path, number, pair, workload, side))
-            sides[side] = result
+            sides[side] = dict(result, _config=entry.get("config", {}))
     return runs
 
 
@@ -133,12 +185,16 @@ def fmt(x):
     return "%.4g" % x
 
 
-def compare(args):
+def load_spec(path):
     try:
-        with open(args.benchmark) as f:
-            spec = json.load(f)
+        with open(path) as f:
+            return json.load(f)
     except (OSError, ValueError) as e:
-        die("cannot read %s: %s" % (args.benchmark, e))
+        die("cannot read %s: %s" % (path, e))
+
+
+def compare(args):
+    spec = load_spec(args.benchmark)
     metrics = spec["end_to_end"]
     names = {m["name"] for m in metrics}
     claims = set()
@@ -157,6 +213,9 @@ def compare(args):
         pairs = runs[workload]
         complete = sorted((p for p in pairs if len(pairs[p]) == 2), key=str)
         print("== %s: %d complete pairs" % (workload, len(complete)))
+        bench = {"workload": workload, "pairs": len(complete),
+                 "claims": sorted(m for w, m in claims if w == workload),
+                 "config": {}, "operations": {}, "metrics": {}}
         shares, bad_runs = {}, {}
         for side in SIDES:
             results = [pairs[p][side] for p in complete]
@@ -167,6 +226,11 @@ def compare(args):
             shares[side] = failed_ops / attempted if attempted else 0.0
             print("   %-6s failed/attempted %d/%d, runs with failed checks %d" %
                   (side, failed_ops, attempted, bad_runs[side]))
+            bench["config"][side] = shared_config(
+                [r["_config"] for r in results])
+            bench["operations"][side] = {
+                "attempted": attempted, "failed": failed_ops,
+                "runs_with_failed_checks": bad_runs[side]}
         if not complete:
             failed = failed or any(w == workload for w, _ in claims)
             continue
@@ -198,13 +262,82 @@ def compare(args):
                                 (workload, name) in claims)
             failed = failed or bad
             sides = []
-            for values in (parent, change):
+            entry = {"unit": metric["unit"], "better": metric["better"]}
+            for side, values in zip(SIDES, (parent, change)):
                 q1, med, q3 = quartiles(values)
                 sides.append("%s [%s-%s]" % (fmt(med), fmt(q1), fmt(q3)))
+                entry[side] = {"median": med, "q1": q1, "q3": q3}
+            entry.update(won=wins, pairs=len(parent), verdict=text)
+            bench["metrics"][name] = entry
             print("   %-12s %-30s %-30s %-7s %s" %
                   (name, sides[0], sides[1], "%d/%d" % (wins, len(parent)),
                    text))
+        if args.json:
+            path = os.path.join(args.json, "BENCH_%s.json" % workload)
+            with open(path, "w") as f:
+                json.dump(bench, f, indent=2, sort_keys=True)
+                f.write("\n")
     return 1 if failed else 0
+
+
+def bench_problems(path, spec):
+    """Why the BENCH file at `path` is unusable, or [] when it is not."""
+    try:
+        with open(path) as f:
+            bench = json.load(f)
+    except (OSError, ValueError) as e:
+        return ["unreadable: %s" % e]
+    if not isinstance(bench, dict):
+        return ["not a JSON object"]
+    problems = []
+    workloads = {w["name"] for w in spec["workloads"]}
+    if bench.get("workload") not in workloads:
+        problems.append("workload %r is not in BENCHMARK.json" %
+                        bench.get("workload"))
+    config = bench.get("config")
+    if not isinstance(config, dict) or not all(
+            isinstance(config.get(s), dict) and config[s] for s in SIDES):
+        problems.append("no config block for both sides")
+    known = {m["name"] for m in spec["end_to_end"] + spec["per_layer"]}
+    metrics = bench.get("metrics")
+    if not isinstance(metrics, dict) or not metrics:
+        problems.append("no metrics")
+    else:
+        for name in sorted(set(metrics) - known):
+            problems.append("metric %s is not in BENCHMARK.json" % name)
+    return problems
+
+
+def check(args):
+    spec = load_spec(args.benchmark)
+    files = args.files or sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+    bad = False
+    for path in files:
+        problems = bench_problems(path, spec)
+        for problem in problems:
+            print("%s: %s" % (path, problem))
+        bad = bad or bool(problems)
+    print("checked %d BENCH file(s)%s" % (len(files), ": FAILED" if bad else ""))
+    return 1 if bad else 0
+
+
+def table(args):
+    """A BENCH file's metrics as a markdown table."""
+    try:
+        with open(args.bench) as f:
+            bench = json.load(f)
+    except (OSError, ValueError) as e:
+        die("cannot read %s: %s" % (args.bench, e))
+    print("| metric | parent median [q1-q3] | change median [q1-q3] | "
+          "pairs won | verdict |")
+    print("|---|---|---|---|---|")
+    for name, m in sorted(bench["metrics"].items()):
+        cells = ["%s [%s-%s] %s" % (fmt(m[s]["median"]), fmt(m[s]["q1"]),
+                                    fmt(m[s]["q3"]), m["unit"])
+                 for s in SIDES]
+        print("| `%s` | %s | %s | %d/%d | %s |" %
+              (name, cells[0], cells[1], m["won"], m["pairs"], m["verdict"]))
+    return 0
 
 
 def main():
@@ -222,10 +355,23 @@ def main():
                       metavar="WORKLOAD:METRIC")
     cmp_.add_argument("--benchmark",
                       default=os.path.join(ROOT, "BENCHMARK.json"))
+    cmp_.add_argument("--json", metavar="DIR",
+                      help="write BENCH_<workload>.json files into DIR")
+    chk = sub.add_parser("check", help="check committed BENCH files")
+    chk.add_argument("files", nargs="*",
+                     help="BENCH files (default: BENCH_*.json at the root)")
+    chk.add_argument("--benchmark",
+                     default=os.path.join(ROOT, "BENCHMARK.json"))
+    tab = sub.add_parser("table", help="a BENCH file as a markdown table")
+    tab.add_argument("bench")
     args = parser.parse_args()
     if args.command == "record":
         record(args)
         return 0
+    if args.command == "check":
+        return check(args)
+    if args.command == "table":
+        return table(args)
     return compare(args)
 
 

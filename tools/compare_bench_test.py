@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Checks tools/compare_bench.py's verdicts on the recorded pairs in
 tools/testdata/: a claim that is met, a claim won in only 8 of 10 pairs,
-and a throughput regression; and that `record` appends run.py's result.
+and a throughput regression; that `record` appends run.py's result with
+its configuration; that `compare --json` writes a BENCH file `check`
+accepts; and that `check` accepts the committed BENCH files and refuses
+one without a configuration or with a metric BENCHMARK.json does not list.
 
 Usage: python3 tools/compare_bench_test.py
 """
@@ -86,6 +89,74 @@ class CompareBenchTest(unittest.TestCase):
         code, _ = run("record", os.devnull, "--side", "change", "--pair", "1",
                       "--workload", "mth-adhoc", stdin="build failed\n")
         self.assertEqual(code, 2)
+
+    def test_record_keeps_the_config_lines(self):
+        result = {"correct": True, "attempted": 5, "failed": 0,
+                  "metrics": {"suite_s": {"value": 0.2, "unit": "s"}}}
+        stdout = ("config git_sha abc\n"
+                  'config {"nproc": "4", "build_type": "Release", '
+                  '"sf": "0.001000", "seed": "7"}\n' + json.dumps(result))
+        with tempfile.TemporaryDirectory() as tmp:
+            pairs = os.path.join(tmp, "pairs.jsonl")
+            code, _ = run("record", pairs, "--side", "parent", "--pair", "1",
+                          "--workload", "mth-adhoc", stdin=stdout)
+            self.assertEqual(code, 0)
+            with open(pairs) as f:
+                entry = json.loads(f.readline())
+        self.assertEqual(entry["config"],
+                         {"git_sha": "abc", "nproc": "4",
+                          "build_type": "Release", "sf": "0.001000",
+                          "seed": "7"})
+
+    def write_bench(self, tmp, with_config):
+        """compare --json over the met fixture, its runs given a config or
+        not; returns the exit code and the BENCH file's path."""
+        pairs = os.path.join(tmp, "pairs.jsonl")
+        with open(os.path.join(DATA, "compare_bench_met.jsonl")) as src, \
+                open(pairs, "w") as dst:
+            for line in src:
+                entry = json.loads(line)
+                if with_config:
+                    entry["config"] = {"git_sha": entry["side"], "nproc": "4",
+                                       "seed": str(entry["pair"])}
+                dst.write(json.dumps(entry) + "\n")
+        code, _ = run("compare", pairs, "--claim", "mth-adhoc:suite_s",
+                      "--json", tmp)
+        return code, os.path.join(tmp, "BENCH_mth-adhoc.json")
+
+    def test_json_writes_a_bench_file_check_accepts(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, path = self.write_bench(tmp, with_config=True)
+            self.assertEqual(code, 0)
+            with open(path) as f:
+                bench = json.load(f)
+            code, out = run("check", path)
+            self.assertEqual(code, 0, out)
+        self.assertEqual(bench["claims"], ["suite_s"])
+        self.assertEqual(bench["config"]["parent"],
+                         {"git_sha": "parent", "nproc": "4",
+                          "seeds": [str(p) for p in range(1, 11)]})
+        suite = bench["metrics"]["suite_s"]
+        self.assertEqual((suite["won"], suite["pairs"], suite["verdict"]),
+                         (10, 10, "claim met"))
+        self.assertLess(suite["change"]["median"], suite["parent"]["q1"])
+
+    def test_check_refuses_a_bench_file_without_config(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            _, path = self.write_bench(tmp, with_config=False)
+            code, out = run("check", path)
+        self.assertEqual(code, 1, out)
+        self.assertIn("no config block", out)
+
+    def test_check_refuses_an_unlisted_metric(self):
+        code, out = run("check",
+                        os.path.join(DATA, "BENCH_unknown_metric.json"))
+        self.assertEqual(code, 1, out)
+        self.assertIn("metric suite_ms is not in BENCHMARK.json", out)
+
+    def test_committed_bench_files_check(self):
+        code, out = run("check")
+        self.assertEqual(code, 0, out)
 
 
 if __name__ == "__main__":
