@@ -228,9 +228,9 @@ inline void CollectConjuncts(const BoundExpr& e,
 /// Invoke fn(const BoundExpr&) on every expression hanging off this plan
 /// node — scan filter, predicate, residual, projection/group exprs, join
 /// keys and aggregate arguments — but not on children's. The single walker
-/// shared by EXPLAIN, parallel-safety marking and UDF-read-table
-/// collection, so a new expression-bearing Plan field only needs wiring
-/// here.
+/// shared by EXPLAIN, parallel-safety marking, outer-reference detection
+/// and UDF-read-table collection, so a new expression-bearing Plan field
+/// only needs wiring here.
 template <typename Fn>
 void ForEachPlanExpr(const Plan& p, Fn&& fn) {
   auto walk = [&fn](const BoundExprPtr& e) {

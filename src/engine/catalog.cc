@@ -35,18 +35,22 @@ Status Table::Insert(Row row) {
   return AppendRows(std::move(staged));
 }
 
-Table::RowsSnapshot Table::Snapshot() const {
+std::shared_ptr<const TableVersion> Table::Snapshot() const {
   std::lock_guard<std::mutex> lock(snap_mu_);
+  if (version_ == nullptr) {
+    version_ = std::make_shared<const TableVersion>(
+        rows_, data_version_.load(std::memory_order_relaxed),
+        &schema_.partition);
+  }
   pins_->fetch_add(1, std::memory_order_relaxed);
-  // The snapshot aliases the current vector and keeps it alive via the
+  // The snapshot aliases the current version and keeps it alive via the
   // captured shared_ptr; its deleter releases the pin with release ordering
   // so a writer's acquire load of pins_ orders this reader's scans first.
-  std::shared_ptr<const std::vector<Row>> pinned(
-      rows_.get(), [keep = rows_, pins = pins_](const std::vector<Row>*) {
+  return std::shared_ptr<const TableVersion>(
+      version_.get(),
+      [keep = version_, pins = pins_](const TableVersion*) {
         pins->fetch_sub(1, std::memory_order_release);
       });
-  return RowsSnapshot{std::move(pinned),
-                      data_version_.load(std::memory_order_relaxed)};
 }
 
 size_t Table::row_count() const {
@@ -74,6 +78,7 @@ Status Table::AppendRows(std::vector<Row> staged) {
   rows_->reserve(rows_->size() + staged.size());
   for (Row& row : staged) rows_->push_back(std::move(row));
   data_version_.fetch_add(staged.size(), std::memory_order_acq_rel);
+  version_.reset();
   return Status::OK();
 }
 
@@ -81,6 +86,7 @@ void Table::ReplaceRows(std::vector<Row> next) {
   std::lock_guard<std::mutex> lock(snap_mu_);
   rows_ = std::make_shared<std::vector<Row>>(std::move(next));
   data_version_.fetch_add(1, std::memory_order_acq_rel);
+  version_.reset();
 }
 
 std::unique_lock<std::mutex> Table::LockForWrite() const {
@@ -96,26 +102,41 @@ int IndexKeyCompare(const Value& a, const Value& b) {
   return static_cast<int>(a.type()) - static_cast<int>(b.type());
 }
 
-std::shared_ptr<const std::vector<std::vector<uint32_t>>>
-Table::PartitionRowsAt(uint64_t* built_version) const {
-  std::lock_guard<std::mutex> lock(phys_mu_);
-  if (!partitions_built_ ||
-      partitions_built_version_ != data_version()) {
-    RowsSnapshot snap = Snapshot();
-    const std::vector<Row>& rows = *snap.rows;
-    const PartitionScheme& ps = schema_.partition;
-    auto built = std::make_shared<std::vector<std::vector<uint32_t>>>(
-        static_cast<size_t>(ps.Count()));
-    for (size_t i = 0; i < rows.size(); ++i) {
-      int p = ps.RouteValue(rows[i][static_cast<size_t>(ps.column)]);
-      (*built)[static_cast<size_t>(p)].push_back(static_cast<uint32_t>(i));
+const std::vector<std::vector<uint32_t>>& TableVersion::PartitionRows()
+    const {
+  std::call_once(partitions_once_, [this] {
+    const PartitionScheme& ps = *partition_;
+    partition_rows_.resize(static_cast<size_t>(ps.Count()));
+    for (size_t i = 0; i < rows_->size(); ++i) {
+      int p = ps.RouteValue((*rows_)[i][static_cast<size_t>(ps.column)]);
+      partition_rows_[static_cast<size_t>(p)].push_back(
+          static_cast<uint32_t>(i));
     }
-    partition_rows_ = std::move(built);
-    partitions_built_version_ = snap.version;
-    partitions_built_ = true;
-  }
-  if (built_version != nullptr) *built_version = partitions_built_version_;
+  });
   return partition_rows_;
+}
+
+const std::vector<uint32_t>& TableVersion::IndexOrder(
+    const TableIndex& index) const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  auto [it, inserted] = index_orders_.try_emplace(index.slots);
+  std::vector<uint32_t>& order = it->second;
+  if (inserted) {
+    const std::vector<Row>& rows = *rows_;
+    order.resize(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      order[i] = static_cast<uint32_t>(i);
+    }
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      for (int slot : index.slots) {
+        int c = IndexKeyCompare(rows[a][static_cast<size_t>(slot)],
+                                rows[b][static_cast<size_t>(slot)]);
+        if (c != 0) return c < 0;
+      }
+      return false;  // stable: insertion order breaks ties
+    });
+  }
+  return order;
 }
 
 const TableIndex* Table::FindIndex(const std::string& name) const {
@@ -137,6 +158,8 @@ Status Table::AddIndex(TableIndex index) {
     return Status::AlreadyExists("index " + index.name + " already exists");
   }
   indexes_.push_back(std::move(index));
+  std::lock_guard<std::mutex> lock(snap_mu_);
+  version_.reset();
   return Status::OK();
 }
 
@@ -144,38 +167,12 @@ bool Table::RemoveIndex(const std::string& name) {
   for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
     if (EqualsIgnoreCase(it->name, name)) {
       indexes_.erase(it);
+      std::lock_guard<std::mutex> lock(snap_mu_);
+      version_.reset();
       return true;
     }
   }
   return false;
-}
-
-std::shared_ptr<const std::vector<uint32_t>> Table::IndexOrderAt(
-    const TableIndex& index, uint64_t* built_version) const {
-  std::lock_guard<std::mutex> lock(phys_mu_);
-  if (!index.built || index.built_version != data_version()) {
-    RowsSnapshot snap = Snapshot();
-    const std::vector<Row>& rows = *snap.rows;
-    auto order = std::make_shared<std::vector<uint32_t>>(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      (*order)[i] = static_cast<uint32_t>(i);
-    }
-    std::stable_sort(order->begin(), order->end(),
-                     [&](uint32_t a, uint32_t b) {
-                       for (int slot : index.slots) {
-                         int c = IndexKeyCompare(
-                             rows[a][static_cast<size_t>(slot)],
-                             rows[b][static_cast<size_t>(slot)]);
-                         if (c != 0) return c < 0;
-                       }
-                       return false;  // stable: insertion order breaks ties
-                     });
-    index.order = std::move(order);
-    index.built_version = snap.version;
-    index.built = true;
-  }
-  if (built_version != nullptr) *built_version = index.built_version;
-  return index.order;
 }
 
 Status Catalog::CreateTable(TableSchema schema) {

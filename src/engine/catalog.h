@@ -3,6 +3,7 @@
 #define MTBASE_ENGINE_CATALOG_H_
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -20,46 +21,78 @@ namespace engine {
 /// Total order over index key values: NULLs first, then SQL comparison;
 /// values whose kinds cannot compare (only possible in ill-typed rows) fall
 /// back to the type-id order so the sort stays strict-weak. Shared between
-/// the index build (Table::IndexOrder) and the executor's binary searches,
-/// which must agree exactly.
+/// the index build (TableVersion::IndexOrder) and the executor's binary
+/// searches, which must agree exactly.
 int IndexKeyCompare(const Value& a, const Value& b);
 
-/// Ordered secondary index over a table (CREATE INDEX). The physical order
+/// Ordered secondary index over a table (CREATE INDEX). Its physical order
 /// is a row-id permutation sorted by the key columns ascending (NULLs first,
-/// ties broken by row id, i.e. insertion order), rebuilt lazily whenever the
-/// table's data version moved — so an aborted DML statement, which leaves
-/// rows() untouched, trivially leaves every index consistent.
+/// ties broken by row id, i.e. insertion order), kept per table version
+/// (TableVersion::IndexOrder) — so an aborted DML statement, which publishes
+/// no version, trivially leaves every index consistent.
 struct TableIndex {
   std::string name;
   std::vector<std::string> columns;
   std::vector<int> slots;  // schema slots of the key columns
+};
 
-  // Lazily maintained by Table::IndexOrderAt (guarded by the table's
-  // physical-state mutex; mutable so const scans can refresh it). Held as a
-  // shared snapshot so a concurrent rebuild replaces the pointer without
-  // invalidating the permutation a running statement already pinned.
-  mutable std::shared_ptr<const std::vector<uint32_t>> order;
-  mutable uint64_t built_version = 0;
-  mutable bool built = false;
+/// One published version of a table's rows, together with the physical state
+/// derived from exactly those rows: the per-partition row-id lists and each
+/// index's row-id order. Immutable: each derived structure is built on its
+/// first request, at most once per version, under this version's own
+/// once-flag or lock, so every reader that pinned the version finds lists and
+/// orders that describe its rows.
+class TableVersion {
+ public:
+  /// `partition` is the owning table's scheme, which outlives every use: a
+  /// table is dropped only under the exclusive statement lock, while no
+  /// statement reads its versions.
+  TableVersion(std::shared_ptr<const std::vector<Row>> rows,
+               uint64_t data_version, const PartitionScheme* partition)
+      : rows_(std::move(rows)),
+        data_version_(data_version),
+        partition_(partition) {}
+
+  const std::vector<Row>& rows() const { return *rows_; }
+  /// The Table::data_version() these rows were published at.
+  uint64_t data_version() const { return data_version_; }
+
+  /// Per-partition ascending row-id lists (the table is partitioned).
+  const std::vector<std::vector<uint32_t>>& PartitionRows() const;
+  /// The row ids sorted by `index`'s key columns (see TableIndex). Orders are
+  /// keyed by the key slots, which are all an order depends on.
+  const std::vector<uint32_t>& IndexOrder(const TableIndex& index) const;
+
+ private:
+  const std::shared_ptr<const std::vector<Row>> rows_;
+  const uint64_t data_version_;
+  const PartitionScheme* const partition_;
+  mutable std::once_flag partitions_once_;
+  mutable std::vector<std::vector<uint32_t>> partition_rows_;
+  mutable std::mutex index_mu_;  // guards index_orders_
+  mutable std::map<std::vector<int>, std::vector<uint32_t>> index_orders_;
 };
 
 /// Row-oriented in-memory table.
 ///
 /// The insertion-ordered row vector stays the single source of truth for row
 /// data and result ordering; partitions and indexes are derived structures
-/// over row ids, rebuilt lazily when data_version() has moved.
+/// over row ids, held by the TableVersion that pins those rows.
 ///
 /// Row storage is copy-on-write for the serving layer: the current rows live
 /// in a `shared_ptr<vector<Row>>` published under snap_mu_. Readers pin a
 /// Snapshot() and scan it without further locking; UPDATE/DELETE build a
 /// replacement vector and publish it with ReplaceRows, so a pinned snapshot
-/// never mutates underneath a running SELECT. Appends go through AppendRows,
+/// never mutates underneath a running SELECT. Snapshot() wraps the current
+/// rows in a TableVersion on its first call after a publish, and every
+/// later pin of the same rows shares that version and its derived state;
+/// each publish (and index DDL) retires it. Appends go through AppendRows,
 /// which extends the vector in place only while no snapshot is pinned,
-/// keeping bulk loads O(n). Pinning is tracked by an explicit counter
-/// (incremented under snap_mu_, decremented with release ordering when the
-/// snapshot dies) rather than shared_ptr::use_count(): use_count() is a
-/// relaxed load, so it cannot order a departed reader's scans before the
-/// writer's in-place append. Writers are
+/// keeping bulk loads O(n) — a load pins nothing, so it creates no version.
+/// Pinning is tracked by an explicit counter (incremented under snap_mu_,
+/// decremented with release ordering when the snapshot dies) rather than
+/// shared_ptr::use_count(): use_count() is a relaxed load, so it cannot order
+/// a departed reader's scans before the writer's in-place append. Writers are
 /// serialized per table through LockForWrite for the span of one DML
 /// statement (single-table DML, so ordering cannot deadlock).
 class Table {
@@ -75,15 +108,9 @@ class Table {
   /// instead; holding this reference across a concurrent writer is a bug.
   const std::vector<Row>& rows() const { return *rows_; }
 
-  /// A pinned, immutable view of the rows plus the data version they
-  /// correspond to. Derived structures (partitions, index orders) report the
-  /// version they were built at, so a statement can detect a mismatch against
-  /// its pinned rows and fall back to scanning the snapshot directly.
-  struct RowsSnapshot {
-    std::shared_ptr<const std::vector<Row>> rows;
-    uint64_t version = 0;
-  };
-  RowsSnapshot Snapshot() const;
+  /// Pins the current version: its rows and derived state stay immutable
+  /// and alive while the returned pointer does.
+  std::shared_ptr<const TableVersion> Snapshot() const;
   size_t row_count() const;
 
   /// Append a row; checks arity and NOT NULL constraints.
@@ -115,29 +142,23 @@ class Table {
 
   const PartitionScheme& partition() const { return schema_.partition; }
 
-  /// Per-partition ascending row-id lists, rebuilt if stale; `built_version`
-  /// receives the data version the lists were built at. Thread-safe: returns
-  /// a shared snapshot, so a concurrent rebuild cannot invalidate it.
-  std::shared_ptr<const std::vector<std::vector<uint32_t>>> PartitionRowsAt(
-      uint64_t* built_version = nullptr) const;
-
   const std::vector<TableIndex>& indexes() const { return indexes_; }
   const TableIndex* FindIndex(const std::string& name) const;
   /// First index whose leading key column is `slot` (ttid-leading lookup).
   const TableIndex* FindIndexLeadingOn(int slot) const;
+  /// Index DDL (under the exclusive statement lock) retires the cached
+  /// version, releasing the orders it built for indexes since dropped.
   Status AddIndex(TableIndex index);
   bool RemoveIndex(const std::string& name);
-
-  /// The index's sorted row-id permutation, rebuilt if stale; `built_version`
-  /// receives the data version it was built at. Thread-safe (shared snapshot,
-  /// like PartitionRowsAt).
-  std::shared_ptr<const std::vector<uint32_t>> IndexOrderAt(
-      const TableIndex& index, uint64_t* built_version = nullptr) const;
 
  private:
   TableSchema schema_;
   // Current rows; published under snap_mu_. Never null.
   std::shared_ptr<std::vector<Row>> rows_;
+  // The version Snapshot() hands out for rows_: made by the first Snapshot()
+  // after a publish, reset (retired) by every publish and by index DDL.
+  // Guarded by snap_mu_.
+  mutable std::shared_ptr<const TableVersion> version_;
   // Live Snapshot() pins. Heap-shared so a snapshot's unpin stays valid even
   // if the table is dropped while the snapshot is still scanning. Acquire
   // loads (under snap_mu_) pair with the deleter's release decrement, giving
@@ -145,18 +166,12 @@ class Table {
   std::shared_ptr<std::atomic<int64_t>> pins_{
       std::make_shared<std::atomic<int64_t>>(0)};
   std::atomic<uint64_t> data_version_{0};
-  // Guards rows_/data_version_ publication and snapshot pinning.
+  // Guards rows_/version_/data_version_ publication and snapshot pinning.
   mutable std::mutex snap_mu_;
   // Serializes DML statements on this table (held across evaluate+publish).
   mutable std::mutex write_mu_;
 
   std::vector<TableIndex> indexes_;
-  // Lazily derived physical state (guarded by phys_mu_).
-  mutable std::mutex phys_mu_;
-  mutable std::shared_ptr<const std::vector<std::vector<uint32_t>>>
-      partition_rows_;
-  mutable uint64_t partitions_built_version_ = 0;
-  mutable bool partitions_built_ = false;
 };
 
 struct ViewDef {

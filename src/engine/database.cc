@@ -548,6 +548,13 @@ Status Database::VerifyPlan(Plan* plan) {
                                  result.Message());
 }
 
+Result<std::string> Database::ExplainSelect(
+    const sql::SelectStmt& sel, const verify::VerifyContext* verify_ctx) {
+  StatementGuard guard(this, /*exclusive=*/false);
+  return engine::ExplainSelect(&catalog_, &udfs_, sel, planner_options_,
+                               verify_ctx);
+}
+
 Result<std::string> Database::ExplainAnalyzeSelect(
     const sql::SelectStmt& sel, const verify::VerifyContext* footer_verify_ctx,
     ResultSet* result_out) {
@@ -807,8 +814,8 @@ Result<int64_t> Database::ExecuteBoundUpdate(const BoundDmlPlan& dml,
   // expression error must leave the table — and therefore the
   // shared-UDF-cache epoch — exactly as it was.
   auto write_lock = dml.table->LockForWrite();
-  auto snap = dml.table->Snapshot();
-  const std::vector<Row>& rows = *snap.rows;
+  const auto snap = dml.table->Snapshot();
+  const std::vector<Row>& rows = snap->rows();
   std::vector<std::pair<size_t, Row>> next_rows;
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -838,8 +845,8 @@ Result<int64_t> Database::ExecuteBoundDelete(const BoundDmlPlan& dml,
   // predicate over every row of a pinned snapshot before publishing, then
   // swap in the surviving rows as one new version.
   auto write_lock = dml.table->LockForWrite();
-  auto snap = dml.table->Snapshot();
-  const std::vector<Row>& rows = *snap.rows;
+  const auto snap = dml.table->Snapshot();
+  const std::vector<Row>& rows = snap->rows();
   std::vector<char> remove(rows.size(), 1);
   if (dml.where) {
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -866,7 +873,7 @@ Status Database::ValidateTable(const Table& table) {
   // Validation reads one consistent snapshot of each table involved; DML
   // racing with it lands in a later version.
   const auto table_snap = table.Snapshot();
-  const std::vector<Row>& table_rows = *table_snap.rows;
+  const std::vector<Row>& table_rows = table_snap->rows();
   // The key of `row` over the columns `cols`, into `key`; whether any key
   // column is NULL.
   auto gather = [](const Row& row, const std::vector<int>& cols,
@@ -906,8 +913,8 @@ Status Database::ValidateTable(const Table& table) {
       remote.push_back(ref->schema().FindColumn(c));
     }
     const auto ref_snap = ref->Snapshot();
-    KeyIndex keys(remote.size(), ref_snap.rows->size());
-    for (const Row& r : *ref_snap.rows) {
+    KeyIndex keys(remote.size(), ref_snap->rows().size());
+    for (const Row& r : ref_snap->rows()) {
       gather(r, remote, &key);
       keys.FindOrInsert(key.data(), HashRow(key));
     }

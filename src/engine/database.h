@@ -156,6 +156,13 @@ class Database {
   /// (all tables if empty). Deferred validation keeps bulk loads fast.
   Status ValidateConstraints(const std::string& table = "");
 
+  /// Plain EXPLAIN: engine::ExplainSelect under the shared statement lock,
+  /// with this database's planner options, so the planner's catalog, UDF
+  /// and option reads never race DDL or an options change.
+  Result<std::string> ExplainSelect(
+      const sql::SelectStmt& sel,
+      const verify::VerifyContext* verify_ctx = nullptr);
+
   /// EXPLAIN (ANALYZE) (docs/observability.md): prepare a copy of `sel`,
   /// execute it once with per-operator instrumentation attached (one engine
   /// statement: trace record and metrics), and render the plan with

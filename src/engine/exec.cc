@@ -21,28 +21,18 @@ Result<Value> EvalUdfCall(const BoundExpr& e, RowView row, ExecContext* ctx);
 
 }  // namespace
 
-const TableSnapshots::Entry& TableSnapshots::Pin(const Table& t) {
+const TableVersion& TableSnapshots::Pin(const Table& t) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = pinned_.find(&t);
-  if (it == pinned_.end()) {
-    Table::RowsSnapshot snap = t.Snapshot();
-    auto entry = std::make_unique<Entry>();
-    entry->rows = std::move(snap.rows);
-    entry->version = snap.version;
-    it = pinned_.emplace(&t, std::move(entry)).first;
-  }
-  return *it->second;
+  std::shared_ptr<const TableVersion>& pinned = pinned_[&t];
+  if (pinned == nullptr) pinned = t.Snapshot();
+  return *pinned;
 }
 
-const std::vector<Row>& PinnedRows(ExecContext* ctx, const Table& t,
-                                   uint64_t* version_out) {
-  if (ctx == nullptr || ctx->snapshots == nullptr) {
-    if (version_out != nullptr) *version_out = t.data_version();
-    return t.rows();
+const TableVersion& PinnedVersion(ExecContext* ctx, const Table& t) {
+  if (ctx->snapshots == nullptr) {
+    ctx->snapshots = std::make_shared<TableSnapshots>();
   }
-  const TableSnapshots::Entry& e = ctx->snapshots->Pin(t);
-  if (version_out != nullptr) *version_out = e.version;
-  return *e.rows;
+  return ctx->snapshots->Pin(t);
 }
 
 void RowBatch::AppendBatch(RowBatch&& other) {
@@ -772,9 +762,8 @@ const UdfCacheEpoch& SharedUdfEpoch(ExecContext* ctx) {
   if (!ctx->shared_udf_epoch_pinned && ctx->udf_read_tables != nullptr) {
     uint64_t data = 0;
     for (const Table* t : *ctx->udf_read_tables) {
-      uint64_t version = 0;
-      PinnedRows(ctx, *t, &version);
-      data = UdfCacheEpoch::FoldData(data, version);
+      data = UdfCacheEpoch::FoldData(data,
+                                     PinnedVersion(ctx, *t).data_version());
     }
     ctx->shared_udf_epoch.data = data;
   }
@@ -869,38 +858,29 @@ Result<Value> EvalUdfCall(const BoundExpr& e, RowView row, ExecContext* ctx) {
 
 Result<RowBatch> ExecScan(const Plan& p, ExecContext* ctx) {
   if (p.table == nullptr) return parallel::ScanExec(p, ctx, 1);
-  uint64_t pinned_version = 0;
-  const std::vector<Row>& rows = PinnedRows(ctx, *p.table, &pinned_version);
+  const TableVersion& version = PinnedVersion(ctx, *p.table);
+  if (!p.pruned) {
+    return parallel::ScanExec(
+        p, ctx, parallel::PlanWorkers(p, version.rows().size(), *ctx));
+  }
   // Partition pruning: scan only the surviving partitions' row ids, merged
   // back to ascending (insertion) order so output bytes match a full scan.
-  // Only usable when the derived lists were built at the statement's pinned
-  // data version; under concurrent DML they may describe a newer snapshot, in
-  // which case fall back to the full pinned scan — the partition cut is a
-  // superset cut with scan_filter fully re-applied, so bytes are identical.
-  if (p.pruned) {
-    uint64_t built_version = 0;
-    auto parts_ptr = p.table->PartitionRowsAt(&built_version);
-    if (built_version == pinned_version) {
-      const auto& parts = *parts_ptr;
-      std::vector<uint32_t> cand;
-      size_t total = 0;
-      for (uint32_t pid : p.partitions) {
-        if (pid < parts.size()) total += parts[pid].size();
-      }
-      cand.reserve(total);
-      for (uint32_t pid : p.partitions) {
-        if (pid < parts.size()) {
-          cand.insert(cand.end(), parts[pid].begin(), parts[pid].end());
-        }
-      }
-      std::sort(cand.begin(), cand.end());
-      ctx->stats->partitions_pruned += parts.size() - p.partitions.size();
-      int workers = parallel::PlanWorkers(p, cand.size(), *ctx);
-      return parallel::ScanExec(p, ctx, workers, &cand);
+  const auto& parts = version.PartitionRows();
+  std::vector<uint32_t> cand;
+  size_t total = 0;
+  for (uint32_t pid : p.partitions) {
+    if (pid < parts.size()) total += parts[pid].size();
+  }
+  cand.reserve(total);
+  for (uint32_t pid : p.partitions) {
+    if (pid < parts.size()) {
+      cand.insert(cand.end(), parts[pid].begin(), parts[pid].end());
     }
   }
-  size_t n = rows.size();
-  return parallel::ScanExec(p, ctx, parallel::PlanWorkers(p, n, *ctx));
+  std::sort(cand.begin(), cand.end());
+  ctx->stats->partitions_pruned += parts.size() - p.partitions.size();
+  int workers = parallel::PlanWorkers(p, cand.size(), *ctx);
+  return parallel::ScanExec(p, ctx, workers, &cand);
 }
 
 /// Ordered-index scan: binary-search the index's row-id permutation for each
@@ -914,18 +894,9 @@ Result<RowBatch> ExecIndexScan(const Plan& p, ExecContext* ctx) {
     return Status::Internal("index " + p.index_name +
                             " disappeared under a compiled plan");
   }
-  uint64_t pinned_version = 0;
-  const auto& rows = PinnedRows(ctx, *p.table, &pinned_version);
-  uint64_t built_version = 0;
-  auto order_ptr = p.table->IndexOrderAt(*ix, &built_version);
-  if (built_version != pinned_version) {
-    // The permutation describes a different data version than this
-    // statement's pinned snapshot (concurrent DML): fall back to a full scan
-    // of the snapshot. The index lookup is a superset cut with scan_filter
-    // re-applied below anyway, so the fallback is byte-identical.
-    return parallel::ScanExec(p, ctx, 1);
-  }
-  const auto& order = *order_ptr;
+  const TableVersion& version = PinnedVersion(ctx, *p.table);
+  const std::vector<Row>& rows = version.rows();
+  const std::vector<uint32_t>& order = version.IndexOrder(*ix);
   const size_t slot = static_cast<size_t>(ix->slots[0]);
   std::vector<uint32_t> cand;
   for (int64_t k : p.index_keys) {
@@ -1177,46 +1148,25 @@ Result<RowBatch> ExecutePlan(const Plan& plan, ExecContext* ctx) {
 
 namespace {
 
-bool ExprHasOuterRefs(const BoundExpr& e);
-
-bool PlanHasOuterRefsImpl(const Plan& p) {
-  auto check = [](const BoundExprPtr& e) {
-    return e && ExprHasOuterRefs(*e);
-  };
-  if (check(p.scan_filter) || check(p.residual) || check(p.predicate)) {
-    return true;
-  }
-  for (const auto& e : p.exprs) {
-    if (check(e)) return true;
-  }
-  for (const auto& e : p.left_keys) {
-    if (check(e)) return true;
-  }
-  for (const auto& e : p.right_keys) {
-    if (check(e)) return true;
-  }
-  for (const auto& a : p.aggs) {
-    if (check(a.arg)) return true;
-  }
-  if (p.left && PlanHasOuterRefsImpl(*p.left)) return true;
-  if (p.right && PlanHasOuterRefsImpl(*p.right)) return true;
-  return false;
-}
-
 bool ExprHasOuterRefs(const BoundExpr& e) {
-  if (e.kind == BoundExpr::Kind::kOuterSlot) return true;
-  for (const auto& a : e.args) {
-    if (ExprHasOuterRefs(*a)) return true;
-  }
-  if (e.case_operand && ExprHasOuterRefs(*e.case_operand)) return true;
-  if (e.else_expr && ExprHasOuterRefs(*e.else_expr)) return true;
-  if (e.subplan && PlanHasOuterRefsImpl(*e.subplan)) return true;
-  return false;
+  bool found = e.kind == BoundExpr::Kind::kOuterSlot ||
+               (e.subplan && PlanHasOuterRefs(*e.subplan));
+  ForEachExprChild(e, [&found](const BoundExpr& c) {
+    found = found || ExprHasOuterRefs(c);
+  });
+  return found;
 }
 
 }  // namespace
 
-bool PlanHasOuterRefs(const Plan& plan) { return PlanHasOuterRefsImpl(plan); }
+bool PlanHasOuterRefs(const Plan& plan) {
+  bool found = false;
+  ForEachPlanExpr(plan, [&found](const BoundExpr& e) {
+    found = found || ExprHasOuterRefs(e);
+  });
+  return found || (plan.left && PlanHasOuterRefs(*plan.left)) ||
+         (plan.right && PlanHasOuterRefs(*plan.right));
+}
 
-}  // namespace mtbase
 }  // namespace engine
+}  // namespace mtbase

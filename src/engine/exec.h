@@ -28,6 +28,7 @@ struct OpProfile;
 namespace engine {
 
 class Table;
+class TableVersion;
 
 /// Non-owning view of one row: size() contiguous values. Converts implicitly
 /// from a table Row. A view into a RowBatch is valid only until that batch is
@@ -102,25 +103,21 @@ class RowBatch {
 };
 
 /// Per-statement table snapshot pins. The first scan of each table pins its
-/// current copy-on-write row snapshot here; every later access within the
-/// same statement (including from morsel workers, which share the set via
-/// WorkerContext) reads the same pinned version, so one statement never sees
-/// two different versions of a table even while concurrent DML publishes new
-/// ones. Null `snapshots` in ExecContext means unsynchronized single-session
-/// execution straight off Table::rows() (embedder-built contexts).
-struct TableSnapshots {
-  struct Entry {
-    std::shared_ptr<const std::vector<Row>> rows;
-    uint64_t version = 0;
-  };
-
-  /// Returns the pinned entry for `t`, pinning the current snapshot on first
+/// current TableVersion here; every later access within the same statement
+/// (including from morsel workers, which share the set via WorkerContext)
+/// reads the same pinned version — its rows, partition lists and index
+/// orders — so one statement never sees two different versions of a table
+/// even while concurrent DML publishes new ones.
+class TableSnapshots {
+ public:
+  /// Returns the pinned version of `t`, pinning the current one on first
   /// use. The reference stays valid for the lifetime of this set.
-  const Entry& Pin(const Table& t);
+  const TableVersion& Pin(const Table& t);
 
  private:
   std::mutex mu_;
-  std::unordered_map<const Table*, std::unique_ptr<Entry>> pinned_;
+  std::unordered_map<const Table*, std::shared_ptr<const TableVersion>>
+      pinned_;
 };
 
 /// Per-statement execution state. Sub-query / UDF caches live here, so their
@@ -158,6 +155,8 @@ struct ExecContext {
 
   /// Pinned per-statement table snapshots (see TableSnapshots). Shared with
   /// worker contexts so parallel morsels scan the same pinned versions.
+  /// Database::MakeContext sets it; a context built without one gets a set
+  /// of its own at its first pin.
   std::shared_ptr<TableSnapshots> snapshots;
 
   /// EXPLAIN (ANALYZE) instrumentation (null = off, the plain hot path).
@@ -199,12 +198,8 @@ struct ExecContext {
 /// Execute a plan to a fully materialized row batch.
 Result<RowBatch> ExecutePlan(const Plan& plan, ExecContext* ctx);
 
-/// The statement's pinned rows of `t` (pinning on first use), or the live
-/// Table::rows() when the context carries no snapshot set. `version_out`
-/// (optional) receives the pinned data version, for comparing against derived
-/// structures built at a possibly different version.
-const std::vector<Row>& PinnedRows(ExecContext* ctx, const Table& t,
-                                   uint64_t* version_out = nullptr);
+/// The statement's pinned version of `t` (pinning on first use).
+const TableVersion& PinnedVersion(ExecContext* ctx, const Table& t);
 
 /// Evaluate a bound expression against `row` (layout as bound).
 Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx);

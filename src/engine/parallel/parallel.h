@@ -88,11 +88,12 @@ void RunPoolProfiled(ExecContext* ctx, int workers,
 // code runs inside morsel workers. exec.cc dispatches here. Every operator
 // consumes and produces RowBatches (exec.h): flat, one value array per
 // batch, never one heap row per output row.
-/// `candidates` (optional) restricts the scan to the given row ids of
-/// p.table->rows(), in the given order — exec.cc passes the ascending
-/// (insertion-order) survivor list of partition pruning or an index lookup,
-/// so pruned and full scans emit rows in the same order. rows_scanned counts
-/// candidates only, identically for serial and parallel execution.
+/// `candidates` (optional) restricts the scan to the given row ids of the
+/// statement's pinned version of p.table, in the given order — exec.cc
+/// passes the ascending (insertion-order) survivor list of partition pruning
+/// or an index lookup, so pruned and full scans emit rows in the same order.
+/// rows_scanned counts candidates only, identically for serial and parallel
+/// execution.
 Result<RowBatch> ScanExec(const Plan& p, ExecContext* ctx, int workers,
                           const std::vector<uint32_t>* candidates = nullptr);
 /// Compacts the surviving rows in place: no new batch, serial or parallel.

@@ -376,7 +376,7 @@ Result<RowBatch> ScanExec(const Plan& p, ExecContext* ctx, int workers,
   }
   const size_t width =
       p.emit ? p.emit->size() : p.table->schema().columns.size();
-  const auto& rows = PinnedRows(ctx, *p.table);
+  const std::vector<Row>& rows = PinnedVersion(ctx, *p.table).rows();
   const size_t n = candidates != nullptr ? candidates->size() : rows.size();
   ctx->stats->rows_scanned += n;
   // Built from the verified plan's own filter at every execution.

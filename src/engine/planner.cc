@@ -72,6 +72,22 @@ struct AggEnv {
   std::unordered_map<std::string, int> slots;
 };
 
+/// One correlated equality `inner_expr = outer_expr` extracted from a
+/// sub-query's WHERE clause.
+struct KeyPair {
+  sql::ExprPtr outer;  // binds in the enclosing query
+  sql::ExprPtr inner;  // binds in the (decorrelated) sub-query
+};
+
+/// A sub-query's WHERE clause sorted for unnesting against the enclosing
+/// query level (PlannerImpl::SplitCorrelatedWhere).
+struct CorrelatedWhere {
+  std::vector<ColumnMeta> sub_cols;     // scope of the sub-query's own FROM
+  std::vector<sql::ExprPtr> locals;     // conjuncts that do not read the level
+  std::vector<KeyPair> keys;            // correlated equalities
+  std::vector<sql::ExprPtr> residuals;  // the other correlated conjuncts
+};
+
 void SplitAndClone(const sql::Expr& e, std::vector<sql::ExprPtr>* out) {
   if (e.kind == sql::ExprKind::kBinary && e.op == "AND") {
     SplitAndClone(*e.args[0], out);
@@ -175,6 +191,18 @@ void FoldConstant(BoundExprPtr* e) {
   if (v.ok()) *e = MakeBoundLit(std::move(v).value());
 }
 
+// Put a Filter node evaluating `pred` on top of `*input`, whose output
+// layout `columns` it keeps.
+void AddFilter(PlanPtr* input, BoundExprPtr pred,
+               const std::vector<ColumnMeta>& columns) {
+  auto filter = std::make_unique<Plan>();
+  filter->kind = Plan::Kind::kFilter;
+  filter->predicate = std::move(pred);
+  filter->columns = columns;
+  filter->left = std::move(*input);
+  *input = std::move(filter);
+}
+
 // Attach a predicate that only reads one join input directly to that input:
 // onto a base-table scan's filter (where partition pruning and index
 // selection can see it), as a Filter node otherwise.
@@ -184,12 +212,7 @@ void AttachFilterToInput(PlanPtr* input, BoundExprPtr pred) {
     p.scan_filter = AndBound(std::move(p.scan_filter), std::move(pred));
     return;
   }
-  auto filter = std::make_unique<Plan>();
-  filter->kind = Plan::Kind::kFilter;
-  filter->predicate = std::move(pred);
-  filter->columns = p.columns;
-  filter->left = std::move(*input);
-  *input = std::move(filter);
+  AddFilter(input, std::move(pred), p.columns);
 }
 
 // Slot footprint of a bound predicate, for sinking it below a join. False
@@ -270,6 +293,13 @@ class PlannerImpl {
   Result<bool> SelectRefsLevel(const sql::SelectStmt& s,
                                const std::vector<ColumnMeta>& level_cols);
 
+  /// Build the scope of `sub`'s FROM and sort its WHERE conjuncts into
+  /// `out`. False (do not unnest) when a correlated conjunct holds a
+  /// sub-query or, unless `allow_residuals`, is not a correlated equality.
+  Result<bool> SplitCorrelatedWhere(const sql::SelectStmt& sub,
+                                    const std::vector<ColumnMeta>& level_cols,
+                                    bool allow_residuals,
+                                    CorrelatedWhere* out);
   Result<bool> TryUnnestExistsOrIn(const sql::Expr& conj,
                                    const std::vector<ColumnMeta>& level_cols,
                                    const BindScope* parent, PlanPtr* cur,
@@ -604,16 +634,62 @@ Result<PlannerImpl::RelInfo> PlannerImpl::PlanFromItem(const sql::TableRef& t,
 // Sub-query unnesting
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// One correlated equality `inner_expr = outer_expr` extracted from a
-/// sub-query's WHERE clause.
-struct KeyPair {
-  sql::ExprPtr outer;  // binds in the enclosing query
-  sql::ExprPtr inner;  // binds in the (decorrelated) sub-query
-};
-
-}  // namespace
+Result<bool> PlannerImpl::SplitCorrelatedWhere(
+    const sql::SelectStmt& sub, const std::vector<ColumnMeta>& level_cols,
+    bool allow_residuals, CorrelatedWhere* out) {
+  for (const auto& t : sub.from) {
+    MTB_ASSIGN_OR_RETURN(auto cols, OutputColsOfTref(*t));
+    for (auto& c : cols) out->sub_cols.push_back(std::move(c));
+  }
+  std::vector<sql::ExprPtr> conjs;
+  if (sub.where) SplitAndClone(*sub.where, &conjs);
+  for (auto& c : conjs) {
+    std::vector<const std::vector<ColumnMeta>*> chain{&out->sub_cols};
+    std::vector<const sql::Expr*> free;
+    MTB_RETURN_IF_ERROR(CollectFreeRefs(*c, &chain, &free));
+    bool refs_level = false;
+    for (const auto* r : free) {
+      if (ResolvableAtLevel(r->qualifier, r->column, level_cols)) {
+        refs_level = true;
+        break;
+      }
+    }
+    if (!refs_level) {
+      out->locals.push_back(std::move(c));
+      continue;
+    }
+    if (ContainsSubquery(*c)) return false;
+    bool made_key = false;
+    if (c->kind == sql::ExprKind::kBinary && c->op == "=") {
+      for (int side = 0; side < 2 && !made_key; ++side) {
+        const sql::Expr& inner = *c->args[static_cast<size_t>(side)];
+        const sql::Expr& outer = *c->args[static_cast<size_t>(1 - side)];
+        std::vector<const sql::Expr*> fi, fo;
+        std::vector<const std::vector<ColumnMeta>*> ci{&out->sub_cols};
+        std::vector<const std::vector<ColumnMeta>*> co;
+        MTB_RETURN_IF_ERROR(CollectFreeRefs(inner, &ci, &fi));
+        MTB_RETURN_IF_ERROR(CollectFreeRefs(outer, &co, &fo));
+        bool inner_local = fi.empty();
+        bool outer_in_level = !fo.empty();
+        for (const auto* r : fo) {
+          if (!ResolvableAtLevel(r->qualifier, r->column, level_cols)) {
+            outer_in_level = false;
+            break;
+          }
+        }
+        if (inner_local && outer_in_level) {
+          out->keys.push_back({outer.Clone(), inner.Clone()});
+          made_key = true;
+        }
+      }
+    }
+    if (!made_key) {
+      if (!allow_residuals) return false;
+      out->residuals.push_back(std::move(c));
+    }
+  }
+  return true;
+}
 
 Result<bool> PlannerImpl::TryUnnestExistsOrIn(
     const sql::Expr& conj_in, const std::vector<ColumnMeta>& level_cols,
@@ -641,61 +717,16 @@ Result<bool> PlannerImpl::TryUnnestExistsOrIn(
       if (!aggs.empty()) return false;
     }
   }
-  // Scope of the sub-query's own FROM.
-  std::vector<ColumnMeta> sub_cols;
-  for (const auto& t : sub.from) {
-    MTB_ASSIGN_OR_RETURN(auto cols, OutputColsOfTref(*t));
-    for (auto& c : cols) sub_cols.push_back(std::move(c));
-  }
   // Split the sub-query's WHERE into local conjuncts, correlated equality
   // keys, and residual correlated conjuncts.
-  std::vector<sql::ExprPtr> conjs;
-  if (sub.where) SplitAndClone(*sub.where, &conjs);
-  std::vector<sql::ExprPtr> locals;
-  std::vector<KeyPair> keys;
-  std::vector<sql::ExprPtr> residuals;
-  for (auto& c : conjs) {
-    std::vector<const std::vector<ColumnMeta>*> chain{&sub_cols};
-    std::vector<const sql::Expr*> free;
-    MTB_RETURN_IF_ERROR(CollectFreeRefs(*c, &chain, &free));
-    bool refs_level = false;
-    for (const auto* r : free) {
-      if (ResolvableAtLevel(r->qualifier, r->column, level_cols)) {
-        refs_level = true;
-        break;
-      }
-    }
-    if (!refs_level) {
-      locals.push_back(std::move(c));
-      continue;
-    }
-    if (ContainsSubquery(*c)) return false;
-    bool made_key = false;
-    if (c->kind == sql::ExprKind::kBinary && c->op == "=") {
-      for (int side = 0; side < 2 && !made_key; ++side) {
-        const sql::Expr& inner = *c->args[static_cast<size_t>(side)];
-        const sql::Expr& outer = *c->args[static_cast<size_t>(1 - side)];
-        std::vector<const sql::Expr*> fi, fo;
-        std::vector<const std::vector<ColumnMeta>*> ci{&sub_cols};
-        std::vector<const std::vector<ColumnMeta>*> co;
-        MTB_RETURN_IF_ERROR(CollectFreeRefs(inner, &ci, &fi));
-        MTB_RETURN_IF_ERROR(CollectFreeRefs(outer, &co, &fo));
-        bool inner_local = fi.empty();
-        bool outer_in_level = !fo.empty();
-        for (const auto* r : fo) {
-          if (!ResolvableAtLevel(r->qualifier, r->column, level_cols)) {
-            outer_in_level = false;
-            break;
-          }
-        }
-        if (inner_local && outer_in_level) {
-          keys.push_back({outer.Clone(), inner.Clone()});
-          made_key = true;
-        }
-      }
-    }
-    if (!made_key) residuals.push_back(std::move(c));
-  }
+  CorrelatedWhere split;
+  MTB_ASSIGN_OR_RETURN(bool splittable,
+                       SplitCorrelatedWhere(sub, level_cols,
+                                            /*allow_residuals=*/true, &split));
+  if (!splittable) return false;
+  const std::vector<ColumnMeta>& sub_cols = split.sub_cols;
+  std::vector<KeyPair>& keys = split.keys;
+  std::vector<sql::ExprPtr>& residuals = split.residuals;
   // IN with residual (non-equality) correlated conjuncts falls back to the
   // per-row path: the decorrelated sub-query projects only the IN items and
   // correlation keys, so a residual's references to other inner columns
@@ -705,7 +736,7 @@ Result<bool> PlannerImpl::TryUnnestExistsOrIn(
   // Build the decorrelated sub-query.
   auto modified = std::make_unique<sql::SelectStmt>();
   for (const auto& t : sub.from) modified->from.push_back(t->Clone());
-  modified->where = sql::AndAll(std::move(locals));
+  modified->where = sql::AndAll(std::move(split.locals));
   std::vector<BoundExprPtr> right_keys;
   std::vector<sql::ExprPtr> outer_keys;
   if (is_exists) {
@@ -838,63 +869,19 @@ Result<bool> PlannerImpl::TryUnnestScalarAgg(
     // 0 to no-row, so bail out to per-row evaluation.
     if (EqualsIgnoreCase(a->fname, "COUNT")) return false;
   }
-  std::vector<ColumnMeta> sub_cols;
-  for (const auto& t : sub.from) {
-    MTB_ASSIGN_OR_RETURN(auto cols, OutputColsOfTref(*t));
-    for (auto& c : cols) sub_cols.push_back(std::move(c));
-  }
-  std::vector<sql::ExprPtr> conjs;
-  if (sub.where) SplitAndClone(*sub.where, &conjs);
-  std::vector<sql::ExprPtr> locals;
-  std::vector<KeyPair> keys;
-  for (auto& c : conjs) {
-    std::vector<const std::vector<ColumnMeta>*> chain{&sub_cols};
-    std::vector<const sql::Expr*> free;
-    MTB_RETURN_IF_ERROR(CollectFreeRefs(*c, &chain, &free));
-    bool refs_level = false;
-    for (const auto* r : free) {
-      if (ResolvableAtLevel(r->qualifier, r->column, level_cols)) {
-        refs_level = true;
-        break;
-      }
-    }
-    if (!refs_level) {
-      locals.push_back(std::move(c));
-      continue;
-    }
-    if (ContainsSubquery(*c)) return false;
-    bool made_key = false;
-    if (c->kind == sql::ExprKind::kBinary && c->op == "=") {
-      for (int side = 0; side < 2 && !made_key; ++side) {
-        const sql::Expr& inner = *c->args[static_cast<size_t>(side)];
-        const sql::Expr& outer = *c->args[static_cast<size_t>(1 - side)];
-        std::vector<const sql::Expr*> fi, fo;
-        std::vector<const std::vector<ColumnMeta>*> ci{&sub_cols};
-        std::vector<const std::vector<ColumnMeta>*> co;
-        MTB_RETURN_IF_ERROR(CollectFreeRefs(inner, &ci, &fi));
-        MTB_RETURN_IF_ERROR(CollectFreeRefs(outer, &co, &fo));
-        bool inner_local = fi.empty();
-        bool outer_in_level = !fo.empty();
-        for (const auto* r : fo) {
-          if (!ResolvableAtLevel(r->qualifier, r->column, level_cols)) {
-            outer_in_level = false;
-            break;
-          }
-        }
-        if (inner_local && outer_in_level) {
-          keys.push_back({outer.Clone(), inner.Clone()});
-          made_key = true;
-        }
-      }
-    }
-    if (!made_key) return false;  // residuals not supported under GROUP BY
-  }
+  // Residuals are not supported under the GROUP BY this form builds.
+  CorrelatedWhere split;
+  MTB_ASSIGN_OR_RETURN(bool splittable,
+                       SplitCorrelatedWhere(sub, level_cols,
+                                            /*allow_residuals=*/false, &split));
+  if (!splittable) return false;
+  std::vector<KeyPair>& keys = split.keys;
   if (keys.empty()) return false;
 
   int job = unnest_counter_++;
   auto modified = std::make_unique<sql::SelectStmt>();
   for (const auto& t : sub.from) modified->from.push_back(t->Clone());
-  modified->where = sql::AndAll(std::move(locals));
+  modified->where = sql::AndAll(std::move(split.locals));
   for (size_t i = 0; i < keys.size(); ++i) {
     sql::SelectItem item;
     item.expr = keys[i].inner->Clone();
@@ -946,12 +933,8 @@ Result<bool> PlannerImpl::TryUnnestScalarAgg(
     cmp->args.push_back(std::move(other_bound));
     cmp->args.push_back(std::move(agg_slot));
   }
-  auto filter = std::make_unique<Plan>();
-  filter->kind = Plan::Kind::kFilter;
-  filter->predicate = std::move(cmp);
-  filter->columns = concat;
-  filter->left = std::move(join);
-  *cur = std::move(filter);
+  *cur = std::move(join);
+  AddFilter(cur, std::move(cmp), concat);
   *work_cols = std::move(concat);
   return true;
 }
@@ -1315,12 +1298,7 @@ Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
       rels[i].plan->scan_filter =
           AndBound(std::move(rels[i].plan->scan_filter), std::move(pred));
     } else {
-      auto filter = std::make_unique<Plan>();
-      filter->kind = Plan::Kind::kFilter;
-      filter->predicate = std::move(pred);
-      filter->columns = rels[i].cols;
-      filter->left = std::move(rels[i].plan);
-      rels[i].plan = std::move(filter);
+      AddFilter(&rels[i].plan, std::move(pred), rels[i].cols);
     }
   }
 
@@ -1398,14 +1376,7 @@ Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
       MTB_ASSIGN_OR_RETURN(auto b, Bind(*c, &work_scope, nullptr));
       pred = AndBound(std::move(pred), std::move(b));
     }
-    if (pred) {
-      auto filter = std::make_unique<Plan>();
-      filter->kind = Plan::Kind::kFilter;
-      filter->predicate = std::move(pred);
-      filter->columns = work_cols;
-      filter->left = std::move(cur);
-      cur = std::move(filter);
-    }
+    if (pred) AddFilter(&cur, std::move(pred), work_cols);
   }
 
   // 6. Sub-query conjuncts correlated with this level: unnest or fall back.
@@ -1421,12 +1392,7 @@ Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
     }
     BindScope work_scope{&work_cols, parent};
     MTB_ASSIGN_OR_RETURN(auto b, Bind(*c, &work_scope, nullptr));
-    auto filter = std::make_unique<Plan>();
-    filter->kind = Plan::Kind::kFilter;
-    filter->predicate = std::move(b);
-    filter->columns = work_cols;
-    filter->left = std::move(cur);
-    cur = std::move(filter);
+    AddFilter(&cur, std::move(b), work_cols);
   }
 
   BindScope work_scope{&work_cols, parent};
@@ -1510,12 +1476,7 @@ Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
       return Status::InvalidArgument("HAVING requires aggregation");
     }
     MTB_ASSIGN_OR_RETURN(auto b, Bind(*having, out_scope, env));
-    auto filter = std::make_unique<Plan>();
-    filter->kind = Plan::Kind::kFilter;
-    filter->predicate = std::move(b);
-    filter->columns = agg_cols;
-    filter->left = std::move(cur);
-    cur = std::move(filter);
+    AddFilter(&cur, std::move(b), agg_cols);
   }
 
   // 9. Projection (stars expand to the visible FROM columns).

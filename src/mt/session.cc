@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/str_util.h"
-#include "engine/explain.h"
 #include "engine/obs/statement.h"
 #include "engine/obs/trace.h"
 #include "sql/parser.h"
@@ -772,10 +771,8 @@ Result<std::string> Session::Explain(const std::string& mtsql,
                     analyze_result));
     } else {
       MTB_ASSIGN_OR_RETURN(
-          text,
-          engine::ExplainSelect(mw_->db()->catalog(), mw_->db()->udfs(),
-                                *s.select, mw_->db()->planner_options(),
-                                options.verify ? &vctx : nullptr));
+          text, mw_->db()->ExplainSelect(*s.select,
+                                         options.verify ? &vctx : nullptr));
     }
     out += text;
     // Fixed footer order: the engine renders the verify and analyze lines

@@ -9,6 +9,8 @@
 //     exactly the bytes a serial replay of the same statements leaves.
 //   - DDL safety: CREATE TABLE / CREATE INDEX from one thread while others
 //     scan, under the exclusive statement guard.
+//   - physical access paths: partition-pruned and index scans read the
+//     partition lists and index orders of the table version they pinned.
 //   - accounting: the process metrics registry reconciles with the number of
 //     statements the threads actually issued.
 //
@@ -391,6 +393,126 @@ TEST_F(ConcurrencyTest, StressMixedWorkloadInvariants) {
   EXPECT_EQ(failures.count(), 0) << failures.first();
   EXPECT_GT(statements.load(), 0u);
   EXPECT_EQ(SumCanon(), expect);
+}
+
+// Time-boxed (ctest label `stress`). Pruned and index scans under concurrent
+// writes. `tp` is hash-partitioned on ttid with a ttid-leading index; every
+// write keeps each tenant's SUM(bal), and each pair of rows (i, i + kHalf)
+// of a tenant, unchanged. Readers check the tenant invariant through a
+// partition-pruned scan (ttid = k, in morsels) and the pair invariant
+// through an index scan on id, served by `tp_alt` while it is on (id). A DDL
+// thread now and then re-creates `tp_alt` on (bal) and back, so a scan must
+// never binary-search one key's order by another key.
+TEST(PhysicalScanStressTest, StressPrunedAndIndexScansUnderWrites) {
+  const uint64_t budget_s = EnvU64("MTBASE_STRESS_SECONDS", 1);
+  constexpr int kTenants = 6;
+  constexpr int kHalf = 20;  // rows per tenant: 2 * kHalf
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 4;  // even: pruned-scan, odd: index-scan readers
+  Database db;
+  PlannerOptions opts = db.planner_options();
+  opts.max_threads = 4;
+  opts.min_parallel_rows = 16;
+  db.set_planner_options(opts);
+  std::string script =
+      "CREATE TABLE tp (ttid INTEGER NOT NULL, id INTEGER NOT NULL, "
+      "bal INTEGER NOT NULL) PARTITION BY HASH (ttid) PARTITIONS 4;"
+      "CREATE INDEX tp_ttid ON tp (ttid, id);"
+      "CREATE INDEX tp_alt ON tp (id);"
+      "INSERT INTO tp VALUES ";
+  for (int k = 1; k <= kTenants; ++k) {
+    for (int i = 0; i < 2 * kHalf; ++i) {
+      script += (k == 1 && i == 0 ? "(" : ", (") + std::to_string(k) + ", " +
+                std::to_string(k * 1000 + i) + ", 100)";
+    }
+  }
+  ASSERT_OK(db.ExecuteScript(script));
+  const std::string tenant_sum =
+      CanonRows({{Value::Int(100 * 2 * kHalf)}});
+  const std::string pair_sum = CanonRows({{Value::Int(200)}});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(budget_s);
+  FailureLog failures;
+  std::atomic<int> workers_left{kWriters + kReaders};
+  std::vector<std::thread> threads;
+  // Writers: balanced UPDATEs, a zero-sum INSERT pair, its DELETE.
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(0x7A57u + static_cast<uint64_t>(w));
+      do {
+        const int64_t k = rng.Uniform(1, kTenants);
+        const int64_t i = rng.Uniform(0, kHalf - 1);
+        const std::string a = std::to_string(k * 1000 + i);
+        const std::string b = std::to_string(k * 1000 + i + kHalf);
+        std::string sql;
+        switch (rng.Uniform(0, 3)) {
+          case 0:
+            sql = "UPDATE tp SET bal = bal + CASE WHEN id < " +
+                  std::to_string(k * 1000 + kHalf) +
+                  " THEN 1 ELSE -1 END WHERE ttid = " + std::to_string(k) +
+                  " AND id < " + std::to_string(k * 1000 + 2 * kHalf);
+            break;
+          case 1:
+            sql = "UPDATE tp SET bal = bal + CASE WHEN id = " + a +
+                  " THEN 7 ELSE -7 END WHERE id IN (" + a + ", " + b + ")";
+            break;
+          case 2:
+            sql = "INSERT INTO tp VALUES (" + std::to_string(k) +
+                  ", 100000, 13), (" + std::to_string(k) + ", 200000, -13)";
+            break;
+          default:
+            sql = "DELETE FROM tp WHERE ttid = " + std::to_string(k) +
+                  " AND id >= 100000";
+            break;
+        }
+        Status st = db.Execute(sql).status();
+        if (!st.ok()) failures.Record(sql + ": " + st.ToString());
+      } while (std::chrono::steady_clock::now() < deadline);
+      --workers_left;
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(0x5CA7u + static_cast<uint64_t>(r));
+      do {
+        const int64_t k = rng.Uniform(1, kTenants);
+        std::string sql, want;
+        if (r % 2 == 0) {
+          sql = "SELECT SUM(bal) FROM tp WHERE ttid = " + std::to_string(k);
+          want = tenant_sum;
+        } else {
+          const int64_t id = k * 1000 + rng.Uniform(0, kHalf - 1);
+          sql = "SELECT SUM(bal) FROM tp WHERE id IN (" +
+                std::to_string(id) + ", " + std::to_string(id + kHalf) + ")";
+          want = pair_sum;
+        }
+        auto rs = db.Execute(sql);
+        if (!rs.ok()) {
+          failures.Record(sql + ": " + rs.status().ToString());
+        } else if (CanonRows(rs.value().rows) != want) {
+          failures.Record(sql + " = " + CanonRows(rs.value().rows) +
+                          ", want " + want);
+        }
+      } while (std::chrono::steady_clock::now() < deadline);
+      --workers_left;
+    });
+  }
+  // DDL: one index name, re-created on other columns and back.
+  threads.emplace_back([&] {
+    for (int flip = 0; workers_left.load() > 0; ++flip) {
+      const char* create = flip % 2 == 0 ? "CREATE INDEX tp_alt ON tp (bal)"
+                                         : "CREATE INDEX tp_alt ON tp (id)";
+      for (const char* sql : {"DROP INDEX tp_alt", create}) {
+        Status st = db.Execute(sql).status();
+        if (!st.ok()) failures.Record(std::string(sql) + ": " + st.ToString());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.count(), 0) << failures.first();
+  EXPECT_GT(db.stats()->partitions_pruned, 0u);
+  EXPECT_GT(db.stats()->index_scans, 0u);
 }
 
 // Time-boxed (ctest label `stress`). A statement's shared-cache epoch must

@@ -88,17 +88,17 @@ TEST_F(PhysicalDesignTest, PartitionRowsCoverEveryRowExactlyOnce) {
   ASSERT_NE(t, nullptr);
   ASSERT_TRUE(t->partition().partitioned());
   EXPECT_EQ(t->partition().Count(), kParts);
-  const auto parts_ptr = t->PartitionRowsAt();
-  const auto& parts = *parts_ptr;
+  const auto version = t->Snapshot();
+  const auto& parts = version->PartitionRows();
   ASSERT_EQ(parts.size(), static_cast<size_t>(kParts));
-  std::vector<bool> seen(t->rows().size(), false);
+  std::vector<bool> seen(version->rows().size(), false);
   for (const auto& ids : parts) {
     for (uint32_t id : ids) {
       ASSERT_LT(id, seen.size());
       EXPECT_FALSE(seen[id]) << "row " << id << " in two partitions";
       seen[id] = true;
       // Membership agrees with the routing function.
-      EXPECT_EQ(t->partition().RouteValue(t->rows()[id][0]),
+      EXPECT_EQ(t->partition().RouteValue(version->rows()[id][0]),
                 static_cast<int>(&ids - parts.data()));
     }
   }
@@ -118,8 +118,8 @@ TEST_F(PhysicalDesignTest, ListPartitioningRoutesOverflowToLastPartition) {
   ASSERT_OK(db_.ExecuteScript(
       "INSERT INTO lp VALUES (1); INSERT INTO lp VALUES (3); "
       "INSERT INTO lp VALUES (42)"));
-  const auto parts_ptr = t->PartitionRowsAt();
-  const auto& parts = *parts_ptr;
+  const auto version = t->Snapshot();
+  const auto& parts = version->PartitionRows();
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[0].size(), 1u);
   EXPECT_EQ(parts[1].size(), 1u);
@@ -131,12 +131,12 @@ TEST_F(PhysicalDesignTest, IndexOrderIsSortedWithInsertionOrderTieBreak) {
   ASSERT_NE(t, nullptr);
   const TableIndex* ix = t->FindIndex("part_ttid");
   ASSERT_NE(ix, nullptr);
-  const auto order_ptr = t->IndexOrderAt(*ix);
-  const auto& order = *order_ptr;
-  ASSERT_EQ(order.size(), t->rows().size());
+  const auto version = t->Snapshot();
+  const auto& order = version->IndexOrder(*ix);
+  ASSERT_EQ(order.size(), version->rows().size());
   for (size_t i = 1; i < order.size(); ++i) {
-    const Row& a = t->rows()[order[i - 1]];
-    const Row& b = t->rows()[order[i]];
+    const Row& a = version->rows()[order[i - 1]];
+    const Row& b = version->rows()[order[i]];
     int c = IndexKeyCompare(a[0], b[0]);
     if (c == 0) c = IndexKeyCompare(a[1], b[1]);
     if (c == 0) {
@@ -253,8 +253,9 @@ TEST_F(PhysicalDesignTest, AbortedMultiRowInsertLeavesTableUnchanged) {
   EXPECT_EQ(t->rows().size(), before);
   EXPECT_EQ(t->data_version(), version);
   // Derived physical state is trivially consistent: same coverage as before.
+  const auto pinned = t->Snapshot();
   size_t covered = 0;
-  for (const auto& ids : *t->PartitionRowsAt()) covered += ids.size();
+  for (const auto& ids : pinned->PartitionRows()) covered += ids.size();
   EXPECT_EQ(covered, before);
   ASSERT_OK_AND_ASSIGN(auto rs,
                        db_.Execute("SELECT id FROM part WHERE id = 900"));

@@ -11,6 +11,8 @@
 // cross-session hits, and the session metrics must reconcile with the
 // statements issued. Designed to run clean under ThreadSanitizer.
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -271,6 +273,54 @@ TEST(ConcurrentSessionsTest, CloseAbortsQueuedStatement) {
   env.db->admission()->Release();
   Session other(env.mw.get(), 2);
   EXPECT_OK(other.Execute("SELECT COUNT(*) FROM Acct").status());
+}
+
+// Time-boxed by MTBASE_STRESS_SECONDS (ctest label `stress`). Plain EXPLAIN
+// plans under the engine's shared statement lock: one session explains a
+// point query on Acct while another creates and drops an index on it. CREATE
+// INDEX takes only the engine's exclusive lock, so a plan made outside the
+// shared lock would read the table's index list while Table::AddIndex grows
+// it (ThreadSanitizer reports that race).
+TEST(ConcurrentSessionsTest, StressExplainBesideIndexDdl) {
+  const char* budget = std::getenv("MTBASE_STRESS_SECONDS");
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::seconds(budget != nullptr && *budget != '\0'
+                               ? std::strtoull(budget, nullptr, 10)
+                               : 1);
+  Env env;
+  ASSERT_TRUE(env.ok);
+  FailureLog failures;
+  std::atomic<bool> explaining{true};
+  std::atomic<uint64_t> creates{0};
+  std::thread ddl([&] {
+    Session s(env.mw.get(), 1);
+    for (int i = 0; explaining.load(); ++i) {
+      const std::string ix = "ix_" + std::to_string(i);
+      for (const std::string& sql :
+           {"CREATE INDEX " + ix + " ON Acct (ttid)", "DROP INDEX " + ix}) {
+        auto st = s.Execute(sql);
+        if (!st.ok()) failures.Record(sql + ": " + st.status().ToString());
+      }
+      ++creates;
+    }
+  });
+  Session reader(env.mw.get(), 1);
+  uint64_t explains = 0;
+  do {
+    auto plan = reader.Explain("SELECT A_bal FROM Acct WHERE A_id = 1");
+    ++explains;
+    if (!plan.ok()) {
+      failures.Record("explain: " + plan.status().ToString());
+    } else if (plan.value().find("Scan Acct") == std::string::npos) {
+      failures.Record("explain without a scan of Acct:\n" + plan.value());
+    }
+  } while (std::chrono::steady_clock::now() < deadline);
+  explaining = false;
+  ddl.join();
+  EXPECT_EQ(failures.count(), 0) << failures.first();
+  EXPECT_GT(explains, 0u);
+  EXPECT_GT(creates.load(), 0u);
 }
 
 }  // namespace
