@@ -514,9 +514,19 @@ Result<ResultSet> Database::ExecuteStmt(const sql::Stmt& stmt) {
 
 void Database::EnsureUdfPlansFresh() {}
 
+PlannerOptions Database::planner_options() {
+  StatementGuard guard(this, /*exclusive=*/false);
+  return planner_options_;
+}
+
 void Database::set_planner_options(const PlannerOptions& o) {
+  update_planner_options([&](PlannerOptions* opts) { *opts = o; });
+}
+
+void Database::update_planner_options(
+    const std::function<void(PlannerOptions*)>& edit) {
   StatementGuard guard(this, /*exclusive=*/true);
-  planner_options_ = o;
+  edit(&planner_options_);
   options_version_.fetch_add(1, std::memory_order_acq_rel);
   RefreshUdfPlans();
 }

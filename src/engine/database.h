@@ -204,11 +204,16 @@ class Database {
   ExecStats* stats() { return &stats_; }
   DbmsProfile profile() const { return profile_; }
   void set_profile(DbmsProfile p) { profile_ = p; }
-  const PlannerOptions& planner_options() const { return planner_options_; }
+  /// A copy of the planner options, read under the shared statement lock.
+  PlannerOptions planner_options();
   /// Replaces the planner options and eagerly replans UDF bodies under the
   /// exclusive statement lock (an options change is DDL-shaped: it moves the
   /// compilation version and must not race in-flight statements).
   void set_planner_options(const PlannerOptions& o);
+  /// Like set_planner_options, but `edit` changes the current options in
+  /// place under the same exclusive lock, so concurrent edits of different
+  /// fields never lose one another.
+  void update_planner_options(const std::function<void(PlannerOptions*)>& edit);
 
   /// The ExecStats sink for the current statement on this thread: the
   /// innermost open StatsFrame for this database, or the cumulative stats_

@@ -317,8 +317,41 @@ class Normalizer {
     }
   }
 
+  /// EXISTS reads only whether its sub-query returns a row. When no
+  /// aggregate, GROUP BY, HAVING, DISTINCT or ORDER BY reads the select
+  /// list, every list answers alike, so all of them normalize to `1`.
+  static void NormalizeExistsList(sql::SelectStmt* sub) {
+    if (sub->distinct || !sub->group_by.empty() || sub->having ||
+        !sub->order_by.empty()) {
+      return;
+    }
+    std::function<bool(const sql::Expr&)> has_agg = [&](const sql::Expr& x) {
+      if (x.kind == sql::ExprKind::kFunction &&
+          (EqualsIgnoreCase(x.fname, "COUNT") ||
+           EqualsIgnoreCase(x.fname, "SUM") ||
+           EqualsIgnoreCase(x.fname, "AVG") ||
+           EqualsIgnoreCase(x.fname, "MIN") ||
+           EqualsIgnoreCase(x.fname, "MAX"))) {
+        return true;
+      }
+      for (const auto& a : x.args) {
+        if (has_agg(*a)) return true;
+      }
+      return (x.case_operand && has_agg(*x.case_operand)) ||
+             (x.else_expr && has_agg(*x.else_expr));
+    };
+    for (const auto& item : sub->items) {
+      if (has_agg(*item.expr)) return;
+    }
+    sub->items.clear();
+    sql::SelectItem one;
+    one.expr = sql::IntLit(1);
+    sub->items.push_back(std::move(one));
+  }
+
   void NormalizeExpr(sql::ExprPtr* p) {
     sql::Expr* e = p->get();
+    if (e->kind == sql::ExprKind::kExists) NormalizeExistsList(e->subquery.get());
     if (e->subquery) NormalizeSelect(e->subquery.get());
     for (auto& a : e->args) NormalizeExpr(&a);
     if (e->case_operand) NormalizeExpr(&e->case_operand);

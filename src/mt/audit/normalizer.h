@@ -14,12 +14,14 @@
 //   ... and the IN-list / BETWEEN analogues.
 //
 // On top of the conversion elision the normalizer flattens AND/OR chains,
-// orders commutative operands deterministically and (under caller-proven o1
-// legality) elides conversion wrappers, D-filters and ttid join predicates —
-// so an o1 rewrite normalizes to the same text as the canonical rewrite of
-// the same query. The restructuring passes (o3 aggregation distribution, o4
-// inlining) have no normal form by design; ClassifyDivergence recognizes
-// their artifacts and names the divergence.
+// orders commutative operands deterministically, writes the select list of
+// an EXISTS sub-query as `1` when no aggregate, GROUP BY, HAVING, DISTINCT or
+// ORDER BY reads it (o4 drops such lists before inlining), and (under
+// caller-proven o1 legality) elides conversion wrappers, D-filters and ttid
+// join predicates — so an o1 rewrite normalizes to the same text as the
+// canonical rewrite of the same query. The restructuring passes (o3
+// aggregation distribution, o4 inlining) have no normal form by design;
+// ClassifyDivergence recognizes their artifacts and names the divergence.
 #ifndef MTBASE_MT_AUDIT_NORMALIZER_H_
 #define MTBASE_MT_AUDIT_NORMALIZER_H_
 

@@ -108,27 +108,37 @@ void CollectSubqueries(sql::Expr* e, std::vector<sql::SelectStmt*>* out) {
   if (e->else_expr) CollectSubqueries(e->else_expr.get(), out);
 }
 
-/// All sub-selects directly reachable from this select's clauses and FROM.
-void DirectChildSelects(sql::SelectStmt* sel,
-                        std::vector<sql::SelectStmt*>* out) {
+/// The expression clauses of one select level (join conditions, the select
+/// list, WHERE, GROUP BY, HAVING and ORDER BY) and the sub-queries of its
+/// FROM list.
+void ClausesOfLevel(sql::SelectStmt* sel, std::vector<sql::ExprPtr*>* out,
+                    std::vector<sql::SelectStmt*>* from_subqueries) {
   std::vector<sql::TableRef*> stack;
   for (auto& t : sel->from) stack.push_back(t.get());
   while (!stack.empty()) {
     sql::TableRef* t = stack.back();
     stack.pop_back();
     if (t->kind == sql::TableRef::Kind::kSubquery) {
-      out->push_back(t->subquery.get());
+      from_subqueries->push_back(t->subquery.get());
     } else if (t->kind == sql::TableRef::Kind::kJoin) {
-      if (t->join_cond) CollectSubqueries(t->join_cond.get(), out);
+      if (t->join_cond) out->push_back(&t->join_cond);
       stack.push_back(t->left.get());
       stack.push_back(t->right.get());
     }
   }
-  for (auto& item : sel->items) CollectSubqueries(item.expr.get(), out);
-  if (sel->where) CollectSubqueries(sel->where.get(), out);
-  for (auto& g : sel->group_by) CollectSubqueries(g.get(), out);
-  if (sel->having) CollectSubqueries(sel->having.get(), out);
-  for (auto& o : sel->order_by) CollectSubqueries(o.expr.get(), out);
+  for (auto& item : sel->items) out->push_back(&item.expr);
+  if (sel->where) out->push_back(&sel->where);
+  for (auto& g : sel->group_by) out->push_back(&g);
+  if (sel->having) out->push_back(&sel->having);
+  for (auto& o : sel->order_by) out->push_back(&o.expr);
+}
+
+/// All sub-selects directly reachable from this select's clauses and FROM.
+void DirectChildSelects(sql::SelectStmt* sel,
+                        std::vector<sql::SelectStmt*>* out) {
+  std::vector<sql::ExprPtr*> clauses;
+  ClausesOfLevel(sel, &clauses, out);
+  for (sql::ExprPtr* c : clauses) CollectSubqueries(c->get(), out);
 }
 
 sql::ExprPtr MakeAgg(const std::string& fn, sql::ExprPtr arg) {
@@ -565,32 +575,40 @@ Status Optimizer::DistributeAggregations(sql::SelectStmt* sel) {
   const bool linear = pair->cls == ConversionClass::kLinear;
 
   // --- build the inner (per-tenant partial aggregation) query -------------
+  // The partials stay in tenant format and carry their owner as __t; the
+  // outer query converts each one, so o4 joins the conversion metadata over
+  // the (group, tenant) partials instead of every fact row.
   auto inner = std::make_unique<sql::SelectStmt>();
   inner->from = std::move(sel->from);
   inner->where = std::move(sel->where);
   std::unordered_map<std::string, std::function<sql::ExprPtr()>> repl;
-  for (size_t i = 0; i < sel->group_by.size(); ++i) {
+  auto add_item = [&](sql::ExprPtr e, const std::string& alias) {
     sql::SelectItem item;
-    item.expr = sel->group_by[i]->Clone();
-    item.alias = "__g" + std::to_string(i);
+    item.expr = std::move(e);
+    item.alias = alias;
     inner->items.push_back(std::move(item));
-    inner->group_by.push_back(sel->group_by[i]->Clone());
-    std::string text = sql::PrintExpr(*sel->group_by[i]);
+  };
+  for (size_t i = 0; i < sel->group_by.size(); ++i) {
     std::string alias = "__g" + std::to_string(i);
-    repl[text] = [alias]() { return sql::Col(alias); };
+    add_item(sel->group_by[i]->Clone(), alias);
+    inner->group_by.push_back(sel->group_by[i]->Clone());
+    repl[sql::PrintExpr(*sel->group_by[i])] = [alias]() {
+      return sql::Col(alias);
+    };
   }
+  add_item(ttid_expr->Clone(), "__t");
   inner->group_by.push_back(ttid_expr->Clone());
 
-  auto wrap_to_universal = [&](sql::ExprPtr agg) {
+  auto to_universal = [pair](const std::string& partial) {
     std::vector<sql::ExprPtr> args;
-    args.push_back(std::move(agg));
-    args.push_back(ttid_expr->Clone());
+    args.push_back(sql::Col(partial));
+    args.push_back(sql::Col("__t"));
     return sql::Func(pair->to_universal, std::move(args));
   };
-  auto wrap_from_universal = [&](sql::ExprPtr agg) {
+  auto from_universal = [pair, client = client_](sql::ExprPtr agg) {
     std::vector<sql::ExprPtr> args;
     args.push_back(std::move(agg));
-    args.push_back(sql::IntLit(client_));
+    args.push_back(sql::IntLit(client));
     return sql::Func(pair->from_universal, std::move(args));
   };
 
@@ -604,12 +622,6 @@ Status Optimizer::DistributeAggregations(sql::SelectStmt* sel) {
     auto arg_clone = [&]() {
       return dist ? p.stripped->Clone() : p.call->args[0]->Clone();
     };
-    auto add_item = [&](sql::ExprPtr e, const std::string& alias) {
-      sql::SelectItem item;
-      item.expr = std::move(e);
-      item.alias = alias;
-      inner->items.push_back(std::move(item));
-    };
     switch (p.kind) {
       case AggKind::kCount: {
         add_item(star ? MakeCountStar() : MakeAgg("COUNT", arg_clone()), a1);
@@ -622,16 +634,16 @@ Status Optimizer::DistributeAggregations(sql::SelectStmt* sel) {
           repl[p.text] = [a1]() { return MakeAgg("SUM", sql::Col(a1)); };
         } else if (linear) {
           // Appendix B: total sum = sum over tenants of count * avg.
-          add_item(wrap_to_universal(MakeAgg("AVG", arg_clone())), a1);
+          add_item(MakeAgg("AVG", arg_clone()), a1);
           add_item(MakeAgg("COUNT", arg_clone()), a2);
-          repl[p.text] = [a1, a2, wrap_from_universal]() {
-            return wrap_from_universal(MakeAgg(
-                "SUM", sql::Binary("*", sql::Col(a1), sql::Col(a2))));
+          repl[p.text] = [a1, a2, to_universal, from_universal]() {
+            return from_universal(MakeAgg(
+                "SUM", sql::Binary("*", to_universal(a1), sql::Col(a2))));
           };
         } else {
-          add_item(wrap_to_universal(MakeAgg("SUM", arg_clone())), a1);
-          repl[p.text] = [a1, wrap_from_universal]() {
-            return wrap_from_universal(MakeAgg("SUM", sql::Col(a1)));
+          add_item(MakeAgg("SUM", arg_clone()), a1);
+          repl[p.text] = [a1, to_universal, from_universal]() {
+            return from_universal(MakeAgg("SUM", to_universal(a1)));
           };
         }
         break;
@@ -645,20 +657,21 @@ Status Optimizer::DistributeAggregations(sql::SelectStmt* sel) {
                                MakeAgg("SUM", sql::Col(a2)));
           };
         } else if (linear) {
-          add_item(wrap_to_universal(MakeAgg("AVG", arg_clone())), a1);
+          add_item(MakeAgg("AVG", arg_clone()), a1);
           add_item(MakeAgg("COUNT", arg_clone()), a2);
-          repl[p.text] = [a1, a2, wrap_from_universal]() {
-            return wrap_from_universal(sql::Binary(
+          repl[p.text] = [a1, a2, to_universal, from_universal]() {
+            return from_universal(sql::Binary(
                 "/",
-                MakeAgg("SUM", sql::Binary("*", sql::Col(a1), sql::Col(a2))),
+                MakeAgg("SUM",
+                        sql::Binary("*", to_universal(a1), sql::Col(a2))),
                 MakeAgg("SUM", sql::Col(a2))));
           };
         } else {
-          add_item(wrap_to_universal(MakeAgg("SUM", arg_clone())), a1);
+          add_item(MakeAgg("SUM", arg_clone()), a1);
           add_item(MakeAgg("COUNT", arg_clone()), a2);
-          repl[p.text] = [a1, a2, wrap_from_universal]() {
-            return wrap_from_universal(
-                sql::Binary("/", MakeAgg("SUM", sql::Col(a1)),
+          repl[p.text] = [a1, a2, to_universal, from_universal]() {
+            return from_universal(
+                sql::Binary("/", MakeAgg("SUM", to_universal(a1)),
                             MakeAgg("SUM", sql::Col(a2))));
           };
         }
@@ -671,9 +684,9 @@ Status Optimizer::DistributeAggregations(sql::SelectStmt* sel) {
           add_item(MakeAgg(fn, arg_clone()), a1);
           repl[p.text] = [a1, fn]() { return MakeAgg(fn, sql::Col(a1)); };
         } else {
-          add_item(wrap_to_universal(MakeAgg(fn, arg_clone())), a1);
-          repl[p.text] = [a1, fn, wrap_from_universal]() {
-            return wrap_from_universal(MakeAgg(fn, sql::Col(a1)));
+          add_item(MakeAgg(fn, arg_clone()), a1);
+          repl[p.text] = [a1, fn, to_universal, from_universal]() {
+            return from_universal(MakeAgg(fn, to_universal(a1)));
           };
         }
         break;
@@ -759,38 +772,70 @@ sql::ExprPtr ApplyInlineTemplate(const InlineSpec& spec, bool is_to,
   return sql::Func("CONCAT", std::move(args));
 }
 
+bool ContainsAggCall(const sql::Expr& e) {
+  if (e.kind == sql::ExprKind::kFunction && IsAggFuncName(e.fname)) {
+    return true;
+  }
+  for (const auto& a : e.args) {
+    if (ContainsAggCall(*a)) return true;
+  }
+  if (e.case_operand && ContainsAggCall(*e.case_operand)) return true;
+  return e.else_expr && ContainsAggCall(*e.else_expr);
+}
+
+/// EXISTS and NOT EXISTS read only whether their sub-query returns a row.
+/// Unless an aggregate (one row even over no input), GROUP BY, HAVING,
+/// DISTINCT or ORDER BY reads the select list, it becomes the constant 1, so
+/// the conversions the rewriter put there join no meta tables. Sub-queries
+/// nested deeper are handled at their own level.
+void ConstantExistsLists(sql::Expr* e) {
+  if (e->kind == sql::ExprKind::kExists) {
+    sql::SelectStmt& sub = *e->subquery;
+    bool read = sub.distinct || !sub.group_by.empty() || sub.having ||
+                !sub.order_by.empty();
+    for (const auto& item : sub.items) {
+      read = read || ContainsAggCall(*item.expr);
+    }
+    if (!read) {
+      sub.items.clear();
+      sql::SelectItem one;
+      one.expr = sql::IntLit(1);
+      sub.items.push_back(std::move(one));
+    }
+    return;
+  }
+  for (auto& a : e->args) ConstantExistsLists(a.get());
+  if (e->case_operand) ConstantExistsLists(e->case_operand.get());
+  if (e->else_expr) ConstantExistsLists(e->else_expr.get());
+}
+
 }  // namespace
 
 Status Optimizer::InlineConversions(sql::SelectStmt* sel) {
   {
+    std::vector<sql::ExprPtr*> clauses;
     std::vector<sql::SelectStmt*> children;
-    DirectChildSelects(sel, &children);
+    ClausesOfLevel(sel, &clauses, &children);
+    for (sql::ExprPtr* c : clauses) {
+      ConstantExistsLists(c->get());
+      CollectSubqueries(c->get(), &children);
+    }
     for (auto* c : children) {
       MTB_RETURN_IF_ERROR(InlineConversions(c));
     }
   }
-  // Joined meta-table instances of this level, keyed by (ttid text, pair).
+  // Joined instances of this level: one tenant row per owner expression,
+  // shared by every conversion family over that owner, and one meta row per
+  // (owner, family).
+  std::unordered_map<std::string, std::string> tenant_alias;
   std::unordered_map<std::string, std::string> meta_alias;
   std::vector<sql::ExprPtr> extra_conjuncts;
-  // Meta columns referenced outside aggregate arguments in a grouped query
-  // (the o3 pattern toU(SUM(x), ttid)); they are functionally dependent on
-  // the grouped ttid and must join the GROUP BY list.
+  // A conversion over an aggregate, toU(SUM(x), owner), that a statement
+  // writes itself in a grouped query reads a meta column outside any
+  // aggregate; it depends on the grouped owner and joins the GROUP BY list.
   std::vector<sql::ExprPtr> extra_group_cols;
   std::set<std::string> extra_group_texts;
   bool can_join = !sel->from.empty();
-
-  std::function<bool(const sql::Expr&)> contains_agg =
-      [&](const sql::Expr& e) {
-        if (e.kind == sql::ExprKind::kFunction && IsAggFuncName(e.fname)) {
-          return true;
-        }
-        for (const auto& a : e.args) {
-          if (contains_agg(*a)) return true;
-        }
-        if (e.case_operand && contains_agg(*e.case_operand)) return true;
-        if (e.else_expr && contains_agg(*e.else_expr)) return true;
-        return false;
-      };
 
   std::function<void(sql::ExprPtr*)> walk = [&](sql::ExprPtr* e) {
     sql::Expr& x = **e;
@@ -807,35 +852,41 @@ Status Optimizer::InlineConversions(sql::SelectStmt* sel) {
       sql::ExprPtr value = std::move(x.args[0]);
       sql::ExprPtr replacement;
       if (tenant_arg->kind == sql::ExprKind::kColumnRef && can_join) {
-        // Join the meta tables once per (owner expr, pair) and read the
-        // conversion data from the joined row (paper Listing 17).
-        std::string key = pair->name + "|" + sql::PrintExpr(*tenant_arg);
-        auto it = meta_alias.find(key);
+        // Join the tenant row once per owner expr and the meta table once
+        // per (owner expr, pair), and read the conversion data from the
+        // joined row (paper Listing 17).
+        std::string owner = sql::PrintExpr(*tenant_arg);
+        auto add_table = [&](const std::string& name, const std::string& alias) {
+          auto t = std::make_unique<sql::TableRef>();
+          t->kind = sql::TableRef::Kind::kBase;
+          t->name = name;
+          t->alias = alias;
+          sel->from.push_back(std::move(t));
+        };
+        const std::string family_key = pair->name + "|" + owner;
+        auto it = meta_alias.find(family_key);
         if (it == meta_alias.end()) {
-          std::string ta = "__it" + std::to_string(inline_counter_);
-          std::string ma = "__im" + std::to_string(inline_counter_);
-          ++inline_counter_;
-          auto t1 = std::make_unique<sql::TableRef>();
-          t1->kind = sql::TableRef::Kind::kBase;
-          t1->name = spec.tenant_table;
-          t1->alias = ta;
-          auto t2 = std::make_unique<sql::TableRef>();
-          t2->kind = sql::TableRef::Kind::kBase;
-          t2->name = spec.meta_table;
-          t2->alias = ma;
-          sel->from.push_back(std::move(t1));
-          sel->from.push_back(std::move(t2));
-          extra_conjuncts.push_back(sql::Binary(
-              "=", sql::Col(ta, spec.tenant_key), tenant_arg->Clone()));
-          extra_conjuncts.push_back(sql::Binary(
-              "=", sql::Col(ta, spec.tenant_fk), sql::Col(ma, spec.meta_key)));
-          it = meta_alias.emplace(key, ma).first;
-        }
-        if (contains_agg(*value) && !sel->group_by.empty()) {
-          sql::ExprPtr meta_col = sql::Col(it->second, col);
-          if (extra_group_texts.insert(sql::PrintExpr(*meta_col)).second) {
-            extra_group_cols.push_back(meta_col->Clone());
+          std::string n = std::to_string(inline_counter_++);
+          std::string owner_key =
+              spec.tenant_table + "." + spec.tenant_key + "|" + owner;
+          auto ta = tenant_alias.find(owner_key);
+          if (ta == tenant_alias.end()) {
+            ta = tenant_alias.emplace(owner_key, "__it" + n).first;
+            add_table(spec.tenant_table, ta->second);
+            extra_conjuncts.push_back(sql::Binary(
+                "=", sql::Col(ta->second, spec.tenant_key),
+                tenant_arg->Clone()));
           }
+          std::string ma = "__im" + n;
+          add_table(spec.meta_table, ma);
+          extra_conjuncts.push_back(
+              sql::Binary("=", sql::Col(ta->second, spec.tenant_fk),
+                          sql::Col(ma, spec.meta_key)));
+          it = meta_alias.emplace(family_key, ma).first;
+        }
+        if (ContainsAggCall(*value) && !sel->group_by.empty() &&
+            extra_group_texts.insert(it->second + "." + col).second) {
+          extra_group_cols.push_back(sql::Col(it->second, col));
         }
         replacement = ApplyInlineTemplate(spec, is_to, std::move(value),
                                           sql::Col(it->second, col));

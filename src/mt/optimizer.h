@@ -45,15 +45,21 @@ class Optimizer {
   Status PushUpConversions(sql::SelectStmt* sel);
 
   /// o3: split aggregations over converted attributes into per-tenant partial
-  /// aggregation (tenant format), one conversion per tenant, and final
-  /// aggregation — (2N) conversions become (T+1) (paper section 4.2.2,
-  /// Listing 16; Appendix B construction for linear pairs).
+  /// aggregation on raw tenant values (the `__part` sub-query, grouped by and
+  /// exposing the owner ttid as `__t`) and a final aggregation that converts
+  /// each partial, fromU(SUM(toU(__a0, __t)), C) — (2N) conversions become
+  /// (T+1) (paper section 4.2.2, Listing 16; Appendix B construction for
+  /// linear pairs).
   Status DistributeAggregations(sql::SelectStmt* sel);
 
   /// o4: replace conversion UDF calls by their algebraic form, joining the
-  /// conversion meta tables (paper Listing 17). Calls whose tenant argument
-  /// is the client constant become uncorrelated scalar sub-queries (InitPlan,
-  /// evaluated once).
+  /// conversion meta tables (paper Listing 17): one tenant row per owner
+  /// expression, shared by every conversion family over it, plus one meta
+  /// row per family. Calls whose tenant argument is the client constant
+  /// become uncorrelated scalar sub-queries (InitPlan, evaluated once). An
+  /// EXISTS sub-query whose select list nothing reads (no aggregate, GROUP
+  /// BY, HAVING, DISTINCT or ORDER BY) first gets the list `1`, so its
+  /// conversions join nothing.
   Status InlineConversions(sql::SelectStmt* sel);
 
  private:

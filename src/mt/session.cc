@@ -66,9 +66,10 @@ std::vector<int64_t> Middleware::tenants() const {
 }
 
 void Middleware::SetMaxThreads(int max_threads) {
-  engine::PlannerOptions opts = db_->planner_options();
-  opts.max_threads = max_threads;
-  db_->set_planner_options(opts);  // bumps the fingerprinted options version
+  // One read-modify-write under the engine's exclusive statement lock; bumps
+  // the fingerprinted options version.
+  db_->update_planner_options(
+      [&](engine::PlannerOptions* opts) { opts->max_threads = max_threads; });
 }
 
 bool Middleware::IsAllTenants(const std::vector<int64_t>& dataset) const {

@@ -131,6 +131,7 @@ class Middleware {
   /// compilation version, which every PreparedQuery fingerprints — cached
   /// rewrites and plans transparently recompile under the new budget.
   void SetMaxThreads(int max_threads);
+  /// Read under the engine's shared statement lock.
   int max_threads() const { return db_->planner_options().max_threads; }
 
   /// Test-only: mutate each rewritten statement before it is audited,

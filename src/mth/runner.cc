@@ -130,9 +130,8 @@ bool ResultsEqual(const engine::ResultSet& a, const engine::ResultSet& b,
 void SetMthThreads(MthEnvironment* env, int max_threads) {
   for (engine::Database* db : {env->mth_db.get(), env->tpch_db.get()}) {
     if (db == nullptr) continue;
-    engine::PlannerOptions opts = db->planner_options();
-    opts.max_threads = max_threads;
-    db->set_planner_options(opts);
+    db->update_planner_options(
+        [&](engine::PlannerOptions* opts) { opts->max_threads = max_threads; });
   }
 }
 

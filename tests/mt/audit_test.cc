@@ -475,6 +475,64 @@ TEST_F(AuditTest, ConversionInlineDivergenceNamed) {
   EXPECT_TRUE(a.ok()) << a.Message();
 }
 
+/// The first EXISTS sub-query in `e`, or nullptr.
+sql::SelectStmt* FindExistsSubquery(sql::Expr* e) {
+  if (e->kind == sql::ExprKind::kExists) return e->subquery.get();
+  for (auto& a : e->args) {
+    if (sql::SelectStmt* s = FindExistsSubquery(a.get())) return s;
+  }
+  return nullptr;
+}
+
+TEST_F(AuditTest, ConstantExistsListNormalizesToCanonical) {
+  // The rewriter expands `*` into converted columns; o4 replaces the unread
+  // list by `1` and so joins no meta table for it.
+  auto stmts = RewriteAll(
+      "SELECT R_name FROM Roles WHERE EXISTS (SELECT * FROM Employees "
+      "WHERE E_role_id = R_role_id)",
+      0, {0, 1});
+  ASSERT_EQ(stmts.size(), 1u);
+  auto pre = stmts[0].select->Clone();
+  ASSERT_NE(sql::PrintSelect(*pre).find("currencyFromUniversal("),
+            std::string::npos);
+  Optimizer opt(&conversions_, 0);
+  ASSERT_OK(opt.Optimize(stmts[0].select.get(), OptLevel::kO4));
+  std::string out = sql::PrintSelect(*stmts[0].select);
+  EXPECT_NE(out.find("EXISTS (SELECT 1 FROM Employees"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("CurrencyTransform"), std::string::npos) << out;
+  audit::AuditContext ctx = MakeCtx(0, {0, 1}, {0, 1, 2});
+  audit::RewriteAuditor auditor(&ctx);
+  audit::StatementAudit a;
+  auditor.AuditOptimized(*pre, *stmts[0].select, &a);
+  EXPECT_EQ(a.Summary(), "ok, equivalence: canonical") << a.Message();
+}
+
+TEST_F(AuditTest, ReplacedAggregateExistsListIsUnknownDivergence) {
+  // An aggregate-only list returns one row over no input, so EXISTS is
+  // TRUE; a constant list would return none. The normalizer must not treat
+  // the two as the same.
+  auto stmts = RewriteAll(
+      "SELECT R_name FROM Roles WHERE EXISTS (SELECT MAX(E_salary) FROM "
+      "Employees WHERE E_age < 0)",
+      0, {0, 1});
+  ASSERT_EQ(stmts.size(), 1u);
+  auto pre = stmts[0].select->Clone();
+  sql::SelectStmt* sub = FindExistsSubquery(stmts[0].select->where.get());
+  ASSERT_NE(sub, nullptr);
+  sub->items.clear();
+  sql::SelectItem one;
+  one.expr = sql::IntLit(1);
+  sub->items.push_back(std::move(one));
+  audit::AuditContext ctx = MakeCtx(0, {0, 1}, {0, 1, 2});
+  audit::RewriteAuditor auditor(&ctx);
+  audit::StatementAudit a;
+  auditor.AuditOptimized(*pre, *stmts[0].select, &a);
+  EXPECT_EQ(a.equivalence, audit::EquivalenceCode::kUnknown);
+  EXPECT_TRUE(HasCode(a, audit::AuditCode::kEquivalenceUnknownDivergence))
+      << a.Message();
+}
+
 TEST_F(AuditTest, UnexplainedDivergenceIsViolation) {
   auto stmts = RewriteAll("SELECT E_age FROM Employees", 0, {0, 1});
   ASSERT_EQ(stmts.size(), 1u);

@@ -323,6 +323,40 @@ TEST(ConcurrentSessionsTest, StressExplainBesideIndexDdl) {
   EXPECT_GT(creates.load(), 0u);
 }
 
+// Two threads set the thread budget while a third reads it. The budget is
+// one field of the engine's planner options; a read-modify-write of the
+// options outside the engine's statement lock loses updates and races the
+// readers (ThreadSanitizer reports it).
+TEST(ConcurrentSessionsTest, StressSetMaxThreadsBesideReaders) {
+  Env env;
+  ASSERT_TRUE(env.ok);
+  constexpr int kCalls = 2000;
+  env.mw->SetMaxThreads(1);
+  std::atomic<bool> writing{true};
+  std::atomic<int> bad_reads{0};
+  auto writer = [&](int lo) {
+    for (int i = 0; i < kCalls; ++i) env.mw->SetMaxThreads(lo + i % 2);
+  };
+  std::thread a(writer, 1);
+  std::thread b(writer, 3);
+  std::thread reader([&] {
+    while (writing.load()) {
+      int t = env.mw->max_threads();
+      if (t < 1 || t > 4) ++bad_reads;
+    }
+  });
+  a.join();
+  b.join();
+  writing = false;
+  reader.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  // Each writer's last call set an even offset plus one: 2 or 4.
+  int last = env.mw->max_threads();
+  EXPECT_TRUE(last == 2 || last == 4) << last;
+  Session s(env.mw.get(), 1);
+  EXPECT_OK(s.Execute("SELECT COUNT(*) FROM Acct").status());
+}
+
 }  // namespace
 }  // namespace mt
 }  // namespace mtbase

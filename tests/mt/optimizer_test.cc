@@ -138,16 +138,25 @@ TEST_F(OptimizerTest, O3DistributesSum) {
   std::string out = Optimize(
       "SELECT SUM(cFromU(cToU(sal, E.ttid), 0)) AS sum_sal FROM E",
       OptLevel::kO3);
-  EXPECT_NE(out.find("cToU(SUM(sal), E.ttid)"), std::string::npos) << out;
-  EXPECT_NE(out.find("GROUP BY E.ttid"), std::string::npos) << out;
-  EXPECT_NE(out.find("cFromU(SUM("), std::string::npos) << out;
+  // The partials stay in tenant format; the outer query converts each one.
+  EXPECT_NE(out.find("SELECT E.ttid AS __t, SUM(sal) AS __a0 FROM E "
+                     "GROUP BY E.ttid"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("cFromU(SUM(cToU(__a0, __t)), 0) AS sum_sal"),
+            std::string::npos)
+      << out;
 }
 
 TEST_F(OptimizerTest, O3DistributesAvgAsSumAndCount) {
   std::string out = Optimize(
       "SELECT AVG(cFromU(cToU(sal, E.ttid), 0)) FROM E", OptLevel::kO3);
-  EXPECT_NE(out.find("cToU(SUM(sal), E.ttid)"), std::string::npos) << out;
-  EXPECT_NE(out.find("COUNT(sal)"), std::string::npos) << out;
+  EXPECT_NE(out.find("SUM(sal) AS __a0, COUNT(sal) AS __a0c"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("cFromU(SUM(cToU(__a0, __t)) / SUM(__a0c), 0)"),
+            std::string::npos)
+      << out;
 }
 
 TEST_F(OptimizerTest, O3DistributesProductExpressions) {
@@ -155,8 +164,9 @@ TEST_F(OptimizerTest, O3DistributesProductExpressions) {
   std::string out = Optimize(
       "SELECT SUM(cFromU(cToU(price, L.ttid), 0) * (1 - disc)) FROM L",
       OptLevel::kO3);
-  EXPECT_NE(out.find("cToU(SUM(price * (1 - disc)), L.ttid)"),
-            std::string::npos)
+  EXPECT_NE(out.find("SUM(price * (1 - disc)) AS __a0"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("cFromU(SUM(cToU(__a0, __t)), 0)"), std::string::npos)
       << out;
 }
 
@@ -190,9 +200,12 @@ TEST_F(OptimizerTest, O3LinearPairUsesWeightedConstruction) {
   // Appendix B: SUM via per-tenant AVG * COUNT.
   std::string out = Optimize(
       "SELECT SUM(tFromU(tToU(temp, E.ttid), 0)) FROM E", OptLevel::kO3);
-  EXPECT_NE(out.find("tToU(AVG(temp), E.ttid)"), std::string::npos) << out;
-  EXPECT_NE(out.find("COUNT(temp)"), std::string::npos) << out;
-  EXPECT_NE(out.find("*"), std::string::npos) << out;
+  EXPECT_NE(out.find("AVG(temp) AS __a0, COUNT(temp) AS __a0c"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("tFromU(SUM(tToU(__a0, __t) * __a0c), 0)"),
+            std::string::npos)
+      << out;
 }
 
 TEST_F(OptimizerTest, O3LinearPairDoesNotDistributeProducts) {
@@ -260,12 +273,82 @@ TEST_F(OptimizerTest, O4InlinesPhoneAsStringOps) {
   EXPECT_NE(out2.find("CONCAT("), std::string::npos) << out2;
 }
 
-TEST_F(OptimizerTest, O4AfterO3GroupsMetaColumn) {
+TEST_F(OptimizerTest, O4AfterO3JoinsMetaOverPartials) {
   std::string out = Optimize(
       "SELECT SUM(cFromU(cToU(sal, E.ttid), 0)) FROM E", OptLevel::kO4);
-  // Inner query: SUM(sal) * CT_to_universal grouped by (ttid, rate).
-  EXPECT_NE(out.find("SUM(sal) * "), std::string::npos) << out;
-  EXPECT_NE(out.find("GROUP BY E.ttid, "), std::string::npos) << out;
+  // The partial aggregation reads no meta table; the outer query joins the
+  // tenant's rate once per partial.
+  EXPECT_NE(out.find("(SELECT E.ttid AS __t, SUM(sal) AS __a0 FROM E "
+                     "GROUP BY E.ttid) AS __part, Tenant __it0, "
+                     "CurrencyTransform __im0"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("SUM(__a0 * __im0.CT_to_universal)"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("__it0.T_tenant_key = __t"), std::string::npos) << out;
+}
+
+TEST_F(OptimizerTest, O4GroupsMetaColumnOfConversionOverAggregate) {
+  // A statement that converts an aggregate itself reads the joined meta
+  // column outside any aggregate; the column depends on the grouped owner
+  // and joins the GROUP BY list.
+  const std::string q =
+      "SELECT k, cToU(SUM(cFromU(cToU(sal, E.ttid), 0)), k) AS s FROM E "
+      "GROUP BY k";
+  std::string out = Optimize(q, OptLevel::kInlineOnly);
+  EXPECT_NE(out.find("__it0.T_tenant_key = k"), std::string::npos) << out;
+  EXPECT_NE(out.find("GROUP BY k, __im0.CT_to_universal"), std::string::npos)
+      << out;
+  // After o3 the owner is the partial's group key, __g0.
+  out = Optimize(q, OptLevel::kO4);
+  EXPECT_NE(out.find("__it0.T_tenant_key = __g0"), std::string::npos) << out;
+  EXPECT_NE(out.find("GROUP BY __g0, __im0.CT_to_universal"),
+            std::string::npos)
+      << out;
+}
+
+TEST_F(OptimizerTest, O4SharesTenantJoinAcrossFamiliesOfOneOwner) {
+  std::string out = Optimize(
+      "SELECT cToU(a, E.ttid), pToU(p, E.ttid) FROM E", OptLevel::kInlineOnly);
+  EXPECT_NE(out.find("FROM E, Tenant __it0, CurrencyTransform __im0, "
+                     "PhoneTransform __im1 WHERE "
+                     "__it0.T_tenant_key = E.ttid AND "
+                     "__it0.T_currency_key = __im0.CT_currency_key AND "
+                     "__it0.T_phone_prefix_key = __im1.PT_phone_prefix_key"),
+            std::string::npos)
+      << out;
+  // Another owner gets its own tenant row.
+  out = Optimize("SELECT cToU(a, E.ttid), pToU(p, F.ttid) FROM E, F",
+                 OptLevel::kInlineOnly);
+  EXPECT_NE(out.find("Tenant __it1"), std::string::npos) << out;
+}
+
+TEST_F(OptimizerTest, O4GivesUnreadExistsListsAConstant) {
+  const std::string q =
+      "SELECT a FROM E WHERE EXISTS (SELECT cFromU(cToU(sal, F.ttid), 0) AS "
+      "sal FROM F WHERE F.k = E.k) AND NOT EXISTS (SELECT * FROM G)";
+  std::string out = Optimize(q, OptLevel::kO4);
+  EXPECT_EQ(out,
+            "SELECT a FROM E WHERE EXISTS (SELECT 1 FROM F WHERE F.k = E.k) "
+            "AND NOT EXISTS (SELECT 1 FROM G)");
+  EXPECT_EQ(Optimize(q, OptLevel::kInlineOnly), out);
+  // o3 inlines nothing and keeps the list.
+  EXPECT_NE(Optimize(q, OptLevel::kO3).find("SELECT cFromU("),
+            std::string::npos);
+}
+
+TEST_F(OptimizerTest, O4KeepsExistsListsThatAreRead) {
+  // An aggregate returns one row even over no input; GROUP BY, HAVING,
+  // DISTINCT and ORDER BY read the list too.
+  for (const char* sub :
+       {"SELECT MAX(cFromU(cToU(sal, F.ttid), 0)) FROM F WHERE 1 = 0",
+        "SELECT F.k FROM F GROUP BY F.k", "SELECT DISTINCT F.k FROM F",
+        "SELECT F.k AS x FROM F ORDER BY x"}) {
+    std::string out = Optimize(
+        std::string("SELECT a FROM E WHERE EXISTS (") + sub + ")",
+        OptLevel::kO4);
+    EXPECT_EQ(out.find("SELECT 1 "), std::string::npos) << out;
+  }
 }
 
 TEST_F(OptimizerTest, CanonicalAndO1PassesAreIdentity) {

@@ -92,6 +92,33 @@ TEST(OptimizationStatsTest, InlineOnlyAlsoEliminatesUdfCalls) {
   EXPECT_EQ(run.stats.udf_calls, 0u);
 }
 
+TEST(OptimizationStatsTest, O4JoinsConversionDataOnlyWhereRead) {
+  // Q4 and Q21 convert only inside EXISTS select lists nobody reads: o4
+  // joins no meta table for them, so it joins exactly o3's rows.
+  for (int q : {4, 21}) {
+    uint64_t o3 = MustRun(q, mt::OptLevel::kO3).stats.rows_joined;
+    uint64_t o4 = MustRun(q, mt::OptLevel::kO4).stats.rows_joined;
+    EXPECT_EQ(o4, o3) << "Q" << q;
+  }
+  // Q1 and Q6 convert per-tenant partial aggregates: o4 joins one tenant
+  // and one meta row per (group, tenant) partial, plus one row per
+  // client-side lookup sub-query.
+  auto& f = StatsFixture::Get();
+  uint64_t t = static_cast<uint64_t>(f.env()->config.num_tenants);
+  for (int q : {1, 6}) {
+    QueryRun run = MustRun(q, mt::OptLevel::kO4);
+    uint64_t lookups = 0;
+    for (size_t at = run.sql.find("FROM Tenant, "); at != std::string::npos;
+         at = run.sql.find("FROM Tenant, ", at + 1)) {
+      ++lookups;
+    }
+    EXPECT_GT(lookups, 0u) << run.sql;
+    uint64_t partials = run.result.rows.size() * t;
+    EXPECT_LE(run.stats.rows_joined, 2 * partials + lookups)
+        << "Q" << q << ": " << run.sql;
+  }
+}
+
 TEST(OptimizationStatsTest, MonotoneImprovementOnQ1) {
   // Conversion work shrinks monotonically across the levels of Table 6.
   uint64_t canonical = MustRun(1, mt::OptLevel::kCanonical).stats.udf_calls;

@@ -38,12 +38,20 @@ whose checks failed are printed per side.
   wider than the metric's bound), `worse` (the change's median is worse by
   more than the bound, relative to the parent's median) or `within bound`.
 
+For every per-layer metric of BENCHMARK.json the recorded runs carry
+(run.py reports them with --trace 1), it also prints each side's median and
+quartiles and the pairs the change won. These show where a change moved the
+work; they are not a gate: they get no verdict and never change the exit
+status. --json writes them under `per_layer`, but only into a BENCH file
+that has end-to-end metrics too: a comparison of traced runs alone writes no
+file, so it never replaces a workload's end-to-end evidence.
+
 `record` keeps run.py's `config` lines (git sha, nproc, build type, sf,
 tenants, threads, seed, ...) with each run. A BENCH file holds, per side,
 the configuration its runs share (and their seeds), each side's median and
 quartiles per end-to-end metric, the pairs won and the verdict. `check`
-fails a BENCH file that has no configuration for either side or names a
-metric BENCHMARK.json does not list.
+fails a BENCH file that has no configuration for either side, has no
+end-to-end metric, or names a metric BENCHMARK.json does not list.
 
 The exit status is 1 when a claim is not met or anything regressed: a
 `worse` metric, a larger share of failed operations, or a change run whose
@@ -156,6 +164,36 @@ def metric_value(result, name):
         return None
 
 
+def paired_values(pairs, complete, metric):
+    """Each side's values of `metric` over the complete pairs that report
+    it on both sides, and the pairs the change won (ties count for neither
+    side)."""
+    parent, change, wins = [], [], 0
+    for p in complete:
+        pv = metric_value(pairs[p]["parent"], metric["name"])
+        cv = metric_value(pairs[p]["change"], metric["name"])
+        if pv is None or cv is None:
+            continue
+        parent.append(pv)
+        change.append(cv)
+        if (cv < pv) if metric["better"] == "lower" else (cv > pv):
+            wins += 1
+    return parent, change, wins
+
+
+def summary(metric, parent, change, wins):
+    """The BENCH entry for one metric (without a verdict), and its table
+    cells per side."""
+    entry = {"unit": metric["unit"], "better": metric["better"],
+             "won": wins, "pairs": len(parent)}
+    cells = []
+    for side, values in zip(SIDES, (parent, change)):
+        q1, med, q3 = quartiles(values)
+        cells.append("%s [%s-%s]" % (fmt(med), fmt(q1), fmt(q3)))
+        entry[side] = {"median": med, "q1": q1, "q3": q3}
+    return entry, cells
+
+
 def verdict(metric, parent, change, wins, n_pairs, claimed):
     """The verdict on one metric, and whether it fails the comparison."""
     lower = metric["better"] == "lower"
@@ -245,34 +283,35 @@ def compare(args):
                "won", "verdict"))
         for metric in metrics:
             name = metric["name"]
-            parent, change, wins = [], [], 0
-            for p in complete:
-                pv = metric_value(pairs[p]["parent"], name)
-                cv = metric_value(pairs[p]["change"], name)
-                if pv is None or cv is None:
-                    continue
-                parent.append(pv)
-                change.append(cv)
-                if (cv < pv) if metric["better"] == "lower" else (cv > pv):
-                    wins += 1
+            parent, change, wins = paired_values(pairs, complete, metric)
             if not parent:
                 print("   %-12s no values" % name)
                 continue
             text, bad = verdict(metric, parent, change, wins, len(parent),
                                 (workload, name) in claims)
             failed = failed or bad
-            sides = []
-            entry = {"unit": metric["unit"], "better": metric["better"]}
-            for side, values in zip(SIDES, (parent, change)):
-                q1, med, q3 = quartiles(values)
-                sides.append("%s [%s-%s]" % (fmt(med), fmt(q1), fmt(q3)))
-                entry[side] = {"median": med, "q1": q1, "q3": q3}
-            entry.update(won=wins, pairs=len(parent), verdict=text)
+            entry, cells = summary(metric, parent, change, wins)
+            entry["verdict"] = text
             bench["metrics"][name] = entry
             print("   %-12s %-30s %-30s %-7s %s" %
-                  (name, sides[0], sides[1], "%d/%d" % (wins, len(parent)),
+                  (name, cells[0], cells[1], "%d/%d" % (wins, len(parent)),
                    text))
-        if args.json:
+        for metric in spec["per_layer"]:
+            parent, change, wins = paired_values(pairs, complete, metric)
+            if not parent:
+                continue
+            entry, cells = summary(metric, parent, change, wins)
+            if "per_layer" not in bench:
+                print("   per-layer metrics (no verdicts)")
+                bench["per_layer"] = {}
+            bench["per_layer"][metric["name"]] = entry
+            print("   %-40s %-30s %-30s %s" %
+                  (metric["name"], cells[0], cells[1],
+                   "%d/%d" % (wins, len(parent))))
+        if args.json and not bench["metrics"]:
+            print("   no end-to-end metrics: BENCH_%s.json not written" %
+                  workload)
+        elif args.json:
             path = os.path.join(args.json, "BENCH_%s.json" % workload)
             with open(path, "w") as f:
                 json.dump(bench, f, indent=2, sort_keys=True)
@@ -305,6 +344,12 @@ def bench_problems(path, spec):
     else:
         for name in sorted(set(metrics) - known):
             problems.append("metric %s is not in BENCHMARK.json" % name)
+    per_layer = bench.get("per_layer", {})
+    if not isinstance(per_layer, dict):
+        problems.append("per_layer is not an object")
+    else:
+        for name in sorted(set(per_layer) - known):
+            problems.append("metric %s is not in BENCHMARK.json" % name)
     return problems
 
 
@@ -331,12 +376,15 @@ def table(args):
     print("| metric | parent median [q1-q3] | change median [q1-q3] | "
           "pairs won | verdict |")
     print("|---|---|---|---|---|")
-    for name, m in sorted(bench["metrics"].items()):
+    rows = sorted(bench["metrics"].items()) + \
+        sorted(bench.get("per_layer", {}).items())
+    for name, m in rows:
         cells = ["%s [%s-%s] %s" % (fmt(m[s]["median"]), fmt(m[s]["q1"]),
                                     fmt(m[s]["q3"]), m["unit"])
                  for s in SIDES]
         print("| `%s` | %s | %s | %d/%d | %s |" %
-              (name, cells[0], cells[1], m["won"], m["pairs"], m["verdict"]))
+              (name, cells[0], cells[1], m["won"], m["pairs"],
+               m.get("verdict", "per-layer, no verdict")))
     return 0
 
 

@@ -3,8 +3,11 @@
 tools/testdata/: a claim that is met, a claim won in only 8 of 10 pairs,
 and a throughput regression; that `record` appends run.py's result with
 its configuration; that `compare --json` writes a BENCH file `check`
-accepts; and that `check` accepts the committed BENCH files and refuses
-one without a configuration or with a metric BENCHMARK.json does not list.
+accepts, with the per-layer pairs its runs carry; that `compare` reports
+per-layer pairs without verdicts and writes no BENCH file for traced runs
+alone; and that `check` accepts the committed BENCH files and refuses one
+without a configuration, without end-to-end metrics or with a metric
+BENCHMARK.json does not list.
 
 Usage: python3 tools/compare_bench_test.py
 """
@@ -108,9 +111,10 @@ class CompareBenchTest(unittest.TestCase):
                           "build_type": "Release", "sf": "0.001000",
                           "seed": "7"})
 
-    def write_bench(self, tmp, with_config):
+    def write_bench(self, tmp, with_config, per_layer=False):
         """compare --json over the met fixture, its runs given a config or
-        not; returns the exit code and the BENCH file's path."""
+        not and, with `per_layer`, a per-layer metric too; returns the exit
+        code and the BENCH file's path."""
         pairs = os.path.join(tmp, "pairs.jsonl")
         with open(os.path.join(DATA, "compare_bench_met.jsonl")) as src, \
                 open(pairs, "w") as dst:
@@ -119,6 +123,9 @@ class CompareBenchTest(unittest.TestCase):
                 if with_config:
                     entry["config"] = {"git_sha": entry["side"], "nproc": "4",
                                        "seed": str(entry["pair"])}
+                if per_layer:
+                    entry["result"]["metrics"]["suite_s.o4"] = {
+                        "value": entry["pair"], "unit": "s"}
                 dst.write(json.dumps(entry) + "\n")
         code, _ = run("compare", pairs, "--claim", "mth-adhoc:suite_s",
                       "--json", tmp)
@@ -153,6 +160,79 @@ class CompareBenchTest(unittest.TestCase):
                         os.path.join(DATA, "BENCH_unknown_metric.json"))
         self.assertEqual(code, 1, out)
         self.assertIn("metric suite_ms is not in BENCHMARK.json", out)
+
+    def test_json_writes_per_layer_pairs_with_the_metrics(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, path = self.write_bench(tmp, with_config=True,
+                                          per_layer=True)
+            self.assertEqual(code, 0)
+            code, out = run("check", path)
+            self.assertEqual(code, 0, out)
+            code, table_out = run("table", path)
+            self.assertEqual(code, 0)
+            with open(path) as f:
+                bench = json.load(f)
+            # Per-layer entries name BENCHMARK.json's metrics ...
+            bench["per_layer"]["rows_joined"] = bench["per_layer"]["suite_s.o4"]
+            with open(path, "w") as f:
+                json.dump(bench, f)
+            code, unlisted = run("check", path)
+            # ... and never stand in for the end-to-end metrics.
+            del bench["per_layer"]["rows_joined"]
+            bench["metrics"] = {}
+            with open(path, "w") as f:
+                json.dump(bench, f)
+            code_alone, alone = run("check", path)
+        self.assertEqual(code, 1, unlisted)
+        self.assertIn("metric rows_joined is not in BENCHMARK.json", unlisted)
+        self.assertEqual(code_alone, 1, alone)
+        self.assertIn("no metrics", alone)
+        o4 = bench["per_layer"]["suite_s.o4"]
+        self.assertEqual((o4["won"], o4["pairs"]), (0, 10))
+        self.assertNotIn("verdict", o4)
+        self.assertIn("| `suite_s.o4` | 5.5 [3.25-7.75] s | 5.5 [3.25-7.75] s "
+                      "| 0/10 | per-layer, no verdict |", table_out)
+
+    def test_traced_runs_print_per_layer_pairs_and_write_no_bench_file(self):
+        # Traced runs report only per-layer metrics. The change joins fewer
+        # rows in every pair and is slower at o4 in every pair: both are
+        # printed with each side's median and quartiles and the pairs won,
+        # and neither moves the exit status.
+        with tempfile.TemporaryDirectory() as tmp:
+            pairs = os.path.join(tmp, "traced.jsonl")
+            with open(pairs, "w") as f:
+                for pair in range(1, 4):
+                    for side, joined, o4 in (("parent", 700 + pair, 0.3),
+                                             ("change", 300 + pair, 0.4)):
+                        metrics = {
+                            "engine.rows_joined.o4": {"value": joined,
+                                                      "unit": "count"},
+                            "suite_s.o4": {"value": o4 + pair / 100,
+                                           "unit": "s"}}
+                        f.write(json.dumps({
+                            "side": side, "pair": pair,
+                            "workload": "mth-analytic",
+                            "config": {"git_sha": side, "seed": str(pair)},
+                            "result": {"correct": True, "attempted": 1,
+                                       "failed": 0, "metrics": metrics}}) +
+                            "\n")
+            # A committed BENCH file of the workload stays as it is.
+            path = os.path.join(tmp, "BENCH_mth-analytic.json")
+            with open(path, "w") as f:
+                f.write("end-to-end evidence\n")
+            code, out = run("compare", pairs, "--json", tmp)
+            with open(path) as f:
+                kept = f.read()
+        self.assertEqual(code, 0, out)
+        lines = {l.split()[0]: l.split() for l in out.splitlines()
+                 if l.strip()}
+        self.assertEqual(lines["engine.rows_joined.o4"][1:],
+                         ["702", "[701.5-702.5]", "302", "[301.5-302.5]",
+                          "3/3"])
+        self.assertEqual(lines["suite_s.o4"][-1], "0/3")
+        self.assertNotIn("worse", out)
+        self.assertIn("BENCH_mth-analytic.json not written", out)
+        self.assertEqual(kept, "end-to-end evidence\n")
 
     def test_committed_bench_files_check(self):
         code, out = run("check")
