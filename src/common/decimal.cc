@@ -24,8 +24,8 @@ constexpr int64_t kPow10[] = {1,
 using int128 = __int128;
 
 // Round half away from zero when dividing by a power of ten.
-int64_t RoundedShiftRight(int128 v, int32_t digits) {
-  if (digits <= 0) return static_cast<int64_t>(v);
+int128 RoundedShiftRight(int128 v, int32_t digits) {
+  if (digits <= 0) return v;
   int128 div = 1;
   for (int32_t i = 0; i < digits; ++i) div *= 10;
   int128 q = v / div;
@@ -34,7 +34,16 @@ int64_t RoundedShiftRight(int128 v, int32_t digits) {
   if (2 * r >= div) {
     q += (v < 0) ? -1 : 1;
   }
-  return static_cast<int64_t>(q);
+  return q;
+}
+
+/// `units` at `scale`, or an error when the units leave int64_t.
+Result<Decimal> Checked(int128 units, int32_t scale) {
+  if (units < static_cast<int128>(INT64_MIN) ||
+      units > static_cast<int128>(INT64_MAX)) {
+    return Status::InvalidArgument("decimal out of range");
+  }
+  return Decimal(static_cast<int64_t>(units), scale);
 }
 
 }  // namespace
@@ -104,28 +113,24 @@ std::string Decimal::ToString() const {
   return s;
 }
 
-Decimal Decimal::Add(const Decimal& other) const {
+Result<Decimal> Decimal::AddScaled(const Decimal& other,
+                                   bool negate_other) const {
   int32_t s = std::max(scale_, other.scale_);
   int128 a = static_cast<int128>(units_) * kPow10[s - scale_];
   int128 b = static_cast<int128>(other.units_) * kPow10[s - other.scale_];
-  return Decimal(static_cast<int64_t>(a + b), s);
+  return Checked(negate_other ? a - b : a + b, s);
 }
 
-Decimal Decimal::Sub(const Decimal& other) const {
-  return Add(other.Neg());
-}
-
-Decimal Decimal::Mul(const Decimal& other) const {
+Result<Decimal> Decimal::Mul(const Decimal& other) const {
   int128 prod = static_cast<int128>(units_) * other.units_;
   int32_t s = scale_ + other.scale_;
   if (s > kMaxScale) {
-    int64_t u = RoundedShiftRight(prod, s - kMaxScale);
-    return Decimal(u, kMaxScale);
+    return Checked(RoundedShiftRight(prod, s - kMaxScale), kMaxScale);
   }
-  return Decimal(static_cast<int64_t>(prod), s);
+  return Checked(prod, s);
 }
 
-Decimal Decimal::Div(const Decimal& other) const {
+Result<Decimal> Decimal::Div(const Decimal& other) const {
   // Compute (a / b) at kMaxScale digits: a * 10^(kMaxScale - sa + sb) / b_units
   // rounded half away from zero.
   int128 num = static_cast<int128>(units_);
@@ -148,7 +153,7 @@ Decimal Decimal::Div(const Decimal& other) const {
     bool neg = (num < 0) != (den < 0);
     q += neg ? -1 : 1;
   }
-  return Decimal(static_cast<int64_t>(q), kMaxScale);
+  return Checked(q, kMaxScale);
 }
 
 int Decimal::Compare(const Decimal& other) const {
@@ -175,7 +180,8 @@ Decimal Decimal::Rescale(int32_t scale) const {
   if (scale > scale_) {
     return Decimal(units_ * kPow10[scale - scale_], scale);
   }
-  return Decimal(RoundedShiftRight(units_, scale_ - scale), scale);
+  return Decimal(static_cast<int64_t>(RoundedShiftRight(units_, scale_ - scale)),
+                 scale);
 }
 
 size_t Decimal::Hash() const {

@@ -38,14 +38,26 @@ class Decimal {
   /// "-12.34"; always prints exactly scale() fractional digits.
   std::string ToString() const;
 
-  Decimal Add(const Decimal& other) const;
-  Decimal Sub(const Decimal& other) const;
+  /// Exact sum and difference at the larger of the two scales. These, Mul,
+  /// Div and Neg fail with InvalidArgument("decimal out of range") when the
+  /// result's units do not fit in int64_t.
+  Result<Decimal> Add(const Decimal& other) const {
+    int64_t units = 0;
+    if (scale_ == other.scale_ &&
+        !__builtin_add_overflow(units_, other.units_, &units)) {
+      return Decimal(units, scale_);
+    }
+    return AddScaled(other, /*negate_other=*/false);
+  }
+  Result<Decimal> Sub(const Decimal& other) const {
+    return AddScaled(other, /*negate_other=*/true);
+  }
   /// Product renormalized to at most kMaxScale fractional digits.
-  Decimal Mul(const Decimal& other) const;
+  Result<Decimal> Mul(const Decimal& other) const;
   /// Quotient computed at kMaxScale fractional digits. Division by zero is the
   /// caller's responsibility to exclude.
-  Decimal Div(const Decimal& other) const;
-  Decimal Neg() const { return Decimal(-units_, scale_); }
+  Result<Decimal> Div(const Decimal& other) const;
+  Result<Decimal> Neg() const { return Decimal(0, scale_).Sub(*this); }
 
   /// Three-way comparison: -1, 0, +1.
   int Compare(const Decimal& other) const;
@@ -61,6 +73,9 @@ class Decimal {
   size_t Hash() const;
 
  private:
+  /// this + other (or this - other) at the larger scale, range-checked.
+  Result<Decimal> AddScaled(const Decimal& other, bool negate_other) const;
+
   int64_t units_;
   int32_t scale_;
 };

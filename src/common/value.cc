@@ -137,13 +137,29 @@ std::string Value::ToString() const {
 
 size_t HashRow(const Row& row) { return HashRow(row.data(), row.size()); }
 
-size_t HashRow(const Value* values, size_t n) {
+namespace {
+
+/// FNV-style fold of the component hashes value_at(0..n).
+template <typename ValueAt>
+size_t HashValues(ValueAt value_at, size_t n) {
   size_t h = 14695981039346656037ull;
   for (size_t i = 0; i < n; ++i) {
-    h ^= values[i].Hash();
+    h ^= value_at(i).Hash();
     h *= 1099511628211ull;
   }
   return h;
+}
+
+}  // namespace
+
+size_t HashRow(const Value* values, size_t n) {
+  return HashValues([values](size_t i) -> const Value& { return values[i]; },
+                    n);
+}
+
+size_t HashRowRefs(const Value* const* values, size_t n) {
+  return HashValues([values](size_t i) -> const Value& { return *values[i]; },
+                    n);
 }
 
 }  // namespace mtbase

@@ -232,6 +232,8 @@ using Row = std::vector<Value>;
 size_t HashRow(const Row& row);
 /// HashRow over `n` contiguous values (a key tuple stored in a flat array).
 size_t HashRow(const Value* values, size_t n);
+/// HashRow over `n` values read through pointers (a key read where it lies).
+size_t HashRowRefs(const Value* const* values, size_t n);
 
 }  // namespace mtbase
 

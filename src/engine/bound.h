@@ -200,6 +200,19 @@ struct Plan {
 
 using PlanPtr = std::unique_ptr<Plan>;
 
+/// Whether Aggregate `agg` folds its input scan's rows where they lie in the
+/// pinned table version (exec.cc) instead of reading a scan batch: its input
+/// is a Scan or IndexScan of a table that emits the whole schema row. Column
+/// pruning leaves every such scan whole, so the Aggregate's slots index the
+/// schema row.
+inline bool AggregatesScanInPlace(const Plan& agg) {
+  const Plan* in = agg.left.get();
+  return agg.kind == Plan::Kind::kAggregate && in != nullptr &&
+         (in->kind == Plan::Kind::kScan ||
+          in->kind == Plan::Kind::kIndexScan) &&
+         in->table != nullptr && !in->emit;
+}
+
 /// Invoke fn(const BoundExpr&) on every direct child expression of `e` —
 /// args, CASE operand and ELSE branch (not the sub-plan; walkers decide
 /// whether to descend into plans themselves). The single child enumeration

@@ -119,7 +119,8 @@ Decimal ToDecimal(const Value& v) {
 }
 
 /// Arithmetic dispatch shared by + - *: DOUBLE if either side is one, else
-/// DECIMAL if either side is one, else INT with overflow checked.
+/// DECIMAL if either side is one, else INT; INT and DECIMAL results are
+/// range-checked.
 template <typename DoubleOp, typename DecimalOp, typename IntOp>
 Result<Value> Arith(const Value& a, const Value& b, const char* verb,
                     DoubleOp dop, DecimalOp decop, IntOp iop) {
@@ -131,7 +132,8 @@ Result<Value> Arith(const Value& a, const Value& b, const char* verb,
     return Value::Double(dop(a.AsDouble(), b.AsDouble()));
   }
   if (a.type() == TypeId::kDecimal || b.type() == TypeId::kDecimal) {
-    return Value::Dec(decop(ToDecimal(a), ToDecimal(b)));
+    MTB_ASSIGN_OR_RETURN(Decimal d, decop(ToDecimal(a), ToDecimal(b)));
+    return Value::Dec(d);
   }
   int64_t r = 0;
   if (iop(a.int_value(), b.int_value(), &r)) return IntOutOfRange();
@@ -178,7 +180,8 @@ Result<Value> NumericDiv(const Value& a, const Value& b) {
   }
   Decimal y = ToDecimal(b);
   if (y.units() == 0) return Status::InvalidArgument("division by zero");
-  return Value::Dec(ToDecimal(a).Div(y));
+  MTB_ASSIGN_OR_RETURN(Decimal q, ToDecimal(a).Div(y));
+  return Value::Dec(q);
 }
 
 Result<const Value*> EvalOperand(const BoundExpr& e, RowView row,
@@ -395,8 +398,10 @@ Result<Value> EvalBuiltin(const BoundExpr& e, RowView row, ExecContext* ctx) {
         return Value::Double(std::abs(v.double_value()));
       }
       if (v.type() == TypeId::kDecimal) {
-        Decimal d = v.decimal_value();
-        return Value::Dec(d.units() < 0 ? d.Neg() : d);
+        const Decimal& d = v.decimal_value();
+        if (d.units() >= 0) return v;
+        MTB_ASSIGN_OR_RETURN(Decimal abs, d.Neg());
+        return Value::Dec(abs);
       }
       return Status::InvalidArgument("ABS requires a numeric argument");
     }
@@ -584,7 +589,10 @@ Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx) {
         return Value::Int(r);
       }
       if (v.type() == TypeId::kDouble) return Value::Double(-v.double_value());
-      if (v.type() == TypeId::kDecimal) return Value::Dec(v.decimal_value().Neg());
+      if (v.type() == TypeId::kDecimal) {
+        MTB_ASSIGN_OR_RETURN(Decimal neg, v.decimal_value().Neg());
+        return Value::Dec(neg);
+      }
       return Status::InvalidArgument("cannot negate non-numeric value");
     }
     case BoundExpr::Kind::kBinary:
@@ -856,65 +864,80 @@ Result<Value> EvalUdfCall(const BoundExpr& e, RowView row, ExecContext* ctx) {
 // Operators
 // ---------------------------------------------------------------------------
 
-Result<RowBatch> ExecScan(const Plan& p, ExecContext* ctx) {
-  if (p.table == nullptr) return parallel::ScanExec(p, ctx, 1);
-  const TableVersion& version = PinnedVersion(ctx, *p.table);
-  if (!p.pruned) {
-    return parallel::ScanExec(
-        p, ctx, parallel::PlanWorkers(p, version.rows().size(), *ctx));
+/// The candidate row ids of table scan `p` over its pinned `version`, in
+/// ascending (insertion) order so the output matches a full scan's: the
+/// surviving partitions' rows of a pruned scan, or an ordered-index scan's
+/// matches — a binary search of the index's row-id permutation per equality
+/// key; the full scan filter is re-applied to them all, since the lookup is
+/// a superset cut, not a filter replacement. Fills and returns `cand`, or
+/// returns null for a scan of every row.
+Result<const std::vector<uint32_t>*> ScanCandidates(
+    const Plan& p, ExecContext* ctx, const TableVersion& version,
+    std::vector<uint32_t>* cand) {
+  if (p.kind == Plan::Kind::kIndexScan) {
+    const TableIndex* ix = p.table->FindIndex(p.index_name);
+    if (ix == nullptr) {
+      return Status::Internal("index " + p.index_name +
+                              " disappeared under a compiled plan");
+    }
+    const std::vector<Row>& rows = version.rows();
+    const std::vector<uint32_t>& order = version.IndexOrder(*ix);
+    const size_t slot = static_cast<size_t>(ix->slots[0]);
+    for (int64_t k : p.index_keys) {
+      const Value key = Value::Int(k);
+      auto lo = std::lower_bound(order.begin(), order.end(), key,
+                                 [&](uint32_t id, const Value& v) {
+                                   return IndexKeyCompare(rows[id][slot], v) <
+                                          0;
+                                 });
+      auto hi = std::upper_bound(lo, order.end(), key,
+                                 [&](const Value& v, uint32_t id) {
+                                   return IndexKeyCompare(v, rows[id][slot]) <
+                                          0;
+                                 });
+      cand->insert(cand->end(), lo, hi);
+    }
+    std::sort(cand->begin(), cand->end());
+    ctx->stats->index_scans += 1;
+    ctx->stats->index_rows_skipped += rows.size() - cand->size();
+    return cand;
   }
-  // Partition pruning: scan only the surviving partitions' row ids, merged
-  // back to ascending (insertion) order so output bytes match a full scan.
+  if (!p.pruned) return nullptr;
   const auto& parts = version.PartitionRows();
-  std::vector<uint32_t> cand;
   size_t total = 0;
   for (uint32_t pid : p.partitions) {
     if (pid < parts.size()) total += parts[pid].size();
   }
-  cand.reserve(total);
+  cand->reserve(total);
   for (uint32_t pid : p.partitions) {
     if (pid < parts.size()) {
-      cand.insert(cand.end(), parts[pid].begin(), parts[pid].end());
+      cand->insert(cand->end(), parts[pid].begin(), parts[pid].end());
     }
   }
-  std::sort(cand.begin(), cand.end());
+  std::sort(cand->begin(), cand->end());
   ctx->stats->partitions_pruned += parts.size() - p.partitions.size();
-  int workers = parallel::PlanWorkers(p, cand.size(), *ctx);
-  return parallel::ScanExec(p, ctx, workers, &cand);
+  return cand;
 }
 
-/// Ordered-index scan: binary-search the index's row-id permutation for each
-/// equality key, then re-apply the full scan filter to the candidates (the
-/// lookup is a superset cut, not a filter replacement). Candidates are
-/// re-sorted ascending so output bytes match the equivalent full scan.
-Result<RowBatch> ExecIndexScan(const Plan& p, ExecContext* ctx) {
+/// Workers for scan `p` over `candidates` (null = every row of `version`).
+/// Index scans stay serial (not parallel-safe).
+int ScanWorkers(const Plan& p, const TableVersion& version,
+                const std::vector<uint32_t>* candidates,
+                const ExecContext& ctx) {
+  return parallel::PlanWorkers(
+      p, candidates != nullptr ? candidates->size() : version.rows().size(),
+      ctx);
+}
+
+/// Scan or index scan into a batch of its emitted slots.
+Result<RowBatch> ExecScan(const Plan& p, ExecContext* ctx) {
   if (p.table == nullptr) return parallel::ScanExec(p, ctx, 1);
-  const TableIndex* ix = p.table->FindIndex(p.index_name);
-  if (ix == nullptr) {
-    return Status::Internal("index " + p.index_name +
-                            " disappeared under a compiled plan");
-  }
   const TableVersion& version = PinnedVersion(ctx, *p.table);
-  const std::vector<Row>& rows = version.rows();
-  const std::vector<uint32_t>& order = version.IndexOrder(*ix);
-  const size_t slot = static_cast<size_t>(ix->slots[0]);
   std::vector<uint32_t> cand;
-  for (int64_t k : p.index_keys) {
-    const Value key = Value::Int(k);
-    auto lo = std::lower_bound(order.begin(), order.end(), key,
-                               [&](uint32_t id, const Value& v) {
-                                 return IndexKeyCompare(rows[id][slot], v) < 0;
-                               });
-    auto hi = std::upper_bound(lo, order.end(), key,
-                               [&](const Value& v, uint32_t id) {
-                                 return IndexKeyCompare(v, rows[id][slot]) < 0;
-                               });
-    cand.insert(cand.end(), lo, hi);
-  }
-  std::sort(cand.begin(), cand.end());
-  ctx->stats->index_scans += 1;
-  ctx->stats->index_rows_skipped += rows.size() - cand.size();
-  return parallel::ScanExec(p, ctx, 1, &cand);
+  MTB_ASSIGN_OR_RETURN(const std::vector<uint32_t>* candidates,
+                       ScanCandidates(p, ctx, version, &cand));
+  return parallel::ScanExec(p, ctx, ScanWorkers(p, version, candidates, *ctx),
+                            candidates);
 }
 
 /// Null-aware anti join (decorrelated NOT IN). Keys are split: the first
@@ -1062,20 +1085,102 @@ RowBatch DistinctRows(RowBatch rows) {
   return out;
 }
 
+/// EXPLAIN (ANALYZE) instrumentation of one execution of plan node `plan`:
+/// while it is open, the node is `ctx->current_op`; Close records its
+/// OpProfile. Inclusive semantics — wall/CPU and counter deltas cover
+/// everything run in between, children included; the renderer subtracts
+/// children where an exclusive figure reads better. CPU is the statement
+/// thread's own thread-CPU delta (which includes executing children on this
+/// thread, and region worker 0) plus the pool-worker CPU RunPoolProfiled
+/// accumulated into `ctx->child_cpu_nanos` meanwhile. Inert without a
+/// profiler.
+class ProfiledOp {
+ public:
+  ProfiledOp(const Plan& plan, ExecContext* ctx) : ctx_(ctx) {
+    if (ctx->profiler == nullptr) return;
+    prof_ = ctx->profiler->Profile(&plan);
+    saved_op_ = ctx->current_op;
+    ctx->current_op = prof_;
+    before_ = *ctx->stats;
+    pool_cpu_before_ = ctx->child_cpu_nanos;
+    cpu_before_ = obs::ThreadCpuNanos();
+    t0_ = std::chrono::steady_clock::now();
+  }
+  ProfiledOp(const ProfiledOp&) = delete;
+  ProfiledOp& operator=(const ProfiledOp&) = delete;
+
+  /// Record the execution, which produced `rows_out` rows.
+  void Close(size_t rows_out) {
+    if (prof_ == nullptr) return;
+    prof_->wall_nanos += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0_)
+            .count());
+    prof_->cpu_nanos += (obs::ThreadCpuNanos() - cpu_before_) +
+                        (ctx_->child_cpu_nanos - pool_cpu_before_);
+    ctx_->current_op = saved_op_;
+    prof_->executions++;
+    const ExecStats d = *ctx_->stats - before_;
+    prof_->rows_scanned += d.rows_scanned;
+    prof_->morsels += d.parallel_morsels;
+    prof_->udf_calls += d.udf_calls;
+    prof_->udf_cache_hits += d.udf_cache_hits;
+    prof_->rows_out += rows_out;
+  }
+
+ private:
+  ExecContext* ctx_;
+  obs::OpProfile* prof_ = nullptr;
+  obs::OpProfile* saved_op_ = nullptr;
+  ExecStats before_;
+  uint64_t pool_cpu_before_ = 0;
+  uint64_t cpu_before_ = 0;
+  std::chrono::steady_clock::time_point t0_;
+};
+
+/// An Aggregate over a table scan (AggregatesScanInPlace): the scan builds
+/// its candidates and selects the rows its filter keeps — profiled as the
+/// Scan node, so EXPLAIN (ANALYZE) shows its rows, removed= and the
+/// selection's time= — and the Aggregate folds those rows where they lie in
+/// the pinned version. No scan batch is built. Selection morsels, fold
+/// chunks and worker counts are the ones the scan and the Aggregate would
+/// use over a batch, so results and counters do not change.
+Result<RowBatch> ExecAggregateOverScan(const Plan& plan, ExecContext* ctx) {
+  const Plan& scan = *plan.left;
+  const TableVersion& version = PinnedVersion(ctx, *scan.table);
+  std::vector<uint32_t> cand;
+  std::vector<uint32_t> kept;
+  ProfiledOp op(scan, ctx);
+  Result<const std::vector<uint32_t>*> ids =
+      ScanCandidates(scan, ctx, version, &cand);
+  if (ids.ok()) {
+    ids = parallel::SelectScanRows(
+        scan, ctx, ScanWorkers(scan, version, ids.value(), *ctx), ids.value(),
+        &kept);
+  }
+  const parallel::AggInput input{nullptr, &version.rows(),
+                                 ids.ok() ? ids.value() : nullptr};
+  op.Close(ids.ok() ? input.size() : 0);
+  MTB_RETURN_IF_ERROR(ids.status());
+  return parallel::AggregateExec(
+      plan, ctx, input, parallel::PlanWorkers(plan, input.size(), *ctx));
+}
+
 }  // namespace
 
 /// Uninstrumented execution — the plain hot path.
 static Result<RowBatch> ExecutePlanImpl(const Plan& plan, ExecContext* ctx) {
   switch (plan.kind) {
     case Plan::Kind::kScan:
-      return ExecScan(plan, ctx);
     case Plan::Kind::kIndexScan:
-      return ExecIndexScan(plan, ctx);
+      return ExecScan(plan, ctx);
     case Plan::Kind::kJoin:
       return ExecJoin(plan, ctx);
+    case Plan::Kind::kAggregate:
+      if (AggregatesScanInPlace(plan)) return ExecAggregateOverScan(plan, ctx);
+      [[fallthrough]];
     case Plan::Kind::kFilter:
     case Plan::Kind::kProject:
-    case Plan::Kind::kAggregate:
     case Plan::Kind::kSort:
     case Plan::Kind::kTopN: {
       MTB_ASSIGN_OR_RETURN(auto rows, ExecutePlan(*plan.left, ctx));
@@ -1086,7 +1191,8 @@ static Result<RowBatch> ExecutePlanImpl(const Plan& plan, ExecContext* ctx) {
         case Plan::Kind::kProject:
           return parallel::ProjectExec(plan, ctx, std::move(rows), workers);
         case Plan::Kind::kAggregate:
-          return parallel::AggregateExec(plan, ctx, std::move(rows), workers);
+          return parallel::AggregateExec(plan, ctx, parallel::AggInput{&rows},
+                                         workers);
         case Plan::Kind::kSort:
           return parallel::SortExec(plan, ctx, std::move(rows), workers);
         default:
@@ -1107,37 +1213,13 @@ static Result<RowBatch> ExecutePlanImpl(const Plan& plan, ExecContext* ctx) {
   return Status::Internal("unhandled plan kind");
 }
 
-/// Instrumented execution for EXPLAIN (ANALYZE): record an OpProfile per
-/// plan node. Inclusive semantics — wall/CPU and counter deltas cover the
-/// node's whole subtree; the renderer subtracts children where an exclusive
-/// figure reads better. CPU is the statement thread's own thread-CPU delta
-/// (which includes executing children on this thread, and region worker 0)
-/// plus the pool-worker CPU RunPoolProfiled accumulated into
-/// `ctx->child_cpu_nanos` during the node.
+/// Instrumented execution for EXPLAIN (ANALYZE): one OpProfile per plan
+/// node (see ProfiledOp).
 static Result<RowBatch> ExecutePlanProfiled(const Plan& plan,
                                             ExecContext* ctx) {
-  obs::OpProfile* prof = ctx->profiler->Profile(&plan);
-  obs::OpProfile* saved_op = ctx->current_op;
-  ctx->current_op = prof;
-  const ExecStats before = *ctx->stats;
-  const uint64_t pool_cpu_before = ctx->child_cpu_nanos;
-  const uint64_t cpu_before = obs::ThreadCpuNanos();
-  const auto t0 = std::chrono::steady_clock::now();
+  ProfiledOp op(plan, ctx);
   auto rows = ExecutePlanImpl(plan, ctx);
-  prof->wall_nanos += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  prof->cpu_nanos += (obs::ThreadCpuNanos() - cpu_before) +
-                     (ctx->child_cpu_nanos - pool_cpu_before);
-  ctx->current_op = saved_op;
-  prof->executions++;
-  const ExecStats d = *ctx->stats - before;
-  prof->rows_scanned += d.rows_scanned;
-  prof->morsels += d.parallel_morsels;
-  prof->udf_calls += d.udf_calls;
-  prof->udf_cache_hits += d.udf_cache_hits;
-  if (rows.ok()) prof->rows_out += rows.value().size();
+  op.Close(rows.ok() ? rows.value().size() : 0);
   return rows;
 }
 

@@ -12,11 +12,11 @@ namespace {
 constexpr uint32_t kFree = UINT32_MAX;
 constexpr size_t kMinSlots = 16;
 
-/// StructuralEquals with a fast path for the common INT = INT component.
+/// StructuralEquals, with same-type INT, DATE, equal-scale DECIMAL and
+/// STRING components compared directly.
 bool ComponentEquals(const Value& a, const Value& b) {
-  if (a.type() == TypeId::kInt && b.type() == TypeId::kInt) {
-    return a.int_value() == b.int_value();
-  }
+  int c = 0;
+  if (a.CompareSameType(b, &c)) return c == 0;
   return a.StructuralEquals(b);
 }
 
@@ -31,7 +31,8 @@ KeyIndex::KeyIndex(size_t width, size_t expected) : width_(width) {
   Rehash(slots);
 }
 
-size_t KeyIndex::Probe(const Value* key, size_t hash) const {
+template <typename KeyAt>
+size_t KeyIndex::Probe(KeyAt key_at, size_t hash) const {
   // Fibonacci hashing: the home slot is the top bits of a multiplicative
   // mix, so hashes that differ only in their high bits still spread.
   size_t s = static_cast<size_t>(
@@ -42,8 +43,14 @@ size_t KeyIndex::Probe(const Value* key, size_t hash) const {
     if (hashes_[id] != hash) continue;
     const Value* stored = this->key(id);
     size_t k = 0;
-    while (k < width_ && ComponentEquals(stored[k], key[k])) ++k;
+    while (k < width_ && ComponentEquals(stored[k], key_at(k))) ++k;
     if (k == width_) return s;
+  }
+}
+
+void KeyIndex::Grow() {
+  if (2 * (size() + 1) > slots_.size()) {
+    Rehash(std::max(kMinSlots, 2 * slots_.size()));
   }
 }
 
@@ -53,21 +60,23 @@ void KeyIndex::Rehash(size_t slots) {
   for (size_t s = slots; s > 1; s >>= 1) --shift_;
   // The stored keys are distinct, so each probe ends at a free slot.
   for (size_t id = 0; id < size(); ++id) {
-    slots_[Probe(key(id), hashes_[id])] = static_cast<uint32_t>(id);
+    const Value* stored = key(id);
+    slots_[Probe([stored](size_t k) -> const Value& { return stored[k]; },
+                 hashes_[id])] = static_cast<uint32_t>(id);
   }
 }
 
 size_t KeyIndex::Find(const Value* key, size_t hash) const {
   if (slots_.empty()) return kNone;
-  const uint32_t id = slots_[Probe(key, hash)];
+  const uint32_t id =
+      slots_[Probe([key](size_t k) -> const Value& { return key[k]; }, hash)];
   return id == kFree ? kNone : id;
 }
 
 KeyIndex::Lookup KeyIndex::FindOrInsert(Value* key, size_t hash) {
-  if (2 * (size() + 1) > slots_.size()) {
-    Rehash(std::max(kMinSlots, 2 * slots_.size()));
-  }
-  const size_t s = Probe(key, hash);
+  Grow();
+  const size_t s =
+      Probe([key](size_t k) -> const Value& { return key[k]; }, hash);
   if (slots_[s] != kFree) return {slots_[s], false};
   const size_t id = size();
   assert(id < kFree);
@@ -75,6 +84,20 @@ KeyIndex::Lookup KeyIndex::FindOrInsert(Value* key, size_t hash) {
   hashes_.push_back(hash);
   keys_.insert(keys_.end(), std::make_move_iterator(key),
                std::make_move_iterator(key + width_));
+  return {id, true};
+}
+
+KeyIndex::Lookup KeyIndex::FindOrCopy(const Value* const* key,
+                                      size_t hash) {
+  Grow();
+  const size_t s =
+      Probe([key](size_t k) -> const Value& { return *key[k]; }, hash);
+  if (slots_[s] != kFree) return {slots_[s], false};
+  const size_t id = size();
+  assert(id < kFree);
+  slots_[s] = static_cast<uint32_t>(id);
+  hashes_.push_back(hash);
+  for (size_t k = 0; k < width_; ++k) keys_.push_back(*key[k]);
   return {id, true};
 }
 

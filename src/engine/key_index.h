@@ -46,6 +46,9 @@ class KeyIndex {
   /// The id of `key`. An absent key becomes the next id, its values moved
   /// in; a present one is left untouched.
   Lookup FindOrInsert(Value* key, size_t hash);
+  /// FindOrInsert of the key whose width() values `key` points to, read
+  /// where they lie: an absent key's values are copied in.
+  Lookup FindOrCopy(const Value* const* key, size_t hash);
 
   /// The width() values of key `id`; they may be moved out once the index
   /// is no longer probed.
@@ -54,8 +57,12 @@ class KeyIndex {
   size_t hash(size_t id) const { return hashes_[id]; }
 
  private:
-  /// The slot holding `key`, else the free slot that ends its probe path.
-  size_t Probe(const Value* key, size_t hash) const;
+  /// The slot holding the key whose component k is key_at(k), else the
+  /// free slot that ends its probe path.
+  template <typename KeyAt>
+  size_t Probe(KeyAt key_at, size_t hash) const;
+  /// Make room for one more key: doubles the directory past half full.
+  void Grow();
   void Rehash(size_t slots);
 
   size_t width_;

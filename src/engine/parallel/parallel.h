@@ -96,6 +96,14 @@ void RunPoolProfiled(ExecContext* ctx, int workers,
 /// execution.
 Result<RowBatch> ScanExec(const Plan& p, ExecContext* ctx, int workers,
                           const std::vector<uint32_t>* candidates = nullptr);
+/// The rows of table scan `p` (candidates as for ScanExec) that its filter
+/// keeps, selected over the same morsels as ScanExec and counted the same
+/// way (rows_scanned, the rows removed) but copied nowhere: fills `kept`
+/// with their ids in scan order and returns it, or returns `candidates`
+/// (null = every row of the pinned version) when the scan has no filter.
+Result<const std::vector<uint32_t>*> SelectScanRows(
+    const Plan& p, ExecContext* ctx, int workers,
+    const std::vector<uint32_t>* candidates, std::vector<uint32_t>* kept);
 /// Compacts the surviving rows in place: no new batch, serial or parallel.
 Result<RowBatch> FilterExec(const Plan& p, ExecContext* ctx, RowBatch input,
                             int workers);
@@ -106,8 +114,29 @@ Result<RowBatch> ProjectExec(const Plan& p, ExecContext* ctx, RowBatch input,
 Result<RowBatch> HashJoinExec(const Plan& p, ExecContext* ctx,
                               RowBatch left_rows, RowBatch right_rows,
                               int workers);
+/// The rows an Aggregate folds: its input's batch, or — when it aggregates
+/// a scan in place (AggregatesScanInPlace) — the scan's kept rows read where
+/// they lie in the statement's pinned table version: rows[(*ids)[i]], or
+/// rows[i] when `ids` is null.
+struct AggInput {
+  const RowBatch* batch = nullptr;
+  const std::vector<Row>* rows = nullptr;
+  const std::vector<uint32_t>* ids = nullptr;
+
+  size_t size() const {
+    if (batch != nullptr) return batch->size();
+    return ids != nullptr ? ids->size() : rows->size();
+  }
+  RowView operator[](size_t i) const {
+    if (batch != nullptr) return (*batch)[i];
+    return (*rows)[ids != nullptr ? (*ids)[i] : i];
+  }
+};
+/// Hash aggregation over either kind of input, by one kernel: serially, or
+/// in one contiguous chunk per worker whose partials fold in chunk order, so
+/// group order and partial-sum order do not depend on the input's kind.
 Result<RowBatch> AggregateExec(const Plan& p, ExecContext* ctx,
-                               RowBatch input, int workers);
+                               const AggInput& input, int workers);
 
 /// ORDER BY (sort.cc): orders an index permutation of the input, then
 /// gathers the rows once. With workers == 1 a single std::stable_sort; with

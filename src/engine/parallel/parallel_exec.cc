@@ -400,6 +400,35 @@ Result<RowBatch> ScanExec(const Plan& p, ExecContext* ctx, int workers,
   return out;
 }
 
+Result<const std::vector<uint32_t>*> SelectScanRows(
+    const Plan& p, ExecContext* ctx, int workers,
+    const std::vector<uint32_t>* candidates, std::vector<uint32_t>* kept) {
+  const std::vector<Row>& rows = PinnedVersion(ctx, *p.table).rows();
+  const size_t n = candidates != nullptr ? candidates->size() : rows.size();
+  ctx->stats->rows_scanned += n;
+  if (!p.scan_filter) return candidates;
+  // Built from the verified plan's own filter at every execution.
+  const RowFilter filter(*p.scan_filter);
+  if (workers <= 1) {
+    MTB_RETURN_IF_ERROR(filter.Select(rows, candidates, 0, n, ctx, kept));
+  } else {
+    // The morsels ScanExec would copy, each selecting its own ids; joined
+    // in morsel (= scan) order.
+    std::vector<std::vector<uint32_t>> morsels(MorselCount(*ctx, n));
+    MTB_RETURN_IF_ERROR(ForEachMorsel(
+        ctx, n, workers,
+        [&](size_t m, size_t b, size_t e, ExecContext* wctx) {
+          return filter.Select(rows, candidates, b, e, wctx, &morsels[m]);
+        }));
+    size_t total = 0;
+    for (const auto& m : morsels) total += m.size();
+    kept->reserve(total);
+    for (const auto& m : morsels) kept->insert(kept->end(), m.begin(), m.end());
+  }
+  CountRemoved(ctx, n, kept->size());
+  return kept;
+}
+
 namespace {
 
 /// Move row `from` of `rows` onto row `to`.
@@ -659,33 +688,96 @@ struct LocalAgg {
 };
 
 /// Fold a non-NULL input (or a later range's partial) `v` into the running
-/// value of `func`; COUNT keeps no value.
-Status Accumulate(AggFunc func, const Value& v, Value* acc) {
-  if (func == AggFunc::kCount || func == AggFunc::kCountStar) {
-    return Status::OK();
-  }
+/// value `*acc` of `func`, in place; COUNT keeps no value. Same-type INT and
+/// DOUBLE sums add directly and same-type DECIMAL sums through Decimal::Add;
+/// every other pair, and every sum those cannot represent, goes through
+/// NumericAdd, so result types, scales and errors are exactly NumericAdd's.
+/// MIN and MAX compare with CompareSameType before Value::Compare. Returns
+/// false with `*error` set on failure.
+bool Fold(AggFunc func, const Value& v, Value* acc, Status* error) {
+  if (func == AggFunc::kCount || func == AggFunc::kCountStar) return true;
   if (acc->is_null()) {
     *acc = v;
-  } else if (func == AggFunc::kSum || func == AggFunc::kAvg) {
-    MTB_ASSIGN_OR_RETURN(*acc, NumericAdd(*acc, v));
-  } else {  // MIN / MAX
-    MTB_ASSIGN_OR_RETURN(int c, v.Compare(*acc));
-    if (func == AggFunc::kMin ? c < 0 : c > 0) *acc = v;
+    return true;
   }
-  return Status::OK();
+  if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+    const TypeId t = acc->type();
+    if (t == v.type()) {
+      int64_t i = 0;
+      if (t == TypeId::kInt &&
+          !__builtin_add_overflow(acc->int_value(), v.int_value(), &i)) {
+        *acc = Value::Int(i);
+        return true;
+      }
+      if (t == TypeId::kDouble) {
+        *acc = Value::Double(acc->double_value() + v.double_value());
+        return true;
+      }
+      if (t == TypeId::kDecimal) {
+        Result<Decimal> d = acc->decimal_value().Add(v.decimal_value());
+        if (d.ok()) {
+          *acc = Value::Dec(d.value());
+          return true;
+        }
+      }
+    }
+    Result<Value> sum = NumericAdd(*acc, v);
+    if (!sum.ok()) {
+      *error = sum.status();
+      return false;
+    }
+    *acc = std::move(sum).value();
+    return true;
+  }
+  int c = 0;  // MIN / MAX
+  if (!v.CompareSameType(*acc, &c)) {
+    Result<int> r = v.Compare(*acc);
+    if (!r.ok()) {
+      *error = r.status();
+      return false;
+    }
+    c = r.value();
+  }
+  if (func == AggFunc::kMin ? c < 0 : c > 0) *acc = v;
+  return true;
 }
 
-Status AccumulateRange(const Plan& p, const RowBatch& rows, size_t begin,
+/// `e` over `row`: a slot read where it lies, anything else through
+/// EvalOperand (into `*tmp` when it is computed). Null with `*error` set on
+/// failure.
+inline const Value* ReadOperand(const BoundExpr& e, RowView row,
+                                ExecContext* ctx, Value* tmp, Status* error) {
+  if (e.kind == BoundExpr::Kind::kSlot) {
+    return &row[static_cast<size_t>(e.slot)];
+  }
+  Result<const Value*> v = EvalOperand(e, row, ctx, tmp);
+  if (!v.ok()) {
+    *error = v.status();
+    return nullptr;
+  }
+  return v.value();
+}
+
+/// The one aggregation kernel: fold input rows [begin, end) into `agg`.
+/// Group keys are hashed and compared where they lie (a key's values are
+/// copied only when its group is new) and every input folds into its
+/// accumulator in place.
+Status AccumulateRange(const Plan& p, const AggInput& input, size_t begin,
                        size_t end, ExecContext* ctx, LocalAgg* agg) {
+  const size_t n_keys = p.exprs.size();
   const size_t n_aggs = p.aggs.size();
-  std::vector<Value> key(p.exprs.size());  // group key, reused across rows
+  std::vector<const Value*> key(n_keys);  // reused across rows
+  std::vector<Value> key_tmp(n_keys);     // computed key components
   Value tmp;
+  Status error;
   for (size_t ri = begin; ri < end; ++ri) {
-    const RowView r = rows[ri];
-    MTB_RETURN_IF_ERROR(
-        EvalKeys(p.exprs.data(), key.size(), r, ctx, key.data()).status());
+    const RowView r = input[ri];
+    for (size_t k = 0; k < n_keys; ++k) {
+      key[k] = ReadOperand(*p.exprs[k], r, ctx, &key_tmp[k], &error);
+      if (key[k] == nullptr) return error;
+    }
     const KeyIndex::Lookup group =
-        agg->groups.FindOrInsert(key.data(), HashRow(key));
+        agg->groups.FindOrCopy(key.data(), HashRowRefs(key.data(), n_keys));
     if (group.inserted) agg->accs.resize(agg->accs.size() + n_aggs);
     AggAccum* accs = agg->accs.data() + group.id * n_aggs;
     for (size_t i = 0; i < n_aggs; ++i) {
@@ -695,12 +787,13 @@ Status AccumulateRange(const Plan& p, const RowBatch& rows, size_t begin,
         acc.count++;
         continue;
       }
-      MTB_ASSIGN_OR_RETURN(const Value* v,
-                           EvalOperand(*spec.arg, r, ctx, &tmp));
+      const Value* v = ReadOperand(*spec.arg, r, ctx, &tmp, &error);
+      if (v == nullptr) return error;
       if (v->is_null()) continue;
       if (spec.distinct) {
-        Value seen[2] = {Value::Int(static_cast<int64_t>(group.id)), *v};
-        if (!agg->distinct[i].FindOrInsert(seen, HashRow(seen, 2)).inserted) {
+        const Value id = Value::Int(static_cast<int64_t>(group.id));
+        const Value* seen[2] = {&id, v};
+        if (!agg->distinct[i].FindOrCopy(seen, HashRowRefs(seen, 2)).inserted) {
           continue;
         }
       }
@@ -710,7 +803,7 @@ Status AccumulateRange(const Plan& p, const RowBatch& rows, size_t begin,
         return Status::InvalidArgument(
             "SUM and AVG require a numeric argument");
       }
-      MTB_RETURN_IF_ERROR(Accumulate(spec.func, *v, &acc.value));
+      if (!Fold(spec.func, *v, &acc.value, &error)) return error;
     }
   }
   return Status::OK();
@@ -748,7 +841,7 @@ Result<RowBatch> FinalizeAgg(const Plan& p, LocalAgg* agg) {
 }  // namespace
 
 Result<RowBatch> AggregateExec(const Plan& p, ExecContext* ctx,
-                               RowBatch input, int workers) {
+                               const AggInput& input, int workers) {
   if (workers <= 1) {
     LocalAgg total(p);
     MTB_RETURN_IF_ERROR(
@@ -776,6 +869,7 @@ Result<RowBatch> AggregateExec(const Plan& p, ExecContext* ctx,
   // (DISTINCT aggregates never get here: the planner keeps them serial.)
   const size_t n_aggs = p.aggs.size();
   LocalAgg& total = locals[0];
+  Status error;
   for (size_t w = 1; w < locals.size(); ++w) {
     LocalAgg& local = locals[w];
     for (size_t g = 0; g < local.groups.size(); ++g) {
@@ -791,8 +885,9 @@ Result<RowBatch> AggregateExec(const Plan& p, ExecContext* ctx,
       for (size_t i = 0; i < n_aggs; ++i) {
         to[i].count += from[i].count;
         if (from[i].value.is_null()) continue;
-        MTB_RETURN_IF_ERROR(
-            Accumulate(p.aggs[i].func, from[i].value, &to[i].value));
+        if (!Fold(p.aggs[i].func, from[i].value, &to[i].value, &error)) {
+          return error;
+        }
       }
     }
   }

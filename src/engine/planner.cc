@@ -708,14 +708,14 @@ Result<bool> PlannerImpl::TryUnnestExistsOrIn(
   if (!sub.group_by.empty() || sub.having || sub.limit >= 0 || sub.from.empty()) {
     return false;
   }
-  if (is_in) {
-    if (sub.items.size() != conj->args.size()) return false;
-    for (const auto& item : sub.items) {
-      if (item.expr->kind == sql::ExprKind::kStar) return false;
-      std::vector<const sql::Expr*> aggs;
-      CollectAggCalls(*item.expr, &aggs);
-      if (!aggs.empty()) return false;
-    }
+  if (is_in && sub.items.size() != conj->args.size()) return false;
+  for (const auto& item : sub.items) {
+    if (is_in && item.expr->kind == sql::ExprKind::kStar) return false;
+    // A list with an aggregate and no GROUP BY makes one row even over no
+    // input, so neither EXISTS nor IN over it is a semi or anti join.
+    std::vector<const sql::Expr*> aggs;
+    CollectAggCalls(*item.expr, &aggs);
+    if (!aggs.empty()) return false;
   }
   // Split the sub-query's WHERE into local conjuncts, correlated equality
   // keys, and residual correlated conjuncts.
@@ -1701,7 +1701,9 @@ void ApplyPhysicalAccessPaths(Plan* p) {
 // those; at the root every slot is live, so result columns do not change.
 // Filter, Sort, TopN and Limit pass the narrowed layout up. Aggregate and
 // Distinct keep their outputs (a dropped group key or DISTINCT column would
-// change the rows) and narrow only what they ask of their input. Each step
+// change the rows) and narrow only what they ask of their input — except a
+// table scan under an Aggregate, which stays whole: the Aggregate reads its
+// rows in place, so narrowing would save no copy. Each step
 // returns its node's slot map (old output slot -> new output slot, -1 when
 // dropped), which the parent applies to every kSlot it holds over that
 // input.
@@ -1888,7 +1890,10 @@ SlotMap PruneNode(Plan* p, const std::vector<bool>& live) {
       const SlotMap out_map = p->kind == Plan::Kind::kProject
                                   ? NarrowProject(p, live)
                                   : IdentityMap(p->columns.size());
-      std::vector<bool> in_live(all.size(), whole);
+      // An Aggregate folds a table scan's rows where they lie
+      // (AggregatesScanInPlace), so that scan keeps its whole schema row.
+      std::vector<bool> in_live(all.size(),
+                                whole || AggregatesScanInPlace(*p));
       for (const auto& e : p->exprs) MarkSlots(*e, &in_live);
       for (const auto& a : p->aggs) {
         if (a.arg) MarkSlots(*a.arg, &in_live);

@@ -712,8 +712,11 @@ Status Optimizer::DistributeAggregations(sql::SelectStmt* sel) {
     bool was_colref = item.expr->kind == sql::ExprKind::kColumnRef;
     std::string colname = was_colref ? item.expr->column : "";
     ReplaceByText(&item.expr, repl);
+    // A replaced column reference keeps its name: a group column now reads
+    // `__gN`, which would otherwise name the result column.
     if (item.alias.empty() && was_colref &&
-        item.expr->kind != sql::ExprKind::kColumnRef) {
+        (item.expr->kind != sql::ExprKind::kColumnRef ||
+         item.expr->column != colname)) {
       item.alias = colname;
     }
   }

@@ -239,7 +239,10 @@ Result<MthData> GenerateData(const MthConfig& config) {
       int64_t s = part_suppliers[static_cast<size_t>(p)]
                                 [static_cast<size_t>(rng.Uniform(0, 3))];
       int64_t qty = rng.Uniform(1, 50);
-      Decimal ext = part_price[static_cast<size_t>(p)].Mul(Decimal::FromInt(qty));
+      // Generated prices, quantities and rates are far inside DECIMAL's
+      // range, so this arithmetic cannot fail.
+      Decimal ext =
+          *part_price[static_cast<size_t>(p)].Mul(Decimal::FromInt(qty));
       Decimal discount = Dec2(rng.Uniform(0, 10));  // 0.00 .. 0.10
       Decimal tax = Dec2(rng.Uniform(0, 8));        // 0.00 .. 0.08
       Date shipdate = orderdate.AddDays(static_cast<int>(rng.Uniform(1, 121)));
@@ -258,7 +261,7 @@ Result<MthData> GenerateData(const MthConfig& config) {
         ++o_count;
       }
       Decimal one = Decimal::FromInt(1);
-      total = total.Add(ext.Mul(one.Sub(discount)).Mul(one.Add(tax)));
+      total = *total.Add(*ext.Mul(*one.Sub(discount))->Mul(*one.Add(tax)));
       data.lineitem_tenant.push_back(tenant);
       data.lineitem.push_back(
           {Value::Int(o), Value::Int(p), Value::Int(s), Value::Int(ln),
@@ -317,9 +320,11 @@ Status BulkInsertTenant(engine::Database* db, const std::string& table,
     for (const Value& v : rows[i]) r.push_back(v);
     int cur = tenant_currency[static_cast<size_t>(tenant)];
     for (int col : convert_currency) {
-      const Value& v = r[static_cast<size_t>(col + 1)];
-      r[static_cast<size_t>(col + 1)] =
-          Value::Dec(v.decimal_value().Mul(from_rates[static_cast<size_t>(cur)]));
+      Value& v = r[static_cast<size_t>(col + 1)];
+      MTB_ASSIGN_OR_RETURN(
+          Decimal converted,
+          v.decimal_value().Mul(from_rates[static_cast<size_t>(cur)]));
+      v = Value::Dec(converted);
     }
     if (convert_phone >= 0) {
       int pf = tenant_phone[static_cast<size_t>(tenant)];

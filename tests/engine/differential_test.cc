@@ -23,6 +23,13 @@
 // evaluator, EvalExpr, which is the oracle there. The rows must match byte
 // for byte and rows_scanned must be equal.
 //
+// An Aggregate directly over a scan folds the scan's rows where they lie in
+// the table (no scan batch), so every generated single-table aggregate that
+// does also runs with its table read through a derived table, `FROM (SELECT
+// * FROM r) r`, whose Project hands the Aggregate a materialized batch: the
+// same kernel over the other kind of input. Serially and in parallel, the
+// rows must match byte for byte and rows_scanned must be equal.
+//
 // Reproduction: every failure message carries the generator seed and the
 // offending SQL. Re-run with MTBASE_DIFF_SEED=<seed> (and optionally
 // MTBASE_DIFF_QUERIES=<n>) to replay the exact sequence. The SeedSweep test
@@ -41,6 +48,7 @@
 #include "common/rng.h"
 #include "engine/database.h"
 #include "engine/explain.h"
+#include "engine/planner.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 
@@ -100,10 +108,13 @@ class QueryGen {
   /// The generated predicate of the last query (its WHERE without the join
   /// key), or "" when it has none.
   const std::string& last_predicate() const { return pred_; }
+  /// Whether the last query aggregates.
+  bool last_aggregate() const { return aggregate_; }
 
   std::string Generate() {
     pred_.clear();
     const bool aggregate = rng_.Chance(0.35);
+    aggregate_ = aggregate;
     std::string select_list;
     std::vector<std::string> aliases;
     int n_items = 0;
@@ -268,6 +279,7 @@ class QueryGen {
   bool join_;
   std::vector<Column> cols_;
   std::string pred_;
+  bool aggregate_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -368,6 +380,47 @@ class DifferentialTest : public ::testing::Test {
     ASSERT_EQ(rows_scanned, scope.Delta().rows_scanned);
   }
 
+  /// Whether the first Aggregate of `sql`'s plan folds its scan in place.
+  bool FirstAggregateInPlace(const std::string& sql) {
+    auto stmt = sql::ParseStatement(sql);
+    EXPECT_OK(stmt.status());
+    if (!stmt.ok()) return false;
+    Planner planner(db_.catalog(), db_.udfs(), db_.planner_options());
+    auto plan = planner.PlanSelect(*stmt.value().select);
+    EXPECT_OK(plan.status());
+    const Plan* p = plan.ok() ? plan.value().get() : nullptr;
+    while (p != nullptr && p->kind != Plan::Kind::kAggregate) {
+      p = p->left.get();
+    }
+    return p != nullptr && AggregatesScanInPlace(*p);
+  }
+
+  /// Run a generated single-table aggregate that folds its scan in place
+  /// with its table read through a derived table, so its Aggregate folds a
+  /// Project's batch instead, serially and in parallel; require the rows
+  /// `expect` holds and the serial run's rows_scanned.
+  void CheckBatchInputOracle(const std::string& sql, const std::string& expect,
+                             uint64_t rows_scanned) {
+    const std::string from = " FROM r";
+    const size_t at = sql.find(from);
+    ASSERT_NE(at, std::string::npos);
+    const std::string wrapped = sql.substr(0, at) +
+                                " FROM (SELECT * FROM r) r" +
+                                sql.substr(at + from.size());
+    SCOPED_TRACE("batch-input oracle: " + wrapped);
+    SetParallelism(1, 4096);
+    ASSERT_FALSE(FirstAggregateInPlace(wrapped));
+    for (const auto& [threads, min_rows] :
+         {std::pair<int, size_t>{1, 4096}, std::pair<int, size_t>{4, 48}}) {
+      SetParallelism(threads, min_rows);
+      StatsScope scope(db_.stats());
+      auto rs = db_.Execute(wrapped);
+      ASSERT_OK(rs);
+      ASSERT_EQ(expect, Canon(rs.value()));
+      ASSERT_EQ(rows_scanned, scope.Delta().rows_scanned);
+    }
+  }
+
   /// Run `count` generated queries for `seed`; every query executes serial
   /// then parallel and must agree byte-for-byte with matching row counters,
   /// and the first kNestedLoopOracles joins match their nested-loop oracle.
@@ -378,6 +431,7 @@ class DifferentialTest : public ::testing::Test {
     uint64_t parallel_queries = 0;
     uint64_t oracles = 0;
     uint64_t generic_oracles = 0;
+    uint64_t batch_oracles = 0;
     StatsScope batch(db_.stats());
     for (uint64_t i = 0; i < count; ++i) {
       const bool join = pick.Chance(0.4);
@@ -399,6 +453,14 @@ class DifferentialTest : public ::testing::Test {
       if (join && oracles < kNestedLoopOracles) {
         ++oracles;
         CheckNestedLoopOracle(sql, Canon(serial.value()));
+        if (HasFatalFailure()) return;
+      }
+      // A constant conjunct stays in a Filter above the scan, whose batch
+      // the Aggregate reads already: only in-place aggregates are checked.
+      if (!join && gen.last_aggregate() && FirstAggregateInPlace(sql)) {
+        ++batch_oracles;
+        CheckBatchInputOracle(sql, Canon(serial.value()),
+                              serial_stats.rows_scanned);
         if (HasFatalFailure()) return;
       }
       SetParallelism(4, 48);
@@ -426,6 +488,7 @@ class DifferentialTest : public ::testing::Test {
     EXPECT_GT(totals.topn_pushdowns, 0u) << "seed=" << seed;
     EXPECT_GT(oracles, 0u) << "seed=" << seed;
     EXPECT_GT(generic_oracles, count / 2) << "seed=" << seed;
+    EXPECT_GT(batch_oracles, 0u) << "seed=" << seed;
   }
 
   /// Same-schema sibling database whose tables carry a randomized physical

@@ -199,6 +199,59 @@ TEST_F(EvalTest, IntegerOverflowIsAnError) {
   }
 }
 
+// DECIMAL arithmetic fails where its result leaves the 64-bit mantissa, as
+// INT does: 50000000000000000.01 fits a DECIMAL(20,2), twice it does not,
+// and -92233720368547758.08 (the smallest mantissa) has no negation.
+// Aggregates fail too, folding a scan in place or a derived table's rows,
+// serially and from four workers whose partials overflow when merged.
+TEST_F(EvalTest, DecimalOverflowIsAnError) {
+  auto expect_out_of_range = [](const Result<ResultSet>& r,
+                                const std::string& sql) {
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(r.status().message(), "decimal out of range") << sql;
+  };
+  for (const char* expr :
+       {"50000000000000000.01 + 50000000000000000.01",
+        "-50000000000000000.01 - 50000000000000000.01",
+        "50000000000000000.01 * 2", "50000000000000000.01 / 1",
+        "-(-92233720368547758.07 - 0.01)",
+        "ABS(-92233720368547758.07 - 0.01)"}) {
+    expect_out_of_range(db_.Execute(std::string("SELECT ") + expr), expr);
+  }
+  ASSERT_OK(db_.ExecuteScript(R"(
+    CREATE TABLE dbig (x DECIMAL(20,2), g INTEGER);
+    INSERT INTO dbig VALUES (50000000000000000.01, 1),
+                            (50000000000000000.01, 1);
+    CREATE TABLE done (x DECIMAL(20,2));
+    INSERT INTO done VALUES (50000000000000000.01);
+  )"));
+  for (int threads : {1, 4}) {
+    PlannerOptions opts = db_.planner_options();
+    opts.max_threads = threads;
+    opts.min_parallel_rows = 2;
+    db_.set_planner_options(opts);
+    for (const char* sql :
+         {"SELECT SUM(x) FROM dbig", "SELECT AVG(x) FROM dbig",
+          "SELECT g, SUM(x) FROM dbig GROUP BY g",
+          "SELECT SUM(x) FROM (SELECT x FROM dbig) t",
+          "SELECT g, AVG(x) FROM (SELECT x, g FROM dbig) t GROUP BY g",
+          "SELECT x + x FROM dbig", "SELECT x * 2 FROM dbig",
+          "SELECT AVG(x) FROM done"}) {
+      expect_out_of_range(db_.Execute(sql),
+                          sql + std::string(" at ") + std::to_string(threads));
+    }
+    // Results inside the range are unchanged.
+    ASSERT_OK_AND_ASSIGN(ResultSet sum,
+                         db_.Execute("SELECT SUM(x), MAX(x) FROM done"));
+    EXPECT_EQ(sum.rows[0][0].ToString(), "50000000000000000.01");
+    EXPECT_EQ(sum.rows[0][1].ToString(), "50000000000000000.01");
+    ASSERT_OK_AND_ASSIGN(ResultSet diff,
+                         db_.Execute("SELECT x - x FROM dbig"));
+    EXPECT_EQ(diff.rows[1][0].ToString(), "0.00");
+  }
+}
+
 /// One operand value: the ops column that holds it, its type, and the
 /// literal that spells it.
 struct OperandValue {

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "engine/database.h"
+#include "engine/planner.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 
@@ -223,6 +224,11 @@ class HashedOperatorTest : public ::testing::Test {
   static Value GrpH(int i) {
     return i % 7 == 0 ? Value::Null() : Value::Str("h" + std::to_string(i % 3));
   }
+  static constexpr int kFactRows = 64;
+  /// Aggregates over fact's scans: a Scan or IndexScan line, and the
+  /// Aggregate above it.
+  static constexpr Operator kFactScan{"*Scan fact*", true};
+  static constexpr Operator kFactIndexScan{"*IndexScan fact*", false};
 
   void SetUp() override {
     ASSERT_OK(db_.ExecuteScript(R"(
@@ -248,6 +254,28 @@ class HashedOperatorTest : public ::testing::Test {
              ")";
     }
     ASSERT_OK(db_.Execute(grp));
+    // fact: 64 rows in 4 ttid-like hash partitions with an index on g.
+    // t = i % 4 + 1; g = i % 5, NULL on every ninth row; v = i, NULL on
+    // every seventh; d cycles through 1.5, 0.25 and 0.125 (scales 1 to 3);
+    // s = "s" + (5i mod 7); dt = 1995-01-01 plus (11i mod 28) days.
+    ASSERT_OK(db_.ExecuteScript(R"(
+      CREATE TABLE fact (t INTEGER NOT NULL, g INTEGER, v INTEGER,
+                         d DECIMAL(10,3), s VARCHAR(4), dt DATE)
+        PARTITION BY HASH (t) PARTITIONS 4;
+      CREATE INDEX fact_g ON fact (g);
+    )"));
+    std::string fact = "INSERT INTO fact VALUES ";
+    const char* const kD[] = {"1.5", "0.25", "0.125"};
+    for (int i = 0; i < kFactRows; ++i) {
+      if (i > 0) fact += ", ";
+      const int day = 1 + (i * 11) % 28;
+      fact += "(" + std::to_string(i % 4 + 1) + ", " +
+              (i % 9 == 8 ? "NULL" : std::to_string(i % 5)) + ", " +
+              (i % 7 == 6 ? "NULL" : std::to_string(i)) + ", " + kD[i % 3] +
+              ", 's" + std::to_string((i * 5) % 7) + "', DATE '1995-01-" +
+              (day < 10 ? "0" : "") + std::to_string(day) + "')";
+    }
+    ASSERT_OK(db_.Execute(fact));
   }
 
   void SetOptions(int threads, size_t min_rows, bool decorrelate = true) {
@@ -312,6 +340,21 @@ class HashedOperatorTest : public ::testing::Test {
     SetOptions(1, 4096);
     EXPECT_OK(rs.status());
     return rs.ok() ? Lines(rs.value().rows) : std::vector<std::string>{};
+  }
+
+  /// Whether the first Aggregate of `sql`'s plan folds a scan in place.
+  bool AggregatesInPlace(const std::string& sql) {
+    auto sel = sql::ParseSelect(sql);
+    EXPECT_OK(sel.status());
+    if (!sel.ok()) return false;
+    Planner planner(db_.catalog(), db_.udfs(), db_.planner_options());
+    auto plan = planner.PlanSelect(*sel.value());
+    EXPECT_OK(plan.status());
+    const Plan* p = plan.ok() ? plan.value().get() : nullptr;
+    while (p != nullptr && p->kind != Plan::Kind::kAggregate) {
+      p = p->left.get();
+    }
+    return p != nullptr && AggregatesScanInPlace(*p);
   }
 
   /// The first line of an EXPLAIN rendering that matches `pattern`.
@@ -457,6 +500,130 @@ TEST_F(HashedOperatorTest, AggregateWithoutGroupBy) {
   EXPECT_EQ(Rows("SELECT COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) FROM grp",
                  kAggregate),
             (Strings{"160,147,11706,1,159"}));
+}
+
+// An Aggregate directly over a Scan or IndexScan folds the scan's kept rows
+// where they lie in the pinned table version; over a derived table it reads
+// the Project's batch. Both inputs go through one kernel and must agree, for
+// filtered, partition-pruned and index scans, NULL group keys, every
+// aggregate kind and empty inputs.
+TEST_F(HashedOperatorTest, AggregatesReadScansInPlaceLikeBatches) {
+  struct Case {
+    const char* select;
+    const char* where;
+    const char* group_by;
+    Operator in_place;  // the operator the in-place run is about
+    Operator batch;     // the batch run's Aggregate
+  };
+  const char* kAll =
+      "g, COUNT(*), COUNT(v), COUNT(g), SUM(v), AVG(v), MIN(v), MAX(v), "
+      "SUM(d), AVG(d), MIN(s), MAX(s), MIN(dt), MAX(dt)";
+  const char* kNoGroup = "COUNT(*), SUM(v), MIN(s), MAX(dt), AVG(d)";
+  const Case cases[] = {
+      {kAll, "", " GROUP BY g", kAggregate, kAggregate},
+      {kAll, " WHERE v > 10", " GROUP BY g", kFactScan, kAggregate},
+      {kAll, " WHERE t IN (1, 3)", " GROUP BY g", kFactScan, kAggregate},
+      {kAll, " WHERE g = 3", " GROUP BY g", kFactIndexScan, kAggregate},
+      {kAll, " WHERE g IN (1, 4) AND v < 40", " GROUP BY g", kFactIndexScan,
+       kAggregate},
+      {"s, g, SUM(d), MAX(dt)", " WHERE t = 2", " GROUP BY s, g", kAggregate,
+       kAggregate},
+      {"g, COUNT(*), SUM(v)", " WHERE v > 1000", " GROUP BY g",
+       kSerialAggregate, kSerialAggregate},
+      {kNoGroup, " WHERE g = 99", "", kSerialAggregate, kSerialAggregate},
+      {kNoGroup, " WHERE t IN (2, 4)", "", kAggregate, kAggregate},
+      {"g, COUNT(DISTINCT t), SUM(DISTINCT v), COUNT(v)", " WHERE v > 3",
+       " GROUP BY g", kDistinctAggregate, kDistinctAggregate},
+  };
+  for (const Case& c : cases) {
+    const std::string tail = std::string(c.where) + c.group_by;
+    const std::string in_place =
+        std::string("SELECT ") + c.select + " FROM fact" + tail;
+    const std::string batch = std::string("SELECT ") + c.select +
+                              " FROM (SELECT * FROM fact) fact" + tail;
+    EXPECT_TRUE(AggregatesInPlace(in_place)) << in_place;
+    EXPECT_FALSE(AggregatesInPlace(batch)) << batch;
+    EXPECT_EQ(Rows(in_place, c.in_place), Rows(batch, c.batch)) << in_place;
+  }
+}
+
+// Hand-checked values of the in-place fold: COUNT(col) skips NULLs, AVG is
+// computed at DECIMAL's scale, a DECIMAL SUM takes its largest input scale,
+// MIN and MAX order strings and dates, and NULL is a group of its own.
+TEST_F(HashedOperatorTest, InPlaceFoldValues) {
+  EXPECT_EQ(Rows("SELECT COUNT(*), COUNT(v), COUNT(g), SUM(v), AVG(v) "
+                 "FROM fact",
+                 kAggregate),
+            (Strings{"64,55,57,1710,31.090909"}));
+  // 22 x 1.5 + 21 x 0.25 (+ 21 x 0.125): scales 1 and 2 sum at scale 2.
+  EXPECT_EQ(Rows("SELECT SUM(d) FROM fact WHERE d > 0.2", kFactScan),
+            (Strings{"38.25"}));
+  EXPECT_EQ(Rows("SELECT SUM(d) FROM fact", kAggregate), (Strings{"40.875"}));
+  EXPECT_EQ(Rows("SELECT MIN(s), MAX(s), MIN(dt), MAX(dt) FROM fact",
+                 kAggregate),
+            (Strings{"s0,s6,1995-01-01,1995-01-28"}));
+  // g is NULL on rows 8, 17, ..., 62 (g would be 3, 2, 1, 0, 4, 3, 2):
+  // one group, first seen at row 8.
+  EXPECT_EQ(Rows("SELECT g, COUNT(*) FROM fact GROUP BY g", kAggregate),
+            (Strings{"0,12", "1,12", "2,11", "3,11", "4,11", "NULL,7"}));
+}
+
+// SUM over INT fails with the first overflow in both kinds of input, at
+// one thread and from four workers, whose partials overflow when merged.
+TEST_F(HashedOperatorTest, FirstIntOverflowIsTheError) {
+  ASSERT_OK(db_.ExecuteScript(R"(
+    CREATE TABLE ovf (g INTEGER, v INTEGER);
+    INSERT INTO ovf VALUES (1, 4611686018427387904), (1, 4611686018427387904),
+                           (2, 1), (1, 4611686018427387904);
+  )"));
+  for (int threads : {1, 4}) {
+    SetOptions(threads, 2);
+    for (const char* sql :
+         {"SELECT g, SUM(v) FROM ovf GROUP BY g", "SELECT AVG(v) FROM ovf",
+          "SELECT g, SUM(v) FROM (SELECT * FROM ovf) o GROUP BY g"}) {
+      auto r = db_.Execute(sql);
+      ASSERT_FALSE(r.ok()) << sql;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+      EXPECT_EQ(r.status().message(), "integer out of range") << sql;
+    }
+  }
+  SetOptions(1, 4096);
+}
+
+// Under EXPLAIN (ANALYZE) the Scan below an in-place Aggregate reports the
+// rows it kept, the rows its filter removed and the time its selection
+// took; the Aggregate's own line counts its groups.
+TEST_F(HashedOperatorTest, ScanUnderAggregateReportsItsSelection) {
+  SetOptions(1, 4096);
+  struct Case {
+    const char* sql;
+    const char* scan_line;
+  };
+  // v > 10: rows 11..63 without 13, 20, ..., 62 keep 45 of 64. t IN (1, 3)
+  // keeps the two partitions holding t = 1, 3 and one more t (48
+  // candidates); of those, t in (1, 3) and v < 20 keeps the nine even rows
+  // 0..18 but 6. g = 3 looks up 11 rows and keeps them all.
+  const Case cases[] = {
+      {"SELECT g, COUNT(*) FROM fact WHERE v > 10 GROUP BY g",
+       "*Scan fact (filtered) [actual: rows=45 time=*ms cpu=*ms removed=19]"},
+      {"SELECT g, COUNT(*) FROM fact WHERE t IN (1, 3) AND v < 20 GROUP BY g",
+       "*Scan fact (filtered) [partitions: 2/4 pruned] [actual: rows=9 "
+       "time=*ms cpu=*ms removed=39]"},
+      {"SELECT COUNT(*) FROM fact WHERE g = 3",
+       "*IndexScan fact (filtered) [index scan: fact_g, g = 3] [actual: "
+       "rows=11 time=*ms cpu=*ms removed=0]"},
+      {"SELECT COUNT(*) FROM fact",
+       "*Scan fact [actual: rows=64 time=*ms cpu=*ms]"},
+  };
+  for (const Case& c : cases) {
+    ASSERT_OK_AND_ASSIGN(auto sel, sql::ParseSelect(c.sql));
+    ASSERT_OK_AND_ASSIGN(std::string text, db_.ExplainAnalyzeSelect(*sel));
+    EXPECT_FALSE(OperatorLine(text, c.scan_line).empty())
+        << c.scan_line << " in\n"
+        << text;
+    EXPECT_FALSE(OperatorLine(text, "*Aggregate*[actual: rows=*").empty())
+        << text;
+  }
 }
 
 TEST_F(HashedOperatorTest, DistinctAggregatesSkipNullsAndDuplicates) {

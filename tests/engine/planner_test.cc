@@ -291,13 +291,25 @@ TEST_F(ColumnPruningTest, Distinct) {
 }
 
 TEST_F(ColumnPruningTest, CountStarReadsNoColumn) {
-  ASSERT_OK_AND_ASSIGN(PlanPtr plan, Plan("SELECT COUNT(*) FROM emp"));
+  // A derived table keeps its Project, so the Aggregate reads a batch and
+  // the scan below emits no column.
+  const std::string derived = "SELECT COUNT(*) FROM (SELECT name FROM emp) t";
+  ASSERT_OK_AND_ASSIGN(PlanPtr plan, Plan(derived));
   const engine::Plan* scan = plan.get();
   while (scan->left) scan = scan->left.get();
   ASSERT_EQ(scan->kind, Plan::Kind::kScan);
   // "No column" is an empty projection, distinct from "every column".
   ASSERT_TRUE(scan->emit.has_value());
   EXPECT_TRUE(scan->emit->empty());
+  EXPECT_EQ(Rows(derived), (Strings{"5"}));
+
+  // Directly over the scan, the Aggregate folds the table's rows where they
+  // lie, so the scan stays whole and copies nothing.
+  ASSERT_OK_AND_ASSIGN(PlanPtr direct, Plan("SELECT COUNT(*) FROM emp"));
+  const engine::Plan* agg = direct.get();
+  while (agg->kind != Plan::Kind::kAggregate) agg = agg->left.get();
+  EXPECT_TRUE(AggregatesScanInPlace(*agg));
+  EXPECT_FALSE(agg->left->emit.has_value());
   EXPECT_EQ(Rows("SELECT COUNT(*) FROM emp"), (Strings{"5"}));
 
   const std::string join =
@@ -325,9 +337,10 @@ TEST_F(ColumnPruningTest, UncorrelatedInitPlans) {
   EXPECT_EQ(ScanWidths(in), (Strings{"emp:1", "dept:1"}));
   EXPECT_EQ(Rows(in), (Strings{"cat"}));
 
+  // The InitPlan's Aggregate folds its scan in place: that scan stays whole.
   const std::string scalar =
       "SELECT name FROM emp WHERE salary > (SELECT AVG(salary) FROM emp)";
-  EXPECT_EQ(ScanWidths(scalar), (Strings{"emp:1", "emp:1"}));
+  EXPECT_EQ(ScanWidths(scalar), (Strings{"emp:1", "emp:5"}));
   StatsScope stats(db_.stats());
   EXPECT_EQ(Rows(scalar), (Strings{"dan", "eve"}));
   EXPECT_EQ(stats.Delta().initplan_execs, 1u);
@@ -398,29 +411,58 @@ TEST(ColumnPruningMthTest, Q1LineitemScanWidth) {
   cfg.num_tenants = 2;
   ASSERT_OK_AND_ASSIGN(auto env,
                        mth::SetupEnvironment(cfg, DbmsProfile::kPostgres));
+  // The width of the lineitem scan (the plan's left-most leaf), and whether
+  // an Aggregate folds it in place.
   auto lineitem_width = [](Database* db, const std::string& sql,
-                           size_t* width, size_t* table_width) {
+                           size_t* width, size_t* table_width,
+                           bool* in_place) {
     ASSERT_OK_AND_ASSIGN(sql::Stmt stmt, sql::ParseStatement(sql));
     Planner planner(db->catalog(), db->udfs(), db->planner_options());
     ASSERT_OK_AND_ASSIGN(PlanPtr plan, planner.PlanSelect(*stmt.select));
+    const engine::Plan* parent = nullptr;
     const engine::Plan* scan = plan.get();
-    while (scan->left) scan = scan->left.get();
+    while (scan->left) {
+      parent = scan;
+      scan = scan->left.get();
+    }
     ASSERT_NE(scan->table, nullptr);
     ASSERT_EQ(scan->table->schema().name, "lineitem");
     *width = scan->columns.size();
     *table_width = scan->table->schema().columns.size();
+    *in_place = parent != nullptr && AggregatesScanInPlace(*parent);
   };
-  const std::string q1 = mth::GetMthQuery(1, cfg.scale_factor).sql;
   size_t width = 0;
   size_t table_width = 0;
-  lineitem_width(env->tpch_db.get(), q1, &width, &table_width);
+  bool in_place = false;
+  // Q1 aggregates the scan in place: it stays whole and copies no column.
+  const std::string q1 = mth::GetMthQuery(1, cfg.scale_factor).sql;
+  lineitem_width(env->tpch_db.get(), q1, &width, &table_width, &in_place);
+  EXPECT_TRUE(in_place);
+  EXPECT_EQ(width, 16u);
+  EXPECT_EQ(table_width, 16u);
+  // Over a Project, the same scan carries only the six columns Q1 reads.
+  const std::string projected =
+      "SELECT l_returnflag, l_linestatus, l_quantity, l_extendedprice, "
+      "l_discount * l_tax FROM lineitem WHERE l_shipdate <= DATE "
+      "'1998-09-02'";
+  lineitem_width(env->tpch_db.get(), projected, &width, &table_width,
+                 &in_place);
+  EXPECT_FALSE(in_place);
   EXPECT_EQ(width, 6u);
   EXPECT_EQ(table_width, 16u);
 
   mt::Session session = env->OpenSession(1);
   session.set_optimization_level(mt::OptLevel::kCanonical);
   ASSERT_OK_AND_ASSIGN(std::string rewritten, session.Rewrite(q1));
-  lineitem_width(env->mth_db.get(), rewritten, &width, &table_width);
+  lineitem_width(env->mth_db.get(), rewritten, &width, &table_width,
+                 &in_place);
+  EXPECT_TRUE(in_place);
+  EXPECT_EQ(width, 17u);
+  EXPECT_EQ(table_width, 17u);
+  ASSERT_OK_AND_ASSIGN(std::string projected_mt, session.Rewrite(projected));
+  lineitem_width(env->mth_db.get(), projected_mt, &width, &table_width,
+                 &in_place);
+  EXPECT_FALSE(in_place);
   EXPECT_EQ(width, 7u);
   EXPECT_EQ(table_width, 17u);
 }

@@ -143,6 +143,35 @@ TEST_F(SubqueryDecorrelationTest, NotInWithInnerNullsMatchesFallback) {
   EXPECT_EQ(fast.rows[0][0].int_value(), 3);
 }
 
+TEST_F(SubqueryDecorrelationTest, ExistsOverAnAggregateListMatchesFallback) {
+  // An aggregate without GROUP BY makes one row even over no input, so
+  // EXISTS over it is TRUE and NOT EXISTS FALSE for every outer row: it is
+  // no semi or anti join.
+  ASSERT_OK(db_.ExecuteScript(
+                   "CREATE TABLE r (k INTEGER);"
+                   "CREATE TABLE s (k INTEGER, v INTEGER);"
+                   "INSERT INTO r VALUES (1), (2);"
+                   "INSERT INTO s VALUES (1, 10)")
+                .status());
+  const std::string exists =
+      "SELECT k FROM r WHERE EXISTS "
+      "(SELECT MAX(v) FROM s WHERE s.k = r.k) ORDER BY k";
+  ASSERT_OK_AND_ASSIGN(ResultSet fast, Run(exists, true));
+  ASSERT_OK_AND_ASSIGN(ResultSet slow, Run(exists, false));
+  ExpectSameResults(fast, slow);
+  ASSERT_EQ(fast.rows.size(), 2u);
+  EXPECT_EQ(fast.rows[0][0].int_value(), 1);
+  EXPECT_EQ(fast.rows[1][0].int_value(), 2);
+
+  const std::string not_exists =
+      "SELECT k FROM r WHERE NOT EXISTS "
+      "(SELECT COUNT(*) FROM s WHERE s.k = r.k) ORDER BY k";
+  ASSERT_OK_AND_ASSIGN(fast, Run(not_exists, true));
+  ASSERT_OK_AND_ASSIGN(slow, Run(not_exists, false));
+  ExpectSameResults(fast, slow);
+  EXPECT_TRUE(fast.rows.empty());
+}
+
 TEST_F(SubqueryDecorrelationTest, ExplainShowsChosenStrategy) {
   ASSERT_OK_AND_ASSIGN(auto sel, sql::ParseSelect(kQ21Style));
   PlannerOptions decorr;

@@ -323,6 +323,21 @@ TEST(EquivalenceShapesTest, AggregateOnlyExistsIsTrueAtEveryLevel) {
     EXPECT_EQ(got.value().rows[0][0].int_value(),
               all.value().rows[0][0].int_value())
         << OptLevelName(level);
+    // Correlated, the aggregate still makes one row for every outer row:
+    // EXISTS keeps them all and NOT EXISTS none.
+    auto correlated = session.Execute(
+        "SELECT COUNT(*) FROM Employees WHERE EXISTS (SELECT MAX(E2.E_salary) "
+        "FROM Employees E2 WHERE E2.E_age = Employees.E_age + 1000)");
+    ASSERT_OK(correlated);
+    EXPECT_EQ(correlated.value().rows[0][0].int_value(),
+              all.value().rows[0][0].int_value())
+        << OptLevelName(level);
+    auto negated = session.Execute(
+        "SELECT COUNT(*) FROM Employees WHERE NOT EXISTS (SELECT COUNT(*) "
+        "FROM Employees E2 WHERE E2.E_age = Employees.E_age)");
+    ASSERT_OK(negated);
+    EXPECT_EQ(negated.value().rows[0][0].int_value(), 0)
+        << OptLevelName(level);
   }
 }
 

@@ -206,6 +206,33 @@ TEST(PreparedMthTest, ReExecutionIsCompilationFree) {
   }
 }
 
+// Every level names its result columns as canonical does. o3 and o4 read a
+// grouped column through the partial aggregate's `__gN` alias and must give
+// the column its own name back (MT-H Q1's l_returnflag, Q3's l_orderkey).
+TEST(OptimizationStatsTest, EveryLevelNamesColumnsLikeCanonical) {
+  MthConfig cfg;
+  cfg.scale_factor = 0.001;
+  cfg.num_tenants = 3;
+  ASSERT_OK_AND_ASSIGN(auto env,
+                       SetupEnvironment(cfg, engine::DbmsProfile::kPostgres,
+                                        /*with_baseline=*/false));
+  mt::Session session = env->OpenSession(1);
+  ASSERT_OK(session.Execute("SET SCOPE = \"IN ()\"").status());
+  for (int query = 1; query <= 22; ++query) {
+    const std::string sql = GetMthQuery(query, cfg.scale_factor).sql;
+    ASSERT_OK_AND_ASSIGN(QueryRun canonical,
+                         RunMthQuery(&session, sql, mt::OptLevel::kCanonical));
+    ASSERT_FALSE(canonical.result.column_names.empty()) << "Q" << query;
+    for (mt::OptLevel level :
+         {mt::OptLevel::kO1, mt::OptLevel::kO2, mt::OptLevel::kO3,
+          mt::OptLevel::kO4, mt::OptLevel::kInlineOnly}) {
+      ASSERT_OK_AND_ASSIGN(QueryRun run, RunMthQuery(&session, sql, level));
+      EXPECT_EQ(run.result.column_names, canonical.result.column_names)
+          << "Q" << query << " at " << mt::OptLevelName(level);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mth
 }  // namespace mtbase

@@ -341,9 +341,25 @@ def bench_problems(path, spec):
     metrics = bench.get("metrics")
     if not isinstance(metrics, dict) or not metrics:
         problems.append("no metrics")
+        metrics = {}
     else:
         for name in sorted(set(metrics) - known):
             problems.append("metric %s is not in BENCHMARK.json" % name)
+    # The evidence must agree with itself: every claim met, nothing worse.
+    claims = bench.get("claims", [])
+    if not isinstance(claims, list):
+        problems.append("claims is not a list")
+        claims = []
+    for name in claims:
+        entry = metrics.get(name)
+        if not isinstance(entry, dict):
+            problems.append("claimed metric %s is absent" % name)
+        elif entry.get("verdict") != "claim met":
+            problems.append("claimed metric %s: %s" %
+                            (name, entry.get("verdict")))
+    for name, entry in sorted(metrics.items()):
+        if isinstance(entry, dict) and entry.get("verdict") == "worse":
+            problems.append("metric %s is worse" % name)
     per_layer = bench.get("per_layer", {})
     if not isinstance(per_layer, dict):
         problems.append("per_layer is not an object")

@@ -6,8 +6,9 @@ its configuration; that `compare --json` writes a BENCH file `check`
 accepts, with the per-layer pairs its runs carry; that `compare` reports
 per-layer pairs without verdicts and writes no BENCH file for traced runs
 alone; and that `check` accepts the committed BENCH files and refuses one
-without a configuration, without end-to-end metrics or with a metric
-BENCHMARK.json does not list.
+without a configuration, without end-to-end metrics, with a metric
+BENCHMARK.json does not list, with a claim that is absent or not met, or
+with a metric whose verdict is `worse`.
 
 Usage: python3 tools/compare_bench_test.py
 """
@@ -160,6 +161,39 @@ class CompareBenchTest(unittest.TestCase):
                         os.path.join(DATA, "BENCH_unknown_metric.json"))
         self.assertEqual(code, 1, out)
         self.assertIn("metric suite_ms is not in BENCHMARK.json", out)
+
+    def check_edited(self, edit):
+        """`check` on a BENCH file whose claim was met, after edit(bench)."""
+        with tempfile.TemporaryDirectory() as tmp:
+            code, path = self.write_bench(tmp, with_config=True)
+            self.assertEqual(code, 0)
+            with open(path) as f:
+                bench = json.load(f)
+            edit(bench)
+            with open(path, "w") as f:
+                json.dump(bench, f)
+            return run("check", path)
+
+    def test_check_refuses_a_missed_claim(self):
+        def miss(bench):
+            bench["metrics"]["suite_s"]["verdict"] = "claim not met"
+        code, out = self.check_edited(miss)
+        self.assertEqual(code, 1, out)
+        self.assertIn("claimed metric suite_s: claim not met", out)
+
+    def test_check_refuses_a_claim_on_an_absent_metric(self):
+        def claim_absent(bench):
+            bench["claims"].append("suite_p99_s")
+        code, out = self.check_edited(claim_absent)
+        self.assertEqual(code, 1, out)
+        self.assertIn("claimed metric suite_p99_s is absent", out)
+
+    def test_check_refuses_a_worse_metric(self):
+        def worsen(bench):
+            bench["metrics"]["stmts_per_s"]["verdict"] = "worse"
+        code, out = self.check_edited(worsen)
+        self.assertEqual(code, 1, out)
+        self.assertIn("metric stmts_per_s is worse", out)
 
     def test_json_writes_per_layer_pairs_with_the_metrics(self):
         with tempfile.TemporaryDirectory() as tmp:
