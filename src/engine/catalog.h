@@ -3,11 +3,13 @@
 #define MTBASE_ENGINE_CATALOG_H_
 
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -36,58 +38,136 @@ struct TableIndex {
   std::vector<int> slots;  // schema slots of the key columns
 };
 
-/// One published version of a table's rows, together with the physical state
-/// derived from exactly those rows: the per-partition row-id lists and each
-/// index's row-id order. Immutable: each derived structure is built on its
-/// first request, at most once per version, under this version's own
-/// once-flag or lock, so every reader that pinned the version finds lists and
-/// orders that describe its rows.
+/// Non-owning view of one row: size() contiguous values. Converts implicitly
+/// from a table Row. A view into a RowBatch is valid only until that batch is
+/// next modified (an append may reallocate its storage).
+class RowView {
+ public:
+  RowView(const Value* values, size_t width) : values_(values), width_(width) {}
+  RowView(const Row& row) : values_(row.data()), width_(row.size()) {}
+
+  const Value& operator[](size_t i) const { return values_[i]; }
+  size_t size() const { return width_; }
+  const Value* begin() const { return values_; }
+  const Value* end() const { return values_ + width_; }
+
+ private:
+  const Value* values_ = nullptr;
+  size_t width_ = 0;
+};
+
+/// The most rows one storage chunk holds. A write copies the chunks that
+/// hold the rows it changes, so this bounds what a one-row write copies.
+inline constexpr size_t kChunkRows = 64;
+
+/// At most kChunkRows consecutive rows of a table, in insertion order, with
+/// the per-partition row offsets derived from exactly those rows. Table
+/// versions share a chunk until a write replaces it. Once published, a
+/// chunk changes in place only through Table::AppendRows while no snapshot
+/// is pinned, which drops its derived offsets.
+class RowChunk {
+ public:
+  /// Offsets of the chunk's rows grouped by partition: partition p's rows,
+  /// ascending, are at offsets[begin[p] .. begin[p + 1]).
+  struct Partitions {
+    std::vector<uint8_t> begin;
+    std::vector<uint8_t> offsets;
+  };
+  static_assert(kChunkRows <= 255, "chunk offsets are bytes");
+
+  explicit RowChunk(std::vector<Row> rows) : rows_(std::move(rows)) {}
+  RowChunk(const RowChunk&) = delete;
+  RowChunk& operator=(const RowChunk&) = delete;
+
+  const std::vector<Row>& rows() const { return rows_; }
+  size_t size() const { return rows_.size(); }
+
+  /// Built on the first request, at most once while the chunk is published.
+  const Partitions& PartitionOffsets(const PartitionScheme& scheme) const;
+
+ private:
+  friend class Table;
+  /// In-place append (no snapshot pinned): drops the derived offsets.
+  void Append(Row row);
+
+  std::vector<Row> rows_;
+  mutable std::atomic<bool> built_{false};
+  mutable std::mutex build_mu_;  // guards the first build of parts_
+  mutable Partitions parts_;
+};
+
+/// The rows of one table version by id (insertion order). Row i's values
+/// are one load away, as they are in a vector of rows: the version fills
+/// one pointer per row when it is made.
+class VersionRows {
+ public:
+  size_t size() const { return rows_.size(); }
+  RowView operator[](size_t i) const { return RowView(rows_[i], width_); }
+
+ private:
+  friend class TableVersion;
+  std::vector<const Value*> rows_;
+  size_t width_ = 0;
+};
+
+/// One published version of a table's rows: a sequence of shared, immutable
+/// chunks (see RowChunk) together with the physical state derived from
+/// exactly those rows: each chunk's partition offsets and each index's
+/// row-id order. Immutable: each derived structure is built on its first
+/// request, at most once, under its own flag or lock, so every reader that
+/// pinned the version finds offsets and orders that describe its rows.
 class TableVersion {
  public:
+  using Chunks = std::vector<std::shared_ptr<const RowChunk>>;
+
   /// `partition` is the owning table's scheme, which outlives every use: a
   /// table is dropped only under the exclusive statement lock, while no
   /// statement reads its versions.
-  TableVersion(std::shared_ptr<const std::vector<Row>> rows,
-               uint64_t data_version, const PartitionScheme* partition)
-      : rows_(std::move(rows)),
-        data_version_(data_version),
-        partition_(partition) {}
+  TableVersion(Chunks chunks, size_t width, uint64_t data_version,
+               const PartitionScheme* partition);
 
-  const std::vector<Row>& rows() const { return *rows_; }
+  const VersionRows& rows() const { return rows_; }
+  const Chunks& chunks() const { return chunks_; }
+  /// The id of chunk i's first row.
+  uint32_t chunk_begin(size_t i) const { return chunk_begin_[i]; }
   /// The Table::data_version() these rows were published at.
   uint64_t data_version() const { return data_version_; }
 
-  /// Per-partition ascending row-id lists (the table is partitioned).
-  const std::vector<std::vector<uint32_t>>& PartitionRows() const;
+  /// Append to `*ids`, ascending, the ids of the rows of partitions `parts`
+  /// (the table is partitioned; ids in `parts` ascend).
+  void AppendPartitionRows(const std::vector<uint32_t>& parts,
+                           std::vector<uint32_t>* ids) const;
   /// The row ids sorted by `index`'s key columns (see TableIndex). Orders are
   /// keyed by the key slots, which are all an order depends on.
   const std::vector<uint32_t>& IndexOrder(const TableIndex& index) const;
 
  private:
-  const std::shared_ptr<const std::vector<Row>> rows_;
+  const Chunks chunks_;
+  std::vector<uint32_t> chunk_begin_;
+  VersionRows rows_;
   const uint64_t data_version_;
   const PartitionScheme* const partition_;
-  mutable std::once_flag partitions_once_;
-  mutable std::vector<std::vector<uint32_t>> partition_rows_;
   mutable std::mutex index_mu_;  // guards index_orders_
   mutable std::map<std::vector<int>, std::vector<uint32_t>> index_orders_;
 };
 
 /// Row-oriented in-memory table.
 ///
-/// The insertion-ordered row vector stays the single source of truth for row
-/// data and result ordering; partitions and indexes are derived structures
-/// over row ids, held by the TableVersion that pins those rows.
+/// Rows live in chunks of at most kChunkRows rows, in insertion order, which
+/// stays the order of results; partitions and indexes are derived
+/// structures over row ids, held by the chunks and the TableVersion that
+/// pin those rows.
 ///
-/// Row storage is copy-on-write for the serving layer: the current rows live
-/// in a `shared_ptr<vector<Row>>` published under snap_mu_. Readers pin a
-/// Snapshot() and scan it without further locking; UPDATE/DELETE build a
-/// replacement vector and publish it with ReplaceRows, so a pinned snapshot
-/// never mutates underneath a running SELECT. Snapshot() wraps the current
-/// rows in a TableVersion on its first call after a publish, and every
+/// Row storage is copy-on-write for the serving layer: the current chunk
+/// list is published under snap_mu_. Readers pin a Snapshot() and scan it
+/// without further locking; UPDATE and DELETE publish a new list in which
+/// only the chunks they change are new (UpdateRows, DeleteRows), so a
+/// pinned snapshot never mutates underneath a running SELECT and a write
+/// copies no more than the chunks it touches. Snapshot() wraps the current
+/// chunks in a TableVersion on its first call after a publish, and every
 /// later pin of the same rows shares that version and its derived state;
 /// each publish (and index DDL) retires it. Appends go through AppendRows,
-/// which extends the vector in place only while no snapshot is pinned,
+/// which extends the last chunk in place only while no snapshot is pinned,
 /// keeping bulk loads O(n) — a load pins nothing, so it creates no version.
 /// Pinning is tracked by an explicit counter (incremented under snap_mu_,
 /// decremented with release ordering when the snapshot dies) rather than
@@ -97,16 +177,9 @@ class TableVersion {
 /// statement (single-table DML, so ordering cannot deadlock).
 class Table {
  public:
-  explicit Table(TableSchema schema)
-      : schema_(std::move(schema)),
-        rows_(std::make_shared<std::vector<Row>>()) {}
+  explicit Table(TableSchema schema) : schema_(std::move(schema)) {}
 
   const TableSchema& schema() const { return schema_; }
-
-  /// Unsynchronized view of the current rows, for single-threaded callers
-  /// (loaders, tests, validation). Concurrent statements pin Snapshot()
-  /// instead; holding this reference across a concurrent writer is a bug.
-  const std::vector<Row>& rows() const { return *rows_; }
 
   /// Pins the current version: its rows and derived state stay immutable
   /// and alive while the returned pointer does.
@@ -118,22 +191,34 @@ class Table {
   /// Insert's validation half without the append: lets multi-row DML check
   /// every row before mutating anything (evaluate-all-before-mutating).
   Status CheckRow(const Row& row) const;
-  /// Capacity hint for bulk loads (no-op while a snapshot is pinned).
+  /// Capacity hint for bulk loads.
   void Reserve(size_t n);
 
   /// Validates every row, then appends the batch atomically (all rows or
   /// none become visible; a published snapshot never shows a partial batch).
-  Status AppendRows(std::vector<Row> staged);
-  /// Publish a replacement row vector (UPDATE/DELETE build-and-swap).
-  void ReplaceRows(std::vector<Row> next);
+  /// Returns the rows deep-copied: a pinned snapshot's last chunk, when the
+  /// batch extends it.
+  Result<size_t> AppendRows(std::vector<Row> staged);
+  /// Publish `base` — the current version, pinned under LockForWrite — with
+  /// row updates[i].first replaced by updates[i].second (ids ascending).
+  /// Only the chunks holding those rows are copied. Returns the rows
+  /// deep-copied.
+  size_t UpdateRows(const TableVersion& base,
+                    std::vector<std::pair<uint32_t, Row>> updates);
+  /// Publish `base` (as for UpdateRows) without rows `ids` (ascending). Only
+  /// the chunks losing rows are rewritten; a rewritten chunk left under half
+  /// full merges with a neighbour (see DeleteRows in catalog.cc). Returns
+  /// the rows deep-copied.
+  size_t DeleteRows(const TableVersion& base,
+                    const std::vector<uint32_t>& ids);
   /// Serializes writers on this table: DML executors hold this from before
   /// evaluating against the current snapshot until the new version is
   /// published, so concurrent writers cannot lose updates.
   std::unique_lock<std::mutex> LockForWrite() const;
 
-  /// Monotonic row-mutation counter: every AppendRows/ReplaceRows publish
-  /// advances it. Part of the shared-UDF-cache epoch: cached dictionary
-  /// lookups must not survive a change to the rows their body reads.
+  /// Monotonic row-mutation counter: every publish advances it. Part of the
+  /// shared-UDF-cache epoch: cached dictionary lookups must not survive a
+  /// change to the rows their body reads.
   uint64_t data_version() const {
     return data_version_.load(std::memory_order_acquire);
   }
@@ -152,12 +237,17 @@ class Table {
   bool RemoveIndex(const std::string& name);
 
  private:
+  /// Publish `next` as the current chunks (snap_mu_ held).
+  void PublishLocked(std::vector<std::shared_ptr<RowChunk>> next,
+                     size_t row_count);
+
   TableSchema schema_;
-  // Current rows; published under snap_mu_. Never null.
-  std::shared_ptr<std::vector<Row>> rows_;
-  // The version Snapshot() hands out for rows_: made by the first Snapshot()
-  // after a publish, reset (retired) by every publish and by index DDL.
-  // Guarded by snap_mu_.
+  // Current rows; published under snap_mu_.
+  std::vector<std::shared_ptr<RowChunk>> chunks_;
+  size_t row_count_ = 0;
+  // The version Snapshot() hands out for chunks_: made by the first
+  // Snapshot() after a publish, reset (retired) by every publish and by
+  // index DDL. Guarded by snap_mu_.
   mutable std::shared_ptr<const TableVersion> version_;
   // Live Snapshot() pins. Heap-shared so a snapshot's unpin stays valid even
   // if the table is dropped while the snapshot is still scanning. Acquire
@@ -166,7 +256,7 @@ class Table {
   std::shared_ptr<std::atomic<int64_t>> pins_{
       std::make_shared<std::atomic<int64_t>>(0)};
   std::atomic<uint64_t> data_version_{0};
-  // Guards rows_/version_/data_version_ publication and snapshot pinning.
+  // Guards chunks_/version_/data_version_ publication and snapshot pinning.
   mutable std::mutex snap_mu_;
   // Serializes DML statements on this table (held across evaluate+publish).
   mutable std::mutex write_mu_;

@@ -227,7 +227,7 @@ void Database::EnableSharedUdfCache(size_t capacity) {
 /// compilation version and forces a recompile before the next execution.
 struct BoundDmlPlan {
   Table* table = nullptr;
-  BoundExprPtr where;                                // UPDATE / DELETE
+  PlanPtr target;  // UPDATE / DELETE: the rows to change (PlanDmlTarget)
   std::vector<std::pair<int, BoundExprPtr>> sets;    // UPDATE assignments
   std::vector<int> targets;                          // INSERT column slots
   std::vector<std::vector<BoundExprPtr>> value_rows; // INSERT ... VALUES
@@ -289,6 +289,9 @@ PreparedPlan::CompileLocked() {
     // The bind is this statement's compilation — unless the INSERT ... SELECT
     // source plan above already counted it.
     if (sel == nullptr) ++stats->statements_planned;
+    if (state->dml->target) {
+      MTB_RETURN_IF_ERROR(db_->VerifyPlan(state->dml->target.get()));
+    }
   }
   return std::shared_ptr<const CompiledState>(std::move(state));
 }
@@ -565,6 +568,13 @@ Result<std::string> Database::ExplainSelect(
                                verify_ctx);
 }
 
+Result<std::string> Database::ExplainDml(
+    const sql::Stmt& stmt, const verify::VerifyContext* verify_ctx) {
+  StatementGuard guard(this, /*exclusive=*/false);
+  return engine::ExplainDml(&catalog_, &udfs_, stmt, planner_options_,
+                            verify_ctx);
+}
+
 Result<std::string> Database::ExplainAnalyzeSelect(
     const sql::SelectStmt& sel, const verify::VerifyContext* footer_verify_ctx,
     ResultSet* result_out) {
@@ -681,7 +691,7 @@ namespace {
 /// exactly as it was. (A half-applied multi-row INSERT used to leave rows
 /// 1..k-1 behind; docs/ARCHITECTURE.md "Physical design".)
 Status ApplyInsertRows(Table* table, const std::vector<int>& targets,
-                       std::vector<Row> source_rows) {
+                       std::vector<Row> source_rows, uint64_t* rows_copied) {
   const TableSchema& schema = table->schema();
   std::vector<Row> staged;
   staged.reserve(source_rows.size());
@@ -697,8 +707,11 @@ Status ApplyInsertRows(Table* table, const std::vector<int>& targets,
     staged.push_back(std::move(row));
   }
   // One publication: AppendRows re-checks, serializes against other DML on
-  // this table, and bumps the data version once for the whole batch.
-  return table->AppendRows(std::move(staged));
+  // this table, and publishes the whole batch at once.
+  MTB_ASSIGN_OR_RETURN(const size_t copied,
+                       table->AppendRows(std::move(staged)));
+  *rows_copied += copied;
+  return Status::OK();
 }
 
 /// Resolve the INSERT target column list to schema slots.
@@ -756,9 +769,8 @@ Result<std::unique_ptr<BoundDmlPlan>> Database::BindDml(const sql::Stmt& stmt) {
       const TableSchema& schema = dml->table->schema();
       std::vector<ColumnMeta> layout;
       for (const auto& c : schema.columns) layout.push_back({up.table, c.name});
-      if (up.where) {
-        MTB_ASSIGN_OR_RETURN(dml->where, planner.BindExpr(*up.where, layout));
-      }
+      MTB_ASSIGN_OR_RETURN(dml->target,
+                           planner.PlanDmlTarget(up.table, up.where.get()));
       for (const auto& [col, expr] : up.assignments) {
         int idx = schema.FindColumn(col);
         if (idx < 0) {
@@ -776,13 +788,8 @@ Result<std::unique_ptr<BoundDmlPlan>> Database::BindDml(const sql::Stmt& stmt) {
       if (dml->table == nullptr) {
         return Status::NotFound("table " + del.table + " does not exist");
       }
-      std::vector<ColumnMeta> layout;
-      for (const auto& c : dml->table->schema().columns) {
-        layout.push_back({del.table, c.name});
-      }
-      if (del.where) {
-        MTB_ASSIGN_OR_RETURN(dml->where, planner.BindExpr(*del.where, layout));
-      }
+      MTB_ASSIGN_OR_RETURN(dml->target,
+                           planner.PlanDmlTarget(del.table, del.where.get()));
       break;
     }
     default:
@@ -811,7 +818,8 @@ Status Database::ExecuteBoundInsert(const BoundDmlPlan& dml,
       source_rows.push_back(std::move(r));
     }
   }
-  return ApplyInsertRows(dml.table, dml.targets, std::move(source_rows));
+  return ApplyInsertRows(dml.table, dml.targets, std::move(source_rows),
+                         &ctx.stats->dml_rows_copied);
 }
 
 Result<int64_t> Database::ExecuteBoundUpdate(const BoundDmlPlan& dml,
@@ -819,63 +827,45 @@ Result<int64_t> Database::ExecuteBoundUpdate(const BoundDmlPlan& dml,
   ExecContext ctx = MakeContext(params);
   // DML on a table is serialized by its write lock; concurrent readers keep
   // scanning the snapshot they pinned and flip to the new version only at
-  // their next statement. Evaluate predicates and assignments over every row
-  // before publishing anything (same atomic shape as DELETE below): an
-  // expression error must leave the table — and therefore the
-  // shared-UDF-cache epoch — exactly as it was.
+  // their next statement. The target scan pins the current version; the
+  // assignments are evaluated over every row it keeps before anything is
+  // published (same atomic shape as DELETE below): an expression error must
+  // leave the table — and therefore the shared-UDF-cache epoch — exactly as
+  // it was.
   auto write_lock = dml.table->LockForWrite();
-  const auto snap = dml.table->Snapshot();
-  const std::vector<Row>& rows = snap->rows();
-  std::vector<std::pair<size_t, Row>> next_rows;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (dml.where) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*dml.where, r, &ctx));
-      if (!IsTrue(v)) continue;
-    }
-    Row next = r;
+  MTB_ASSIGN_OR_RETURN(std::vector<uint32_t> ids,
+                       SelectTargetRows(*dml.target, &ctx));
+  if (ids.empty()) return 0;
+  const TableVersion& version = PinnedVersion(&ctx, *dml.table);
+  std::vector<std::pair<uint32_t, Row>> next_rows;
+  next_rows.reserve(ids.size());
+  for (uint32_t id : ids) {
+    const RowView r = version.rows()[id];
+    Row next(r.begin(), r.end());
     for (const auto& [idx, expr] : dml.sets) {
       MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, r, &ctx));
       next[static_cast<size_t>(idx)] = std::move(v);
     }
-    next_rows.emplace_back(i, std::move(next));
+    next_rows.emplace_back(id, std::move(next));
   }
-  if (!next_rows.empty()) {
-    std::vector<Row> updated(rows);
-    for (auto& [i, next] : next_rows) updated[i] = std::move(next);
-    dml.table->ReplaceRows(std::move(updated));
-  }
-  return static_cast<int64_t>(next_rows.size());
+  ctx.stats->dml_rows_copied +=
+      dml.table->UpdateRows(version, std::move(next_rows));
+  return static_cast<int64_t>(ids.size());
 }
 
 Result<int64_t> Database::ExecuteBoundDelete(const BoundDmlPlan& dml,
                                              const std::vector<Value>* params) {
   ExecContext ctx = MakeContext(params);
-  // Same discipline as UPDATE: hold the table's write lock, evaluate the
-  // predicate over every row of a pinned snapshot before publishing, then
-  // swap in the surviving rows as one new version.
+  // Same discipline as UPDATE: hold the table's write lock, select the
+  // target rows of a pinned snapshot before publishing, then publish the
+  // version without them.
   auto write_lock = dml.table->LockForWrite();
-  const auto snap = dml.table->Snapshot();
-  const std::vector<Row>& rows = snap->rows();
-  std::vector<char> remove(rows.size(), 1);
-  if (dml.where) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      MTB_ASSIGN_OR_RETURN(Value v, EvalExpr(*dml.where, rows[i], &ctx));
-      remove[i] = IsTrue(v) ? 1 : 0;
-    }
-  }
-  std::vector<Row> kept;
-  kept.reserve(rows.size());
-  int64_t deleted = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (remove[i]) {
-      ++deleted;
-    } else {
-      kept.push_back(rows[i]);
-    }
-  }
-  if (deleted > 0) dml.table->ReplaceRows(std::move(kept));
-  return deleted;
+  MTB_ASSIGN_OR_RETURN(std::vector<uint32_t> ids,
+                       SelectTargetRows(*dml.target, &ctx));
+  if (ids.empty()) return 0;
+  ctx.stats->dml_rows_copied +=
+      dml.table->DeleteRows(PinnedVersion(&ctx, *dml.table), ids);
+  return static_cast<int64_t>(ids.size());
 }
 
 Status Database::ValidateTable(const Table& table) {
@@ -883,10 +873,10 @@ Status Database::ValidateTable(const Table& table) {
   // Validation reads one consistent snapshot of each table involved; DML
   // racing with it lands in a later version.
   const auto table_snap = table.Snapshot();
-  const std::vector<Row>& table_rows = table_snap->rows();
+  const VersionRows& table_rows = table_snap->rows();
   // The key of `row` over the columns `cols`, into `key`; whether any key
   // column is NULL.
-  auto gather = [](const Row& row, const std::vector<int>& cols,
+  auto gather = [](RowView row, const std::vector<int>& cols,
                    std::vector<Value>* key) {
     key->resize(cols.size());
     bool any_null = false;
@@ -902,8 +892,8 @@ Status Database::ValidateTable(const Table& table) {
     std::vector<int> pk;
     for (const auto& c : schema.primary_key) pk.push_back(schema.FindColumn(c));
     KeyIndex seen(pk.size(), table_rows.size());
-    for (const Row& r : table_rows) {
-      gather(r, pk, &key);
+    for (size_t i = 0; i < table_rows.size(); ++i) {
+      gather(table_rows[i], pk, &key);
       if (!seen.FindOrInsert(key.data(), HashRow(key)).inserted) {
         return Status::ConstraintViolation("duplicate primary key in " +
                                            schema.name);
@@ -923,13 +913,14 @@ Status Database::ValidateTable(const Table& table) {
       remote.push_back(ref->schema().FindColumn(c));
     }
     const auto ref_snap = ref->Snapshot();
-    KeyIndex keys(remote.size(), ref_snap->rows().size());
-    for (const Row& r : ref_snap->rows()) {
-      gather(r, remote, &key);
+    const VersionRows& ref_rows = ref_snap->rows();
+    KeyIndex keys(remote.size(), ref_rows.size());
+    for (size_t i = 0; i < ref_rows.size(); ++i) {
+      gather(ref_rows[i], remote, &key);
       keys.FindOrInsert(key.data(), HashRow(key));
     }
-    for (const Row& r : table_rows) {
-      if (gather(r, local, &key)) continue;
+    for (size_t i = 0; i < table_rows.size(); ++i) {
+      if (gather(table_rows[i], local, &key)) continue;
       if (keys.width() != key.size() ||
           keys.Find(key.data(), HashRow(key)) == KeyIndex::kNone) {
         return Status::ConstraintViolation(

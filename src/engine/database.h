@@ -162,6 +162,10 @@ class Database {
   Result<std::string> ExplainSelect(
       const sql::SelectStmt& sel,
       const verify::VerifyContext* verify_ctx = nullptr);
+  /// Plain EXPLAIN of an UPDATE or DELETE (engine::ExplainDml), likewise.
+  Result<std::string> ExplainDml(
+      const sql::Stmt& stmt,
+      const verify::VerifyContext* verify_ctx = nullptr);
 
   /// EXPLAIN (ANALYZE) (docs/observability.md): prepare a copy of `sel`,
   /// execute it once with per-operator instrumentation attached (one engine

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 
 #include "common/str_util.h"
 #include "engine/catalog.h"
+#include "engine/filter.h"
 #include "engine/key_index.h"
 #include "engine/obs/profile.h"
 #include "engine/parallel/parallel.h"
@@ -880,7 +882,7 @@ Result<const std::vector<uint32_t>*> ScanCandidates(
       return Status::Internal("index " + p.index_name +
                               " disappeared under a compiled plan");
     }
-    const std::vector<Row>& rows = version.rows();
+    const VersionRows& rows = version.rows();
     const std::vector<uint32_t>& order = version.IndexOrder(*ix);
     const size_t slot = static_cast<size_t>(ix->slots[0]);
     for (int64_t k : p.index_keys) {
@@ -903,19 +905,9 @@ Result<const std::vector<uint32_t>*> ScanCandidates(
     return cand;
   }
   if (!p.pruned) return nullptr;
-  const auto& parts = version.PartitionRows();
-  size_t total = 0;
-  for (uint32_t pid : p.partitions) {
-    if (pid < parts.size()) total += parts[pid].size();
-  }
-  cand->reserve(total);
-  for (uint32_t pid : p.partitions) {
-    if (pid < parts.size()) {
-      cand->insert(cand->end(), parts[pid].begin(), parts[pid].end());
-    }
-  }
-  std::sort(cand->begin(), cand->end());
-  ctx->stats->partitions_pruned += parts.size() - p.partitions.size();
+  version.AppendPartitionRows(p.partitions, cand);
+  ctx->stats->partitions_pruned +=
+      static_cast<size_t>(p.table->partition().Count()) - p.partitions.size();
   return cand;
 }
 
@@ -1167,6 +1159,44 @@ Result<RowBatch> ExecAggregateOverScan(const Plan& plan, ExecContext* ctx) {
 }
 
 }  // namespace
+
+Result<std::vector<uint32_t>> SelectTargetRows(const Plan& target,
+                                               ExecContext* ctx) {
+  std::vector<const Plan*> filters;  // top first
+  const Plan* scan = &target;
+  while (scan->kind == Plan::Kind::kFilter) {
+    filters.push_back(scan);
+    scan = scan->left.get();
+  }
+  const TableVersion& version = PinnedVersion(ctx, *scan->table);
+  std::vector<uint32_t> cand;
+  std::vector<uint32_t> kept;
+  MTB_ASSIGN_OR_RETURN(const std::vector<uint32_t>* ids,
+                       ScanCandidates(*scan, ctx, version, &cand));
+  if (!scan->scan_filter || !RowFilter::KeepsNothing(*scan->scan_filter)) {
+    ctx->stats->dml_rows_examined +=
+        ids != nullptr ? ids->size() : version.rows().size();
+  }
+  MTB_ASSIGN_OR_RETURN(
+      ids, parallel::SelectScanRows(*scan, ctx,
+                                    ScanWorkers(*scan, version, ids, *ctx),
+                                    ids, &kept));
+  std::vector<uint32_t> rows;
+  if (ids == nullptr) {
+    rows.resize(version.rows().size());
+    std::iota(rows.begin(), rows.end(), 0u);
+  } else {
+    rows = ids == &kept ? std::move(kept) : std::move(cand);
+  }
+  for (auto it = filters.rbegin(); it != filters.rend(); ++it) {
+    const RowFilter filter(*(*it)->predicate);
+    std::vector<uint32_t> next;
+    MTB_RETURN_IF_ERROR(
+        filter.Select(version.rows(), &rows, 0, rows.size(), ctx, &next));
+    rows = std::move(next);
+  }
+  return rows;
+}
 
 /// Uninstrumented execution — the plain hot path.
 static Result<RowBatch> ExecutePlanImpl(const Plan& plan, ExecContext* ctx) {

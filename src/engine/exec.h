@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "common/value.h"
 #include "engine/bound.h"
+#include "engine/catalog.h"
 #include "engine/key_index.h"
 #include "engine/stats.h"
 #include "engine/udf_cache.h"
@@ -26,27 +27,6 @@ struct OpProfile;
 }  // namespace obs
 
 namespace engine {
-
-class Table;
-class TableVersion;
-
-/// Non-owning view of one row: size() contiguous values. Converts implicitly
-/// from a table Row. A view into a RowBatch is valid only until that batch is
-/// next modified (an append may reallocate its storage).
-class RowView {
- public:
-  RowView(const Value* values, size_t width) : values_(values), width_(width) {}
-  RowView(const Row& row) : values_(row.data()), width_(row.size()) {}
-
-  const Value& operator[](size_t i) const { return values_[i]; }
-  size_t size() const { return width_; }
-  const Value* begin() const { return values_; }
-  const Value* end() const { return values_ + width_; }
-
- private:
-  const Value* values_ = nullptr;
-  size_t width_ = 0;
-};
 
 /// The rows an operator produces: width() values per row, stored back to
 /// back in one contiguous array, plus an explicit row count — so width-0 rows
@@ -200,6 +180,16 @@ Result<RowBatch> ExecutePlan(const Plan& plan, ExecContext* ctx);
 
 /// The statement's pinned version of `t` (pinning on first use).
 const TableVersion& PinnedVersion(ExecContext* ctx, const Table& t);
+
+/// The rows an UPDATE or DELETE target plan (Planner::PlanDmlTarget) keeps:
+/// ascending ids into the statement's pinned version of the target table.
+/// The scan selects as a SELECT's would — pruned candidates, RowFilter,
+/// morsels — and counts its candidates in rows_scanned, and in
+/// dml_rows_examined unless its filter keeps nothing (RowFilter::
+/// KeepsNothing); each Filter above it then runs over the kept rows,
+/// lowest first.
+Result<std::vector<uint32_t>> SelectTargetRows(const Plan& target,
+                                               ExecContext* ctx);
 
 /// Evaluate a bound expression against `row` (layout as bound).
 Result<Value> EvalExpr(const BoundExpr& e, RowView row, ExecContext* ctx);

@@ -412,5 +412,36 @@ Result<std::string> ExplainSelect(const Catalog* catalog,
   return out;
 }
 
+Result<std::string> ExplainDml(const Catalog* catalog, const UdfRegistry* udfs,
+                               const sql::Stmt& stmt,
+                               const PlannerOptions& options,
+                               const verify::VerifyContext* verify_ctx) {
+  const bool update = stmt.kind == sql::Stmt::Kind::kUpdate;
+  if (!update && stmt.kind != sql::Stmt::Kind::kDelete) {
+    return Status::InvalidArgument("EXPLAIN of DML needs UPDATE or DELETE");
+  }
+  const std::string& table = update ? stmt.update->table : stmt.del->table;
+  if (catalog->FindTable(table) == nullptr) {
+    return Status::NotFound("table " + table + " does not exist");
+  }
+  Planner planner(catalog, udfs, options);
+  MTB_ASSIGN_OR_RETURN(
+      PlanPtr plan,
+      planner.PlanDmlTarget(table, update ? stmt.update->where.get()
+                                          : stmt.del->where.get()));
+  std::string out = (update ? "Update " : "Delete ") + table + "\n";
+  const std::string body = ExplainPlan(*plan, &options);
+  for (size_t at = 0; at < body.size();) {
+    const size_t eol = body.find('\n', at);
+    out += "  " + body.substr(at, eol + 1 - at);
+    at = eol + 1;
+  }
+  if (verify_ctx != nullptr) {
+    verify::PlanVerifier verifier(verify_ctx);
+    out += "[verify: " + verifier.Verify(*plan).Summary() + "]\n";
+  }
+  return out;
+}
+
 }  // namespace engine
 }  // namespace mtbase

@@ -49,6 +49,16 @@ Result<std::string> ExplainSelect(const Catalog* catalog,
                                   const verify::VerifyContext* verify_ctx =
                                       nullptr);
 
+/// EXPLAIN of an UPDATE or DELETE: an `Update <table>` or `Delete <table>`
+/// line over its target plan (Planner::PlanDmlTarget), rendered as
+/// ExplainPlan does, one level deeper. `verify_ctx` appends the verify
+/// footer as for ExplainSelect.
+Result<std::string> ExplainDml(const Catalog* catalog, const UdfRegistry* udfs,
+                               const sql::Stmt& stmt,
+                               const PlannerOptions& options = {},
+                               const verify::VerifyContext* verify_ctx =
+                                   nullptr);
+
 }  // namespace engine
 }  // namespace mtbase
 

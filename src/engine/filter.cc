@@ -218,7 +218,17 @@ inline RowFilter::Truth RowFilter::Match(RowView row, ExecContext* ctx,
   return result;
 }
 
-Status RowFilter::Select(const std::vector<Row>& rows,
+bool RowFilter::KeepsNothing(const BoundExpr& predicate) {
+  const BoundExpr* first = &predicate;
+  while (first->kind == BoundExpr::Kind::kBinary &&
+         first->bin_op == BinOp::kAnd) {
+    first = first->args[0].get();
+  }
+  return first->kind == BoundExpr::Kind::kLiteral &&
+         first->literal.type() == TypeId::kBool && !first->literal.bool_value();
+}
+
+Status RowFilter::Select(const VersionRows& rows,
                          const std::vector<uint32_t>* ids, size_t begin,
                          size_t end, ExecContext* ctx,
                          std::vector<uint32_t>* kept) const {

@@ -41,13 +41,17 @@ class RowFilter {
   /// Append to `*kept` the id of every row the predicate holds TRUE for:
   /// rows[ids[i]] for i in [begin, end) when `ids` is given, else rows[i].
   /// The id appended is the table row's (ids[i], or i).
-  Status Select(const std::vector<Row>& rows,
+  Status Select(const VersionRows& rows,
                 const std::vector<uint32_t>* ids, size_t begin, size_t end,
                 ExecContext* ctx, std::vector<uint32_t>* kept) const;
   /// Append to `*kept` the index of every row of rows[begin, end) the
   /// predicate holds TRUE for.
   Status Select(const RowBatch& rows, size_t begin, size_t end,
                 ExecContext* ctx, std::vector<uint32_t>* kept) const;
+
+  /// Whether the first conjunct of `predicate` is a literal FALSE, where
+  /// the AND stops for every row: it keeps no row and needs to read none.
+  static bool KeepsNothing(const BoundExpr& predicate);
 
   /// The number of conjuncts, and how many of them run as direct compares.
   size_t size() const { return conjuncts_.size(); }

@@ -120,7 +120,7 @@ Result<RowBatch> HashJoinExec(const Plan& p, ExecContext* ctx,
 /// rows[i] when `ids` is null.
 struct AggInput {
   const RowBatch* batch = nullptr;
-  const std::vector<Row>* rows = nullptr;
+  const VersionRows* rows = nullptr;
   const std::vector<uint32_t>* ids = nullptr;
 
   size_t size() const {

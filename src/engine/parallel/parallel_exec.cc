@@ -330,10 +330,10 @@ namespace {
 /// rows[i]. The filter (if any) first selects the rows it keeps; then
 /// exactly those rows are reserved and their emitted slots copied.
 Status ScanRange(const Plan& p, const RowFilter* filter,
-                 const std::vector<Row>& rows,
+                 const VersionRows& rows,
                  const std::vector<uint32_t>* cand, size_t begin, size_t end,
                  ExecContext* ctx, RowBatch* out) {
-  auto emit = [&p, out](const Row& r) {
+  auto emit = [&p, out](RowView r) {
     if (!p.emit) {
       out->Append(r);
       return;
@@ -376,14 +376,15 @@ Result<RowBatch> ScanExec(const Plan& p, ExecContext* ctx, int workers,
   }
   const size_t width =
       p.emit ? p.emit->size() : p.table->schema().columns.size();
-  const std::vector<Row>& rows = PinnedVersion(ctx, *p.table).rows();
+  const VersionRows& rows = PinnedVersion(ctx, *p.table).rows();
   const size_t n = candidates != nullptr ? candidates->size() : rows.size();
   ctx->stats->rows_scanned += n;
+  RowBatch out(width);
+  if (p.scan_filter && RowFilter::KeepsNothing(*p.scan_filter)) return out;
   // Built from the verified plan's own filter at every execution.
   std::optional<RowFilter> filter;
   if (p.scan_filter) filter.emplace(*p.scan_filter);
   const RowFilter* f = filter ? &*filter : nullptr;
-  RowBatch out(width);
   if (workers <= 1) {
     MTB_RETURN_IF_ERROR(ScanRange(p, f, rows, candidates, 0, n, ctx, &out));
   } else {
@@ -403,10 +404,11 @@ Result<RowBatch> ScanExec(const Plan& p, ExecContext* ctx, int workers,
 Result<const std::vector<uint32_t>*> SelectScanRows(
     const Plan& p, ExecContext* ctx, int workers,
     const std::vector<uint32_t>* candidates, std::vector<uint32_t>* kept) {
-  const std::vector<Row>& rows = PinnedVersion(ctx, *p.table).rows();
+  const VersionRows& rows = PinnedVersion(ctx, *p.table).rows();
   const size_t n = candidates != nullptr ? candidates->size() : rows.size();
   ctx->stats->rows_scanned += n;
   if (!p.scan_filter) return candidates;
+  if (RowFilter::KeepsNothing(*p.scan_filter)) return kept;
   // Built from the verified plan's own filter at every execution.
   const RowFilter filter(*p.scan_filter);
   if (workers <= 1) {

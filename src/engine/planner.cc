@@ -215,6 +215,16 @@ void AttachFilterToInput(PlanPtr* input, BoundExprPtr pred) {
   AddFilter(input, std::move(pred), p.columns);
 }
 
+// The table scan whose rows drive `p`'s output: the leftmost leaf through
+// Filters and joins, where an empty input empties every join kind. Null
+// when that leaf is not a table scan.
+Plan* LeftmostTableScan(Plan* p) {
+  while (p->kind == Plan::Kind::kFilter || p->kind == Plan::Kind::kJoin) {
+    p = p->left.get();
+  }
+  return p->kind == Plan::Kind::kScan && p->table != nullptr ? p : nullptr;
+}
+
 // Slot footprint of a bound predicate, for sinking it below a join. False
 // when the predicate must not move at all: outer slots, UDF params and
 // correlated sub-plans mean different things depending on where the
@@ -251,6 +261,14 @@ class PlannerImpl {
 
   Result<PlanPtr> PlanSelect(const sql::SelectStmt& sel,
                              const BindScope* parent);
+  /// Steps 1–6 of PlanSelect: the FROM tree of `sel` with its WHERE placed
+  /// on it. Fills the FROM columns (`level_cols`) and the tree's output
+  /// layout (`work_cols`). With `unnest` false, every correlated sub-query
+  /// conjunct becomes a Filter, so each output row is one FROM row.
+  Result<PlanPtr> PlanFromWhere(const sql::SelectStmt& sel,
+                                const BindScope* parent, bool unnest,
+                                std::vector<ColumnMeta>* level_cols,
+                                std::vector<ColumnMeta>* work_cols);
   /// Bind `e`, folding every bound node that computes only from literals
   /// (see FoldConstant).
   Result<BoundExprPtr> Bind(const sql::Expr& e, const BindScope* scope,
@@ -1192,11 +1210,13 @@ Result<BoundExprPtr> PlannerImpl::BindNode(const sql::Expr& e,
 // SELECT planning
 // ---------------------------------------------------------------------------
 
-Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
-                                        const BindScope* parent) {
+Result<PlanPtr> PlannerImpl::PlanFromWhere(
+    const sql::SelectStmt& sel, const BindScope* parent, bool unnest,
+    std::vector<ColumnMeta>* level_cols_out,
+    std::vector<ColumnMeta>* work_cols_out) {
   // 1. FROM.
   std::vector<RelInfo> rels;
-  std::vector<ColumnMeta> level_cols;
+  std::vector<ColumnMeta>& level_cols = *level_cols_out;
   std::vector<int> rel_of_slot;
   for (const auto& t : sel.from) {
     MTB_ASSIGN_OR_RETURN(RelInfo info, PlanFromItem(*t, parent));
@@ -1366,14 +1386,27 @@ Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
     cur_rels.insert(static_cast<int>(i));
   }
 
-  std::vector<ColumnMeta> work_cols = cur_cols;
+  std::vector<ColumnMeta>& work_cols = *work_cols_out;
+  work_cols = cur_cols;
 
-  // 5. Remaining filters (correlated predicates, constants, fallbacks).
+  // 5. Remaining filters (correlated predicates, constants, fallbacks). A
+  // conjunct that folded to a literal never reaches a Filter: TRUE is
+  // dropped, and FALSE or NULL (which keeps no row either) leads the
+  // leftmost table scan's filter as FALSE, which ends the AND before any
+  // row is read, and the empty leftmost input empties the FROM tree.
   {
     BindScope work_scope{&work_cols, parent};
     BoundExprPtr pred;
     for (auto& c : post_filters) {
       MTB_ASSIGN_OR_RETURN(auto b, Bind(*c, &work_scope, nullptr));
+      if (b->kind == BoundExpr::Kind::kLiteral) {
+        if (IsTrue(b->literal)) continue;
+        if (Plan* scan = LeftmostTableScan(cur.get())) {
+          scan->scan_filter = AndBound(MakeBoundLit(Value::Bool(false)),
+                                       std::move(scan->scan_filter));
+          continue;
+        }
+      }
       pred = AndBound(std::move(pred), std::move(b));
     }
     if (pred) AddFilter(&cur, std::move(pred), work_cols);
@@ -1381,7 +1414,7 @@ Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
 
   // 6. Sub-query conjuncts correlated with this level: unnest or fall back.
   for (auto& c : subq_conjs) {
-    if (options_.decorrelate_subqueries) {
+    if (unnest && options_.decorrelate_subqueries) {
       MTB_ASSIGN_OR_RETURN(
           bool done,
           TryUnnestExistsOrIn(*c, level_cols, parent, &cur, &work_cols));
@@ -1394,7 +1427,16 @@ Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
     MTB_ASSIGN_OR_RETURN(auto b, Bind(*c, &work_scope, nullptr));
     AddFilter(&cur, std::move(b), work_cols);
   }
+  return cur;
+}
 
+Result<PlanPtr> PlannerImpl::PlanSelect(const sql::SelectStmt& sel,
+                                        const BindScope* parent) {
+  std::vector<ColumnMeta> level_cols;
+  std::vector<ColumnMeta> work_cols;
+  MTB_ASSIGN_OR_RETURN(
+      PlanPtr cur, PlanFromWhere(sel, parent, /*unnest=*/true, &level_cols,
+                                 &work_cols));
   BindScope work_scope{&work_cols, parent};
 
   // 7. Aggregation.
@@ -1909,6 +1951,23 @@ SlotMap PruneNode(Plan* p, const std::vector<bool>& live) {
   return IdentityMap(p->columns.size());
 }
 
+/// The passes every top-level plan (a SELECT or a DML target) runs after
+/// it is built.
+void FinishPlan(const PlannerOptions& options, Plan* plan) {
+  // Rewrite logical scans onto the tables' physical design (partition
+  // pruning, index scans) before parallel-safety marking, which needs the
+  // final operator kinds.
+  if (options.physical_access_paths) ApplyPhysicalAccessPaths(plan);
+  // Carry only the columns the query reads through scans, joins and
+  // Projects below the root (nested sub-plans too). Scan filters keep
+  // reading the schema row, so the access paths chosen above are unaffected.
+  PruneColumns(plan);
+  // Mark which operators the executor may run on worker threads (covers
+  // nested sub-plans too). Purely advisory: execution still gates on input
+  // size and the max_threads budget.
+  parallel::MarkParallelSafe(plan);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1918,18 +1977,27 @@ SlotMap PruneNode(Plan* p, const std::vector<bool>& live) {
 Result<PlanPtr> Planner::PlanSelect(const sql::SelectStmt& sel) const {
   PlannerImpl impl(catalog_, udfs_, options_);
   MTB_ASSIGN_OR_RETURN(PlanPtr plan, impl.PlanSelect(sel, nullptr));
-  // Rewrite logical scans onto the tables' physical design (partition
-  // pruning, index scans) before parallel-safety marking, which needs the
-  // final operator kinds.
-  if (options_.physical_access_paths) ApplyPhysicalAccessPaths(plan.get());
-  // Carry only the columns the query reads through scans, joins and
-  // Projects below the root (nested sub-plans too). Scan filters keep
-  // reading the schema row, so the access paths chosen above are unaffected.
-  PruneColumns(plan.get());
-  // Mark which operators the executor may run on worker threads (covers
-  // nested sub-plans too). Purely advisory: execution still gates on input
-  // size and the max_threads budget.
-  parallel::MarkParallelSafe(plan.get());
+  FinishPlan(options_, plan.get());
+  return plan;
+}
+
+Result<PlanPtr> Planner::PlanDmlTarget(const std::string& table,
+                                       const sql::Expr* where) const {
+  sql::SelectStmt sel;
+  auto tref = std::make_unique<sql::TableRef>();
+  tref->kind = sql::TableRef::Kind::kBase;
+  tref->name = table;
+  sel.from.push_back(std::move(tref));
+  if (where != nullptr) sel.where = where->Clone();
+  PlannerImpl impl(catalog_, udfs_, options_);
+  std::vector<ColumnMeta> level_cols;
+  std::vector<ColumnMeta> work_cols;
+  MTB_ASSIGN_OR_RETURN(
+      PlanPtr plan, impl.PlanFromWhere(sel, nullptr, /*unnest=*/false,
+                                       &level_cols, &work_cols));
+  // Every output column stays live, so the scan keeps the schema row its
+  // ids index.
+  FinishPlan(options_, plan.get());
   return plan;
 }
 

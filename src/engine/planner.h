@@ -14,6 +14,7 @@
 #define MTBASE_ENGINE_PLANNER_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -69,8 +70,16 @@ class Planner {
   /// Plan a top-level SELECT.
   Result<PlanPtr> PlanSelect(const sql::SelectStmt& sel) const;
 
-  /// Bind a scalar expression against a fixed row layout (used for UPDATE /
-  /// DELETE predicates and database-level check constraints).
+  /// Plan the target of an UPDATE or DELETE: a Scan (or IndexScan) of
+  /// `table` with `where` (null = every row) placed as for `SELECT * FROM
+  /// table WHERE ...` — partition pruning and index selection included —
+  /// under a Filter for each correlated sub-query conjunct, which is never
+  /// unnested. So every row the plan keeps is one table row, by id.
+  Result<PlanPtr> PlanDmlTarget(const std::string& table,
+                                const sql::Expr* where) const;
+
+  /// Bind a scalar expression against a fixed row layout (used for UPDATE
+  /// assignments and database-level check constraints).
   Result<BoundExprPtr> BindExpr(const sql::Expr& e,
                                 const std::vector<ColumnMeta>& layout) const;
 

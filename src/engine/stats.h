@@ -68,6 +68,11 @@ namespace engine {
   X(partitions_pruned, none)  /* partitions skipped by pruned scans */      \
   X(index_scans, none)        /* kIndexScan operator executions */          \
   X(index_rows_skipped, none) /* rows an index lookup never visited */      \
+  /* UPDATE / DELETE (Database::ExecuteBoundUpdate/Delete): rows their      \
+     target scan's filter evaluated, and rows deep-copied into new storage  \
+     chunks by DML publishes (an INSERT copies a pinned last chunk). */     \
+  X(dml_rows_examined, engine)                                              \
+  X(dml_rows_copied, engine)                                                \
   /* High-water mark of workers used by any parallel region: the one       \
      gauge. operator- and Merge take the max of the two sides instead of    \
      subtracting or adding. */                                              \

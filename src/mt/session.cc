@@ -763,9 +763,15 @@ Result<std::string> Session::Explain(const std::string& mtsql,
   std::string out;
   for (size_t i = 0; i < stmts.size(); ++i) {
     const sql::Stmt& s = stmts[i];
-    if (s.kind != sql::Stmt::Kind::kSelect) continue;
     std::string text;
-    if (options.analyze) {
+    if (s.kind == sql::Stmt::Kind::kUpdate ||
+        s.kind == sql::Stmt::Kind::kDelete) {
+      // A write renders its target plan; ANALYZE never executes it.
+      MTB_ASSIGN_OR_RETURN(
+          text, mw_->db()->ExplainDml(s, options.verify ? &vctx : nullptr));
+    } else if (s.kind != sql::Stmt::Kind::kSelect) {
+      continue;
+    } else if (options.analyze) {
       MTB_ASSIGN_OR_RETURN(
           text, mw_->db()->ExplainAnalyzeSelect(
                     *s.select, options.verify ? &vctx : nullptr,

@@ -40,7 +40,9 @@ Status SplitToPrivateTables(engine::Database* source, engine::Database* target,
     }
     MTB_RETURN_IF_ERROR(target->catalog()->CreateTable(std::move(priv)));
   }
-  for (const Row& row : st->rows()) {
+  const auto snap = st->Snapshot();
+  for (size_t r = 0; r < snap->rows().size(); ++r) {
+    const engine::RowView row = snap->rows()[r];
     int64_t owner = row[static_cast<size_t>(ttid_col)].int_value();
     engine::Table* priv =
         target->catalog()->FindTable(PrivateTableName(info.name, owner));
@@ -73,7 +75,9 @@ Status MergeFromPrivateTables(engine::Database* source,
     MTB_ASSIGN_OR_RETURN(
         const engine::Table* priv,
         FindTableOrError(source, PrivateTableName(info.name, t)));
-    for (const Row& row : priv->rows()) {
+    const auto snap = priv->Snapshot();
+    for (size_t r = 0; r < snap->rows().size(); ++r) {
+      const engine::RowView row = snap->rows()[r];
       Row full;
       full.reserve(row.size() + 1);
       full.push_back(Value::Int(t));

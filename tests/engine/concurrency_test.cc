@@ -92,7 +92,7 @@ class ConcurrencyTest : public ::testing::Test {
 // Readers must never observe a torn table version: every write statement in
 // this workload preserves SUM(bal), so any reader observing a different sum
 // has seen a half-applied statement. Three writer shapes cover the three
-// DML publication paths: in-place UPDATE (ReplaceRows), paired INSERT
+// DML publication paths: UPDATE (Table::UpdateRows), paired INSERT
 // (AppendRows, both rows in one atomic publish), and paired INSERT+DELETE.
 TEST_F(ConcurrencyTest, ReadersNeverSeeTornWrites) {
   const std::string expect = SumCanon();
@@ -513,6 +513,87 @@ TEST(PhysicalScanStressTest, StressPrunedAndIndexScansUnderWrites) {
   EXPECT_EQ(failures.count(), 0) << failures.first();
   EXPECT_GT(db.stats()->partitions_pruned, 0u);
   EXPECT_GT(db.stats()->index_scans, 0u);
+}
+
+// Time-boxed (ctest label `stress`). Writers of different tenants update
+// their own rows of one partitioned table, each write a copy-on-write publish
+// of the chunks it touches; readers pin a version and re-read it, which must
+// never change under them, however many versions are published meanwhile.
+// Each tenant's SUM(bal) moves by exactly the updates acknowledged for it.
+TEST(ChunkedVersionStressTest, StressTenantWritersBesidePinnedReaders) {
+  const uint64_t budget_s = EnvU64("MTBASE_STRESS_SECONDS", 1);
+  constexpr int kTenants = 4;  // one writer each
+  constexpr int kRowsPerTenant = 150;
+  constexpr int kReaders = 3;
+  Database db;
+  std::string script =
+      "CREATE TABLE tw (ttid INTEGER NOT NULL, id INTEGER NOT NULL, "
+      "bal INTEGER NOT NULL) PARTITION BY HASH (ttid) PARTITIONS 4;"
+      "INSERT INTO tw VALUES ";
+  // Tenants interleave, so every chunk holds rows of several tenants.
+  for (int i = 0; i < kRowsPerTenant; ++i) {
+    for (int k = 1; k <= kTenants; ++k) {
+      script += (i == 0 && k == 1 ? "(" : ", (") + std::to_string(k) + ", " +
+                std::to_string(i) + ", 10)";
+    }
+  }
+  ASSERT_OK(db.ExecuteScript(script));
+  const Table* table = db.catalog()->FindTable("tw");
+  ASSERT_NE(table, nullptr);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(budget_s);
+  FailureLog failures;
+  std::vector<int64_t> acked(kTenants + 1, 0);
+  std::atomic<int> writers_left{kTenants};
+  std::vector<std::thread> threads;
+  for (int k = 1; k <= kTenants; ++k) {
+    threads.emplace_back([&, k] {
+      Rng rng(0xC4u + static_cast<uint64_t>(k));
+      do {
+        const std::string sql =
+            "UPDATE tw SET bal = bal + 1 WHERE ttid = " + std::to_string(k) +
+            " AND id = " + std::to_string(rng.Uniform(0, kRowsPerTenant - 1));
+        auto rs = db.Execute(sql);
+        if (!rs.ok()) {
+          failures.Record(sql + ": " + rs.status().ToString());
+        } else {
+          acked[static_cast<size_t>(k)] += rs.value().rows[0][0].int_value();
+        }
+      } while (std::chrono::steady_clock::now() < deadline);
+      --writers_left;
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      while (writers_left.load() > 0) {
+        const auto pinned = table->Snapshot();
+        const VersionRows& rows = pinned->rows();
+        std::string first;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          first += rows[i][2].ToString() + ",";
+        }
+        std::this_thread::yield();
+        std::string again;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          again += rows[i][2].ToString() + ",";
+        }
+        if (first != again || rows.size() != kTenants * kRowsPerTenant) {
+          failures.Record("a pinned version changed under its reader");
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.count(), 0) << failures.first();
+  for (int k = 1; k <= kTenants; ++k) {
+    ASSERT_OK_AND_ASSIGN(
+        auto rs,
+        db.Execute("SELECT SUM(bal) FROM tw WHERE ttid = " + std::to_string(k)));
+    EXPECT_EQ(rs.rows[0][0].int_value(),
+              10 * kRowsPerTenant + acked[static_cast<size_t>(k)])
+        << "tenant " << k;
+    EXPECT_GT(acked[static_cast<size_t>(k)], 0) << "tenant " << k;
+  }
 }
 
 // Time-boxed (ctest label `stress`). A statement's shared-cache epoch must

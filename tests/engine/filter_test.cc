@@ -197,6 +197,7 @@ class RowFilterTest : public ::testing::Test {
     ASSERT_OK(db_.ExecuteScript(script));
     table_ = db_.catalog()->FindTable("t");
     ASSERT_NE(table_, nullptr);
+    version_ = table_->Snapshot();
     for (const auto& c : table_->schema().columns) {
       layout_.push_back({"t", c.name});
     }
@@ -206,7 +207,7 @@ class RowFilterTest : public ::testing::Test {
   /// rows it holds TRUE, or the status of the first row that fails.
   Status Oracle(const BoundExpr& pred, const std::vector<uint32_t>* ids,
                 std::vector<uint32_t>* kept) {
-    const std::vector<Row>& rows = table_->rows();
+    const VersionRows& rows = version_->rows();
     ExecStats stats;
     ExecContext ctx;
     ctx.stats = &stats;
@@ -229,6 +230,7 @@ class RowFilterTest : public ::testing::Test {
 
   Database db_;
   const Table* table_ = nullptr;
+  std::shared_ptr<const TableVersion> version_;
   std::vector<ColumnMeta> layout_;
 };
 
@@ -283,14 +285,14 @@ TEST_P(RowFilterSeedTest, KeepsExactlyWhatEvalExprKeeps) {
     ctx.stats = &stats;
     std::vector<uint32_t> got;
     const Status st =
-        filter.Select(table_->rows(), nullptr, 0, kRows, &ctx, &got);
+        filter.Select(version_->rows(), nullptr, 0, kRows, &ctx, &got);
     ASSERT_EQ(want, Outcome(st, got));
 
     std::vector<uint32_t> expect_odd, got_odd;
     const Status odd_st = Oracle(*bound, &odd, &expect_odd);
     ASSERT_EQ(Outcome(odd_st, expect_odd),
-              Outcome(filter.Select(table_->rows(), &odd, 0, odd.size(), &ctx,
-                                    &got_odd),
+              Outcome(filter.Select(version_->rows(), &odd, 0, odd.size(),
+                                    &ctx, &got_odd),
                       got_odd));
 
     // Through the executor: a scan filter and a Filter node (over a derived

@@ -4,7 +4,9 @@
 // invalidation on physical DDL, atomic multi-row DML against derived
 // physical state, and the verifier's partition-set-subset proof (with the
 // widening mutator as the negative case).
+#include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -89,20 +91,90 @@ TEST_F(PhysicalDesignTest, PartitionRowsCoverEveryRowExactlyOnce) {
   ASSERT_TRUE(t->partition().partitioned());
   EXPECT_EQ(t->partition().Count(), kParts);
   const auto version = t->Snapshot();
-  const auto& parts = version->PartitionRows();
-  ASSERT_EQ(parts.size(), static_cast<size_t>(kParts));
   std::vector<bool> seen(version->rows().size(), false);
-  for (const auto& ids : parts) {
+  for (uint32_t p = 0; p < static_cast<uint32_t>(kParts); ++p) {
+    std::vector<uint32_t> ids;
+    version->AppendPartitionRows({p}, &ids);
+    ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end()));
     for (uint32_t id : ids) {
       ASSERT_LT(id, seen.size());
       EXPECT_FALSE(seen[id]) << "row " << id << " in two partitions";
       seen[id] = true;
       // Membership agrees with the routing function.
       EXPECT_EQ(t->partition().RouteValue(version->rows()[id][0]),
-                static_cast<int>(&ids - parts.data()));
+                static_cast<int>(p));
     }
   }
   for (bool s : seen) EXPECT_TRUE(s);
+}
+
+TEST_F(PhysicalDesignTest, ChunksRouteMoreThan256Partitions) {
+  ASSERT_OK(db_.Execute("CREATE TABLE wide (k INTEGER NOT NULL, v INTEGER) "
+                        "PARTITION BY HASH (k) PARTITIONS 300")
+                .status());
+  std::string script;
+  for (int k = 0; k < 1000; ++k) {
+    script += "INSERT INTO wide VALUES (" + std::to_string(k) + ", " +
+              std::to_string(k * 3) + ");";
+  }
+  ASSERT_OK(db_.ExecuteScript(script));
+  for (int k : {0, 257, 299, 611, 999}) {
+    ASSERT_OK_AND_ASSIGN(
+        auto rs,
+        db_.Execute("SELECT v FROM wide WHERE k = " + std::to_string(k)));
+    ASSERT_EQ(rs.rows.size(), 1u) << k;
+    EXPECT_EQ(rs.rows[0][0].int_value(), k * 3);
+  }
+}
+
+// DELETE merges a chunk it leaves under half full with a neighbour, so a
+// churn of key deletes and re-inserts over interleaved rows keeps every two
+// neighbouring chunks at kChunkRows rows or more (at most
+// 2 * rows / kChunkRows + 1 chunks), and loses no row doing it.
+TEST_F(PhysicalDesignTest, DeleteChurnKeepsChunksFilled) {
+  ASSERT_OK(db_.Execute("CREATE TABLE churn (k INTEGER NOT NULL, v INTEGER) "
+                        "PARTITION BY HASH (k) PARTITIONS 4")
+                .status());
+  Table* t = db_.catalog()->FindTable("churn");
+  ASSERT_NE(t, nullptr);
+  std::vector<int64_t> per_key(8, 0);
+  std::string script;
+  for (int i = 0; i < 800; ++i) {  // eight keys, interleaved row by row
+    script += "INSERT INTO churn VALUES (" + std::to_string(i % 8) + ", " +
+              std::to_string(i) + ");";
+    ++per_key[static_cast<size_t>(i % 8)];
+  }
+  ASSERT_OK(db_.ExecuteScript(script));
+  for (int round = 0; round < 32; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const size_t k = static_cast<size_t>(round % 8);
+    ASSERT_OK_AND_ASSIGN(
+        auto deleted,
+        db_.Execute("DELETE FROM churn WHERE k = " + std::to_string(k)));
+    EXPECT_EQ(deleted.rows[0][0].int_value(), per_key[k]);
+    per_key[k] = 0;
+    if (round >= 4) {  // re-insert a key deleted four rounds ago
+      const size_t back = static_cast<size_t>((round - 4) % 8);
+      std::string insert = "INSERT INTO churn VALUES ";
+      for (int i = 0; i < 30; ++i) {
+        insert += std::string(i == 0 ? "(" : ", (") + std::to_string(back) +
+                  ", " + std::to_string(i) + ")";
+      }
+      ASSERT_OK(db_.Execute(insert).status());
+      per_key[back] += 30;
+    }
+    const auto version = t->Snapshot();
+    EXPECT_LE(version->chunks().size(),
+              2 * version->rows().size() / kChunkRows + 1);
+    ASSERT_OK_AND_ASSIGN(
+        auto counts,
+        db_.Execute("SELECT k, COUNT(*) FROM churn GROUP BY k ORDER BY k"));
+    std::vector<int64_t> got(8, 0);
+    for (const auto& row : counts.rows) {
+      got[static_cast<size_t>(row[0].int_value())] = row[1].int_value();
+    }
+    EXPECT_EQ(got, per_key);
+  }
 }
 
 TEST_F(PhysicalDesignTest, ListPartitioningRoutesOverflowToLastPartition) {
@@ -119,11 +191,11 @@ TEST_F(PhysicalDesignTest, ListPartitioningRoutesOverflowToLastPartition) {
       "INSERT INTO lp VALUES (1); INSERT INTO lp VALUES (3); "
       "INSERT INTO lp VALUES (42)"));
   const auto version = t->Snapshot();
-  const auto& parts = version->PartitionRows();
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0].size(), 1u);
-  EXPECT_EQ(parts[1].size(), 1u);
-  EXPECT_EQ(parts[2].size(), 1u);
+  for (uint32_t p = 0; p < 3; ++p) {
+    std::vector<uint32_t> ids;
+    version->AppendPartitionRows({p}, &ids);
+    EXPECT_EQ(ids, std::vector<uint32_t>{p});
+  }
 }
 
 TEST_F(PhysicalDesignTest, IndexOrderIsSortedWithInsertionOrderTieBreak) {
@@ -135,8 +207,8 @@ TEST_F(PhysicalDesignTest, IndexOrderIsSortedWithInsertionOrderTieBreak) {
   const auto& order = version->IndexOrder(*ix);
   ASSERT_EQ(order.size(), version->rows().size());
   for (size_t i = 1; i < order.size(); ++i) {
-    const Row& a = version->rows()[order[i - 1]];
-    const Row& b = version->rows()[order[i]];
+    const RowView a = version->rows()[order[i - 1]];
+    const RowView b = version->rows()[order[i]];
     int c = IndexKeyCompare(a[0], b[0]);
     if (c == 0) c = IndexKeyCompare(a[1], b[1]);
     if (c == 0) {
@@ -245,18 +317,20 @@ TEST_F(PhysicalDesignTest, CreateIndexInvalidatesPreparedPlans) {
 
 TEST_F(PhysicalDesignTest, AbortedMultiRowInsertLeavesTableUnchanged) {
   Table* t = db_.catalog()->FindTable("part");
-  const size_t before = t->rows().size();
+  const size_t before = t->row_count();
   const uint64_t version = t->data_version();
   // Row 1 is fine; row 2 violates NOT NULL. Nothing may be applied.
   auto r = db_.Execute("INSERT INTO part VALUES (1, 900, 1), (NULL, 901, 2)");
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(t->rows().size(), before);
+  EXPECT_EQ(t->row_count(), before);
   EXPECT_EQ(t->data_version(), version);
   // Derived physical state is trivially consistent: same coverage as before.
   const auto pinned = t->Snapshot();
-  size_t covered = 0;
-  for (const auto& ids : pinned->PartitionRows()) covered += ids.size();
-  EXPECT_EQ(covered, before);
+  std::vector<uint32_t> all_parts(kParts);
+  std::iota(all_parts.begin(), all_parts.end(), 0u);
+  std::vector<uint32_t> covered;
+  pinned->AppendPartitionRows(all_parts, &covered);
+  EXPECT_EQ(covered.size(), before);
   ASSERT_OK_AND_ASSIGN(auto rs,
                        db_.Execute("SELECT id FROM part WHERE id = 900"));
   EXPECT_TRUE(rs.rows.empty());

@@ -9,6 +9,7 @@
 
 #include "engine/database.h"
 #include "engine/explain.h"
+#include "engine/filter.h"
 #include "mth/queries.h"
 #include "mth/runner.h"
 #include "sql/parser.h"
@@ -115,6 +116,94 @@ TEST_F(PlannerTest, CountDistinct) {
   ASSERT_OK_AND_ASSIGN(auto rs,
                        db_.Execute("SELECT COUNT(DISTINCT grp) FROM big"));
   EXPECT_EQ(rs.rows[0][0].int_value(), 10);
+}
+
+// -- Constant conjuncts -----------------------------------------------------
+
+/// The plan of `sql` rendered by ExplainSelect, for shape assertions.
+std::string PlanText(Database* db, const std::string& sql) {
+  auto stmt = sql::ParseStatement(sql);
+  EXPECT_OK(stmt.status());
+  if (!stmt.ok()) return "";
+  auto text = ExplainSelect(db->catalog(), db->udfs(), *stmt.value().select,
+                            db->planner_options());
+  EXPECT_OK(text.status());
+  return text.ok() ? text.value() : "";
+}
+
+TEST_F(PlannerTest, TrueConstantConjunctIsDropped) {
+  const std::string sql = "SELECT COUNT(*) FROM big WHERE 1 = 1";
+  EXPECT_EQ(PlanText(&db_, sql),
+            "Project (1 columns)\n  Aggregate (groups: 0, aggs: COUNT(*))\n"
+            "    Scan big\n");
+  ASSERT_OK_AND_ASSIGN(auto rs, db_.Execute(sql));
+  EXPECT_EQ(rs.rows[0][0].int_value(), 1000);
+}
+
+TEST_F(PlannerTest, FalseAndNullConstantsEmptyTheScanWithoutReadingRows) {
+  for (const char* cond : {"1 = 4", "NULL", "NULL = 1"}) {
+    const std::string sql =
+        std::string("SELECT grp, COUNT(*) FROM big WHERE ") + cond +
+        " GROUP BY grp";
+    SCOPED_TRACE(sql);
+    // No Filter: the Aggregate folds the scan, which keeps nothing.
+    EXPECT_EQ(PlanText(&db_, sql),
+              "Project (2 columns)\n"
+              "  Aggregate (groups: 1, aggs: COUNT(*))\n"
+              "    Scan big (filtered)\n");
+    StatsScope stats(db_.stats());
+    ASSERT_OK_AND_ASSIGN(auto rs, db_.Execute(sql));
+    EXPECT_TRUE(rs.rows.empty());
+  }
+}
+
+TEST_F(PlannerTest, ConstantBesideLikeLeadsTheScanFilter) {
+  ASSERT_OK(db_.ExecuteScript(
+      "CREATE TABLE r (a INTEGER, c VARCHAR(4));"
+      "INSERT INTO r VALUES (1, 'ab'), (2, 'bb'), (1, 'cb'), (3, 'ba')"));
+  const std::string sql =
+      "SELECT a, COUNT(*) FROM r WHERE c LIKE '%b' AND 1 = 4 GROUP BY a";
+  ASSERT_OK_AND_ASSIGN(sql::Stmt stmt, sql::ParseStatement(sql));
+  Planner planner(db_.catalog(), db_.udfs(), db_.planner_options());
+  ASSERT_OK_AND_ASSIGN(PlanPtr plan, planner.PlanSelect(*stmt.select));
+  const Plan* agg = plan->left.get();
+  ASSERT_EQ(agg->kind, Plan::Kind::kAggregate);
+  EXPECT_TRUE(AggregatesScanInPlace(*agg));
+  EXPECT_TRUE(RowFilter::KeepsNothing(*agg->left->scan_filter));
+  ASSERT_OK_AND_ASSIGN(auto rs, db_.Execute(sql));
+  EXPECT_TRUE(rs.rows.empty());
+  // Without the constant the LIKE still selects, and a TRUE one changes
+  // nothing.
+  ASSERT_OK_AND_ASSIGN(
+      rs, db_.Execute("SELECT a, COUNT(*) FROM r WHERE c LIKE '%b' AND 2 > 1 "
+                      "GROUP BY a ORDER BY a"));
+  EXPECT_EQ(CanonRows(rs.rows), CanonRows({{Value::Int(1), Value::Int(2)},
+                                           {Value::Int(2), Value::Int(1)}}));
+}
+
+TEST_F(PlannerTest, ConstantsThatDoNotFoldStayInAFilter) {
+  // A division by zero folds to no literal: it stays above the FROM tree and
+  // fails when a row evaluates it, as before.
+  const std::string sql = "SELECT COUNT(*) FROM big WHERE 1 / 0 = 1";
+  EXPECT_NE(PlanText(&db_, sql).find("Filter"), std::string::npos);
+  EXPECT_FALSE(db_.Execute(sql).ok());
+}
+
+TEST_F(PlannerTest, DmlWithConstantFalseWhereExaminesNoRow) {
+  StatsScope stats(db_.stats());
+  ASSERT_OK_AND_ASSIGN(auto rs,
+                       db_.Execute("UPDATE big SET v = v + 1 WHERE 1 = 0"));
+  EXPECT_EQ(rs.rows[0][0].int_value(), 0);
+  ASSERT_OK_AND_ASSIGN(rs, db_.Execute("DELETE FROM big WHERE grp = 3 AND "
+                                       "NULL"));
+  EXPECT_EQ(rs.rows[0][0].int_value(), 0);
+  EXPECT_EQ(stats.Delta().dml_rows_examined, 0u);
+  EXPECT_EQ(stats.Delta().dml_rows_copied, 0u);
+  ASSERT_OK_AND_ASSIGN(rs, db_.Execute("UPDATE big SET v = v + 1 WHERE 1 = 1 "
+                                       "AND id = 7"));
+  EXPECT_EQ(rs.rows[0][0].int_value(), 1);
+  EXPECT_EQ(stats.Delta().dml_rows_examined, 1000u);
+  EXPECT_EQ(stats.Delta().dml_rows_copied, kChunkRows);
 }
 
 // -- Column pruning ---------------------------------------------------------

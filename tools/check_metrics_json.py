@@ -10,9 +10,10 @@ ending in _total, histograms in _seconds).
 
 Invoked by the CI quick lane after the serving_bench smoke run, so it also
 asserts the serving-layer signals that run must have produced: executed
-statements with latency observations, admission-control accounting, and
+statements with latency observations, admission-control accounting,
 cross-session plan-cache hits (many sessions issuing the same statements must
-share compiled plans).
+share compiled plans), and counted DML: the smoke run's writes examine and
+copy rows, so a write path that stops counting fails the check.
 
 Usage: python3 tools/check_metrics_json.py <metrics.json>
 """
@@ -31,6 +32,8 @@ REQUIRED_POSITIVE_COUNTERS = [
     "mtbase_engine_statements_total",
     "mtbase_engine_statements_admitted_total",
     "mtbase_mt_plan_cache_hits_total",
+    "mtbase_engine_dml_rows_examined_total",
+    "mtbase_engine_dml_rows_copied_total",
 ]
 REQUIRED_HISTOGRAMS = [
     "mtbase_session_execute_seconds",
